@@ -5,11 +5,15 @@ crossings are resolved one at a time in a fixed order, and partial states
 that induce the same pairing of still-unresolved crossing ports are
 merged by adding their polynomials.  Loop closures multiply by the loop
 value -A^2 - A^-2; open strands count through their virtual head-tail
-closures, which the terminal graph has already folded in.
+closures, which the terminal graph has already folded in.  A state's key
+is the tuple of partner ports, one per live port in ascending order, so a
+smoothing rewrites it by position: two slot writes per bond, then one
+itemgetter that drops the resolved crossing's four slots.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
@@ -96,38 +100,39 @@ def bracket(diagram: Diagram, crossing_cap: int = DEFAULT_CROSSING_CAP) -> Brack
     order = _crossing_order(n, dict(tg.strand))
 
     live: List[int] = sorted(tg.strand)
-    m0 = dict(tg.strand)
-    states: Dict[Tuple[int, ...], Dict[int, int]] = {tuple(m0[p] for p in live): {0: 1}}
+    states: Dict[Tuple[int, ...], Dict[int, int]] = {tuple(tg.strand[p] for p in live): {0: 1}}
     states_expanded = 1
     cache_hits = 0
 
     for ci in order:
         sign = signs[ci]
         base = 4 * ci
+        pos = {p: i for i, p in enumerate(live)}
         choices = []
         for kind, shift in (("A", 1), ("B", -1)):
             joins = smoothing_joins(sign, kind)
-            choices.append((shift, tuple((base + x, base + y) for x, y in joins)))
-        ports = {base, base + 1, base + 2, base + 3}
-        next_live = [p for p in live if p not in ports]
+            choices.append((shift, tuple((pos[base + x], pos[base + y], base + y)
+                                         for x, y in joins)))
+        keep = [i for i, p in enumerate(live) if p // 4 != ci]
+        # itemgetter needs an index; the last crossing leaves no live port
+        take = operator.itemgetter(*keep) if keep else (lambda m: ())
         nxt: Dict[Tuple[int, ...], Dict[int, int]] = {}
         for key, poly in states.items():
-            m = dict(zip(live, key))
             for shift, bonds in choices:
-                m2 = dict(m)
+                m = list(key)
                 loops = 0
-                for x, y in bonds:
-                    px = m2.pop(x)
-                    py = m2.pop(y)
+                for ix, iy, y in bonds:
+                    px = m[ix]
                     if px == y:
                         loops += 1
                     else:
-                        m2[px] = py
-                        m2[py] = px
+                        py = m[iy]
+                        m[pos[px]] = py
+                        m[pos[py]] = px
                 contrib = {e + shift: c for e, c in poly.items()}
                 if loops:
                     contrib = _mul_d(contrib, loops)
-                key2 = tuple(m2[p] for p in next_live)
+                key2 = take(m)
                 slot = nxt.get(key2)
                 if slot is None:
                     nxt[key2] = contrib
@@ -141,7 +146,7 @@ def bracket(diagram: Diagram, crossing_cap: int = DEFAULT_CROSSING_CAP) -> Brack
                         else:
                             del slot[e]
         states = nxt
-        live = next_live
+        live = [live[i] for i in keep]
 
     total = states.get((), {})
     if tg.free_loops:
@@ -151,8 +156,11 @@ def bracket(diagram: Diagram, crossing_cap: int = DEFAULT_CROSSING_CAP) -> Brack
     return BracketResult(LaurentPoly(total), states_expanded, cache_hits)
 
 
+def writhe_prefactor(writhe: int) -> LaurentPoly:
+    """(-A^3)^(-writhe), the factor that turns a bracket into a Jones polynomial."""
+    return LaurentPoly.monomial(-1 if writhe % 2 else 1, -3 * writhe)
+
+
 def jones_of_diagram(diagram: Diagram, crossing_cap: int = DEFAULT_CROSSING_CAP) -> LaurentPoly:
     """Writhe-corrected bracket: (-A^3)^(-writhe) times the bracket."""
-    res = bracket(diagram, crossing_cap)
-    w = diagram.writhe
-    return LaurentPoly.monomial(-1 if w % 2 else 1, -3 * w) * res.poly
+    return writhe_prefactor(diagram.writhe) * bracket(diagram, crossing_cap).poly

@@ -67,6 +67,9 @@ def _add_output_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _config(args) -> SamplingConfig:
+    for flag, value in (("--directions", args.directions), ("--workers", args.workers)):
+        if value < 1:
+            raise PbcJonesError(f"{flag} must be at least 1, got {value}")
     return SamplingConfig(
         directions=args.directions, mode=args.mode, seed=args.seed,
         tolerance=args.tolerance, crossing_cap=args.crossing_cap,
@@ -154,8 +157,9 @@ def _load_composition(path: str) -> Dict[str, List[List[int]]]:
 
 
 def _cmd_jones(args) -> None:
+    cfg = _config(args)
     curves = read_curves(args.input)
-    res = jones(curves, _config(args))
+    res = jones(curves, cfg)
     report = AnalysisReport("jones", _sampling_params(args, args.input), {
         **_poly_results(res),
         "component_count": len(curves),
@@ -165,9 +169,10 @@ def _cmd_jones(args) -> None:
 
 
 def _cmd_cell_jones(args) -> None:
+    cfg = _config(args)
     system = read_system(args.input)
     curves = cell_curves(system, tol=args.tolerance)
-    res = jones(curves, _config(args))
+    res = jones(curves, cfg)
     report = AnalysisReport("cell-jones", _sampling_params(args, args.input), {
         **_poly_results(res),
         "component_count": len(curves),
@@ -177,6 +182,7 @@ def _cmd_cell_jones(args) -> None:
 
 
 def _cmd_periodic_jones(args) -> None:
+    cfg = _config(args)
     system = read_system(args.input)
     if args.basepoint_search:
         for chain in system.chains:
@@ -187,7 +193,7 @@ def _cmd_periodic_jones(args) -> None:
     else:
         link = minimal_periodic_link(system)
     curves = link_curves(link)
-    res = jones(curves, _config(args))
+    res = jones(curves, cfg)
     params = _sampling_params(args, args.input)
     params["frozen_components"] = args.frozen_components
     params["basepoint_search"] = bool(args.basepoint_search)
@@ -353,7 +359,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tolerance", type=float, default=1e-9)
     p.add_argument("--enumerate-cap", type=int, default=16,
                    help="max shared crossings for full state enumeration")
-    p.add_argument("--crossing-cap", type=int, default=48)
+    p.add_argument("--crossing-cap", type=int, default=DEFAULT_CROSSING_CAP)
     _add_output_flags(p)
     p.set_defaults(func=_cmd_cutoff_verify)
 

@@ -23,7 +23,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .bracket import bracket
+from .bracket import DEFAULT_CROSSING_CAP, bracket, writhe_prefactor
 from .diagram import Diagram
 from .errors import PbcJonesError
 from .geometry import Curve, sample_directions
@@ -120,7 +120,7 @@ def build_cutoff(system: PBCSystem, n_copies: int,
     return CutoffLink(n_copies, axis, period, cells, tuple(copies), link)
 
 
-def split_bracket(diagram: Diagram, crossing_cap: int = 48) -> LaurentPoly:
+def split_bracket(diagram: Diagram, crossing_cap: int = DEFAULT_CROSSING_CAP) -> LaurentPoly:
     """Bracket of a diagram that may split into independent pieces.
 
     Components are grouped by shared crossings and by shared open-end
@@ -166,10 +166,6 @@ def split_bracket(diagram: Diagram, crossing_cap: int = 48) -> LaurentPoly:
         sub = Diagram(comps, {cid: diagram.crossings[cid] for cid in present})
         total = total * bracket(sub, crossing_cap).poly
     return total * d_power(len(groups) - 1)
-
-
-def _writhe_prefactor(w: int) -> LaurentPoly:
-    return LaurentPoly.monomial(-1 if w % 2 else 1, -3 * w)
 
 
 @dataclass(frozen=True)
@@ -223,7 +219,7 @@ class CutoffReport:
 def verify_cutoff_factorization(system: PBCSystem, n_copies: int, xi=None,
                                 tol: float = 1e-9, retries: int = 100,
                                 enumerate_cap: int = 16,
-                                crossing_cap: int = 48) -> CutoffReport:
+                                crossing_cap: int = DEFAULT_CROSSING_CAP) -> CutoffReport:
     """Check the cutoff factorization along one projection direction.
 
     All identities are exact polynomial equalities:
@@ -254,7 +250,7 @@ def verify_cutoff_factorization(system: PBCSystem, n_copies: int, xi=None,
 
     base_diagram, _, _ = project_generic(cut.copy_curves(0), xi_used, tol, retries)
     bracket_base = bracket(base_diagram, crossing_cap).poly
-    v_base = _writhe_prefactor(base_diagram.writhe) * bracket_base
+    v_base = writhe_prefactor(base_diagram.writhe) * bracket_base
 
     slk = slk_p(system, xi_used, link=cut.link, axis=cut.axis, tol=tol, retries=retries)
     n = n_copies
@@ -269,7 +265,7 @@ def verify_cutoff_factorization(system: PBCSystem, n_copies: int, xi=None,
                   * d_power(n - 1) * v_base ** n)
 
     bracket_total = bracket(diagram, crossing_cap).poly
-    v_cutoff = _writhe_prefactor(diagram.writhe) * bracket_total
+    v_cutoff = writhe_prefactor(diagram.writhe) * bracket_total
 
     # oriented smoothing of every shared crossing disconnects the copies
     s_diag = diagram
@@ -297,7 +293,7 @@ def verify_cutoff_factorization(system: PBCSystem, n_copies: int, xi=None,
             disconnecting.append(kinds)
     sum_ok = states_sum == bracket_total
     unique_ok = disconnecting == [oriented_kinds]
-    lambda_tilde = _writhe_prefactor(diagram.writhe) * lambda_bracket
+    lambda_tilde = writhe_prefactor(diagram.writhe) * lambda_bracket
     factorization_ok = (state_term + lambda_tilde).approx_eq(v_cutoff, 0.0) \
         if state_term.mode == "float" else (state_term + lambda_tilde) == v_cutoff
 

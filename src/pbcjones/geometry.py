@@ -276,7 +276,8 @@ def project(curves: Sequence[Curve], xi, tol: float = 1e-9) -> Diagram:
         scale = lens[a] * lens[b]
         if abs(denom) <= tol * scale:
             # parallel; reject only if the segments come within tol
-            if _segments_too_close(pa, pa + da, pb, pb + db, tol):
+            if _segments_too_close(pa.tolist(), (pa + da).tolist(),
+                                   pb.tolist(), (pb + db).tolist(), tol):
                 raise NonGenericDirectionError("tangency")
             continue
         w = pb - pa
@@ -351,12 +352,13 @@ def _segments_too_close(a0, a1, b0, b1, tol: float) -> bool:
 
 
 def _point_seg_dist(p, s0, s1) -> float:
-    d = s1 - s0
-    L2 = float(np.dot(d, d))
+    """Distance from p to the segment s0-s1; points are (x, y) floats."""
+    dx, dy = s1[0] - s0[0], s1[1] - s0[1]
+    L2 = dx * dx + dy * dy
     if L2 == 0.0:
-        return float(np.linalg.norm(p - s0))
-    t = float(np.clip(np.dot(p - s0, d) / L2, 0.0, 1.0))
-    return float(np.linalg.norm(p - (s0 + t * d)))
+        return math.hypot(p[0] - s0[0], p[1] - s0[1])
+    t = min(max(((p[0] - s0[0]) * dx + (p[1] - s0[1]) * dy) / L2, 0.0), 1.0)
+    return math.hypot(p[0] - (s0[0] + t * dx), p[1] - (s0[1] + t * dy))
 
 
 def _seg_dist(a0, a1, b0, b1) -> float:

@@ -18,7 +18,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .bracket import DEFAULT_CROSSING_CAP, bracket
+from .bracket import DEFAULT_CROSSING_CAP, bracket, writhe_prefactor
 from .errors import NonGenericDirectionError, StateSumTooLargeError
 from .geometry import Curve, perturbed_direction, project, sample_directions
 from .laurent import EXACT, FLOAT, LaurentPoly
@@ -84,9 +84,9 @@ def project_generic(curves: Sequence[Curve], xi, tol: float, retries: int):
 
 
 def _direction_term(curves, xi, cfg: SamplingConfig):
-    """Exact Jones for one direction as an int coefficient dict.
+    """Exact Jones polynomial for one direction.
 
-    Returns (coeffs or None when capped and skipping, retries, crossings,
+    Returns (poly or None when capped and skipping, retries, crossings,
     states_expanded, cache_hits).
     """
     diagram, _, tries = project_generic(curves, xi, cfg.tolerance, cfg.genericity_retries)
@@ -97,10 +97,8 @@ def _direction_term(curves, xi, cfg: SamplingConfig):
         if cfg.on_cap == "skip":
             return None, tries, n_cross, 0, 0
         raise
-    w = diagram.writhe
-    neg = bool(w % 2)
-    coeffs = {e - 3 * w: (-c if neg else c) for e, c in res.poly._c.items()}
-    return coeffs, tries, n_cross, res.states_expanded, res.cache_hits
+    poly = writhe_prefactor(diagram.writhe) * res.poly
+    return poly, tries, n_cross, res.states_expanded, res.cache_hits
 
 
 def _chunk_sum(args) -> Tuple[Dict[int, int], int, int, int, int, int]:
@@ -108,15 +106,15 @@ def _chunk_sum(args) -> Tuple[Dict[int, int], int, int, int, int, int]:
     total: Dict[int, int] = {}
     used = retries = max_cross = expanded = hits = 0
     for xi in dirs:
-        coeffs, tries, n_cross, st, ch = _direction_term(curves, xi, cfg)
+        poly, tries, n_cross, st, ch = _direction_term(curves, xi, cfg)
         retries += tries
         max_cross = max(max_cross, n_cross)
-        if coeffs is None:
+        if poly is None:
             continue
         used += 1
         expanded += st
         hits += ch
-        for e, c in coeffs.items():
+        for e, c in poly.terms():
             nc = total.get(e, 0) + c
             if nc:
                 total[e] = nc
@@ -128,10 +126,10 @@ def _chunk_sum(args) -> Tuple[Dict[int, int], int, int, int, int, int]:
 def jones_single_direction(curves: Sequence[Curve], xi, cfg: Optional[SamplingConfig] = None) -> JonesResult:
     """Exact Jones polynomial of the diagram seen along one direction."""
     cfg = cfg or SamplingConfig()
-    coeffs, tries, n_cross, st, ch = _direction_term(curves, np.asarray(xi, dtype=float), cfg)
-    if coeffs is None:
+    poly, tries, n_cross, st, ch = _direction_term(curves, np.asarray(xi, dtype=float), cfg)
+    if poly is None:
         raise StateSumTooLargeError(n_cross, cfg.crossing_cap)
-    return JonesResult(LaurentPoly(coeffs), True, 1, 0, tries, n_cross, st, ch)
+    return JonesResult(poly, True, 1, 0, tries, n_cross, st, ch)
 
 
 def jones(curves: Sequence[Curve], cfg: Optional[SamplingConfig] = None) -> JonesResult:

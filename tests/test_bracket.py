@@ -5,7 +5,8 @@ from oracles import brute_bracket
 from pbcjones.bracket import bracket, jones_of_diagram
 from pbcjones.diagram import Component, Diagram
 from pbcjones.errors import StateSumTooLargeError
-from pbcjones.fixtures import chainmail_system, figure_eight, hopf_link, trefoil
+from pbcjones.fixtures import (chainmail_system, figure_eight, hopf_link, jersey_system,
+                               trefoil)
 from pbcjones.geometry import Curve, sample_directions
 from pbcjones.jones3d import project_generic
 from pbcjones.laurent import LaurentPoly, d_power
@@ -45,6 +46,17 @@ class TestBaseCases:
             Component("y", False, (), ends=(("p", "head"), ("q", "head"))),
         ]
         assert bracket(Diagram(comps, {})).poly == LaurentPoly.one()
+
+    @pytest.mark.parametrize("free", [1, 2])
+    def test_last_crossing_empties_frontier_beside_free_loops(self, free):
+        # the frontier key shrinks to () at the last crossing; the
+        # crossingless loops still multiply in afterwards
+        kink = Component("k", True, (("c", "o"), ("c", "u")))
+        loops = [Component(f"f{i}", True, ()) for i in range(free)]
+        d = Diagram([kink] + loops, {"c": 1})
+        res = bracket(d)
+        assert res.poly == brute_bracket(d)
+        assert res.poly == bracket(Diagram([kink], {"c": 1})).poly * d_power(free)
 
 
 class TestAgainstEnumeration:
@@ -99,6 +111,19 @@ class TestCapAndAccounting:
         res = bracket(d)
         assert res.states_expanded > 0
         assert res.cache_hits > 0
+
+    # counts of the dict-keyed kernel; a kernel rewrite must reproduce them
+    @pytest.mark.parametrize("make,seed,crossings,states,hits", [
+        (lambda: [trefoil()], 1, 4, 8, 7),
+        (lambda: [figure_eight()], 3, 14, 54, 53),
+        (lambda: link_curves(minimal_periodic_link(chainmail_system())), 7, 14, 22, 21),
+        (lambda: link_curves(minimal_periodic_link(jersey_system())), 23, 63, 20060, 20059),
+    ], ids=["trefoil", "figure_eight", "chainmail_base", "jersey"])
+    def test_work_counters_are_pinned(self, make, seed, crossings, states, hits):
+        d = project(make(), seed)
+        assert len(d.crossings) == crossings
+        res = bracket(d, crossing_cap=crossings)
+        assert (res.states_expanded, res.cache_hits) == (states, hits)
 
     def test_deterministic_across_calls(self):
         d = project([trefoil()], 1)

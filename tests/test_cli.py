@@ -82,6 +82,17 @@ class TestJones:
         assert main(["jones", "/nonexistent/curves.json"]) == 2
         assert capsys.readouterr().err.startswith("error:")
 
+    @pytest.mark.parametrize("command", ["jones", "cell-jones", "periodic-jones"])
+    @pytest.mark.parametrize("flag,value", [("--directions", "0"), ("--directions", "-3"),
+                                            ("--workers", "0"), ("--workers", "-1")])
+    def test_sampling_counts_below_one_rejected(self, command, flag, value, hopf_file,
+                                                chainmail_file, capsys):
+        path = hopf_file if command == "jones" else chainmail_file
+        assert main([command, path, flag, value]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {flag} must be at least 1, got {value}\n"
+
 
 class TestCellJones:
     def test_report_shape(self, chainmail_file, capsys):

@@ -222,6 +222,33 @@ class TestGenericity:
             project_generic([flat], [1.0, 0.0, 0.0], 1e-9, 0)
 
 
+class TestParallelSegments:
+    """Parallel projected segments are never crossings; within tol they touch."""
+
+    @staticmethod
+    def pair(offset):
+        # along +z the projection frame is u = x, v = y, exactly
+        a = Curve("a", [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]], False)
+        b = Curve("b", [[0.5, offset, 1.0], [1.5, offset, 1.0]], False)
+        return [a, b]
+
+    @pytest.mark.parametrize("offset", [0.0, 5e-10])
+    def test_parallel_within_tol_is_tangency(self, offset):
+        with pytest.raises(NonGenericDirectionError) as err:
+            project(self.pair(offset), [0.0, 0.0, 1.0])
+        assert err.value.feature == "tangency"
+
+    @pytest.mark.parametrize("offset", [1e-6, 0.3])
+    def test_parallel_apart_gives_no_crossing(self, offset):
+        d = project(self.pair(offset), [0.0, 0.0, 1.0])
+        assert d.crossings == {}
+
+    def test_collinear_gap_beyond_tol_gives_no_crossing(self):
+        a = Curve("a", [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]], False)
+        b = Curve("b", [[1.0 + 1e-6, 0.0, 1.0], [2.0, 0.0, 1.0]], False)
+        assert project([a, b], [0.0, 0.0, 1.0]).crossings == {}
+
+
 class TestEndpointContact:
     def test_chained_arcs_are_not_crossings(self):
         # consecutive pieces of one thread meet end to end; the contact

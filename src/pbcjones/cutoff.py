@@ -294,8 +294,7 @@ def verify_cutoff_factorization(system: PBCSystem, n_copies: int, xi=None,
     sum_ok = states_sum == bracket_total
     unique_ok = disconnecting == [oriented_kinds]
     lambda_tilde = writhe_prefactor(diagram.writhe) * lambda_bracket
-    factorization_ok = (state_term + lambda_tilde).approx_eq(v_cutoff, 0.0) \
-        if state_term.mode == "float" else (state_term + lambda_tilde) == v_cutoff
+    factorization_ok = (state_term + lambda_tilde) == v_cutoff
 
     return CutoffReport(
         n_copies=n,

@@ -5,12 +5,22 @@ positive length, all intersections are transversal, away from vertices,
 separated from each other, and with distinct depths.  Any violation
 raises NonGenericDirectionError naming the failed check; callers retry
 with a deterministically perturbed direction.
+
+``project`` works on whole arrays.  Candidate segment pairs come from a
+sort-and-sweep: the tol-padded boxes are sorted by their low x, each
+box's x-window is found with ``searchsorted`` on its high x, and the
+windows are expanded into pairs and filtered on y overlap, same-curve
+neighbors and end-to-end contacts.  The crossing tests then run on all
+pairs at once.  Checks run in a fixed order, and pairs are taken in
+lexicographic (a < b) order: when several pairs fail, the error names
+the check of the first failing pair.  The separation and near-vertex
+checks sweep crossings and vertices on x with a 2 tol window.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -132,78 +142,69 @@ def perturbed_direction(xi, attempt: int) -> np.ndarray:
     return out / np.linalg.norm(out)
 
 
-class _Crossing:
-    __slots__ = ("point", "depth_lo", "depth_hi", "over_slot", "under_slot", "sign")
-
-    def __init__(self, point, depth_lo, depth_hi, over_slot, under_slot, sign):
-        self.point = point
-        self.depth_lo = depth_lo
-        self.depth_hi = depth_hi
-        self.over_slot = over_slot  # (curve index, segment index, parameter)
-        self.under_slot = under_slot
-        self.sign = sign
-
-
-def _touching_terminal_pairs(curves: Sequence[Curve]) -> set:
-    """Terminal segment pairs of open curves whose endpoints coincide in 3D.
+def _touching_terminal_pairs(curves: Sequence[Curve], seg_first) -> Set[Tuple[int, int]]:
+    """Terminal segment pairs (a < b) of open curves whose endpoints coincide in 3D.
 
     Components that continue each other (periodic images of one thread)
     meet end to end; the contact is structural, not a crossing, so those
-    segment pairs are exempt from intersection checks.
+    segment pairs are exempt from intersection checks.  Segments are
+    numbered globally, curve ``ci`` starting at ``seg_first[ci]``.
     """
-    by_pos: Dict[Tuple[int, int, int], List[Tuple[int, int]]] = {}
+    slots, ends = [], []
     for ci, c in enumerate(curves):
-        if c.closed:
-            continue
-        m = c.segment_count
-        for vi, si in ((0, 0), (-1, m - 1)):
-            key = tuple(np.round(c.vertices[vi] / 1e-6).astype(np.int64))
-            by_pos.setdefault(key, []).append((ci, si))
-    excluded = set()
-    for slots in by_pos.values():
-        for i in range(len(slots) - 1):
-            for j in range(i + 1, len(slots)):
-                a, b = slots[i], slots[j]
-                excluded.add((a, b) if a <= b else (b, a))
-    return excluded
+        if not c.closed:
+            first = int(seg_first[ci])
+            slots += [first, first + c.segment_count - 1]
+            ends += [c.vertices[0], c.vertices[-1]]
+    if not slots:
+        return set()
+    by_pos: Dict[Tuple[int, ...], List[int]] = {}
+    for key, k in zip(np.round(np.array(ends) / 1e-6).astype(np.int64).tolist(), slots):
+        by_pos.setdefault(tuple(key), []).append(k)
+    return {(min(a, b), max(a, b)) for ks in by_pos.values()
+            for i, a in enumerate(ks) for b in ks[i + 1:]}
 
 
-def _candidate_pairs(starts, ends, seg_curve, seg_index, curves, tol, excluded):
-    """Uniform-grid bucketing of projected segments; returns index pairs."""
-    lens = np.linalg.norm(ends - starts, axis=1)
-    cell = float(np.median(lens))
-    cell = max(cell, 10.0 * tol, 1e-12)
+def _overlaps(lo: np.ndarray, hi: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Index pairs (i, j) of the closed intervals [lo, hi] that overlap.
+
+    Sort-and-sweep: in lo order, the later partners of an interval are
+    the run of intervals whose lo does not exceed its hi.  Each pair is
+    returned once, in no particular orientation.
+    """
+    order = np.argsort(lo, kind="stable")
+    n = order.shape[0]
+    counts = np.searchsorted(lo[order], hi[order], side="right") - np.arange(1, n + 1)
+    first = np.repeat(np.arange(n), counts)
+    step = np.arange(first.shape[0]) - np.repeat(np.cumsum(counts) - counts, counts)
+    return order[first], order[first + 1 + step]
+
+
+def _candidate_pairs(starts, ends, seg_curve, seg_index, seg_count, seg_closed, tol,
+                     excluded):
+    """Segment pairs (a < b) in lexicographic order whose tol-padded boxes overlap.
+
+    Neighbors on one curve and the global index pairs in ``excluded``
+    are dropped.  Segments that cross or come within tol of each other
+    always have overlapping padded boxes.
+    """
     lo = np.minimum(starts, ends) - tol
     hi = np.maximum(starts, ends) + tol
-    ilo = np.floor(lo / cell).astype(int)
-    ihi = np.floor(hi / cell).astype(int)
-    buckets: Dict[Tuple[int, int], List[int]] = {}
-    for k in range(starts.shape[0]):
-        for ix in range(ilo[k, 0], ihi[k, 0] + 1):
-            for iy in range(ilo[k, 1], ihi[k, 1] + 1):
-                buckets.setdefault((ix, iy), []).append(k)
-    pairs = set()
-    for members in buckets.values():
-        if len(members) < 2:
-            continue
-        for ai in range(len(members) - 1):
-            for bi in range(ai + 1, len(members)):
-                a, b = members[ai], members[bi]
-                if a > b:
-                    a, b = b, a
-                sa = (int(seg_curve[a]), int(seg_index[a]))
-                sb = (int(seg_curve[b]), int(seg_index[b]))
-                if sa[0] == sb[0]:
-                    ca = curves[sa[0]]
-                    m = ca.segment_count
-                    d = abs(sa[1] - sb[1])
-                    if d == 0 or d == 1 or (ca.closed and d == m - 1):
-                        continue  # neighbors share a vertex, not a crossing
-                key = (sa, sb) if sa <= sb else (sb, sa)
-                if key in excluded:
-                    continue  # curves meeting end to end touch, not cross
-                pairs.add((a, b))
-    return sorted(pairs)
+    i, j = _overlaps(lo[:, 0], hi[:, 0])
+    keep = (lo[j, 1] <= hi[i, 1]) & (lo[i, 1] <= hi[j, 1])
+    i, j = i[keep], j[keep]
+    a, b = np.minimum(i, j), np.maximum(i, j)
+    d = np.abs(seg_index[a] - seg_index[b])
+    # neighbors share a vertex, not a crossing
+    keep = ~((seg_curve[a] == seg_curve[b])
+             & ((d <= 1) | (seg_closed[a] & (d == seg_count[a] - 1))))
+    if excluded:
+        # curves meeting end to end touch, not cross
+        n = starts.shape[0]
+        keep &= ~np.isin(a * n + b, [x * n + y for x, y in excluded])
+    a, b = a[keep], b[keep]
+    order = np.lexsort((b, a))
+    return a[order], b[order]
 
 
 def project(curves: Sequence[Curve], xi, tol: float = 1e-9) -> Diagram:
@@ -213,35 +214,24 @@ def project(curves: Sequence[Curve], xi, tol: float = 1e-9) -> Diagram:
     """
     check_unique_ids(curves)
     u, v, xi = projection_frame(xi)
+    uv = np.column_stack([u, v])
+    flat = np.concatenate([c.vertices @ uv for c in curves])
+    depth = np.concatenate([c.vertices @ xi for c in curves])
 
-    flat: List[np.ndarray] = []
-    depth: List[np.ndarray] = []
-    for c in curves:
-        flat.append(c.vertices @ np.column_stack([u, v]))
-        depth.append(c.vertices @ xi)
-
-    starts_l, ends_l, dlo_l, dhi_l, seg_curve, seg_index = [], [], [], [], [], []
-    for ci, c in enumerate(curves):
-        p = flat[ci]
-        dd = depth[ci]
-        if c.closed:
-            s0, s1 = p, np.roll(p, -1, axis=0)
-            d0, d1 = dd, np.roll(dd, -1)
-        else:
-            s0, s1 = p[:-1], p[1:]
-            d0, d1 = dd[:-1], dd[1:]
-        starts_l.append(s0)
-        ends_l.append(s1)
-        dlo_l.append(d0)
-        dhi_l.append(d1)
-        seg_curve.extend([ci] * s0.shape[0])
-        seg_index.extend(range(s0.shape[0]))
-    starts = np.concatenate(starts_l)
-    ends = np.concatenate(ends_l)
-    d0 = np.concatenate(dlo_l)
-    d1 = np.concatenate(dhi_l)
-    seg_curve = np.asarray(seg_curve)
-    seg_index = np.asarray(seg_index)
+    # segment k of the concatenated curves runs from vertex v0[k] to v1[k]
+    closed = np.array([c.closed for c in curves])
+    n_vert = np.array([c.vertices.shape[0] for c in curves])
+    n_seg = np.where(closed, n_vert, n_vert - 1)
+    seg_curve = np.repeat(np.arange(len(curves)), n_seg)
+    seg_first = np.cumsum(n_seg) - n_seg
+    seg_index = np.arange(seg_curve.shape[0]) - seg_first[seg_curve]
+    seg_count = n_seg[seg_curve]
+    seg_closed = closed[seg_curve]
+    last = seg_index == seg_count - 1
+    v0 = (np.cumsum(n_vert) - n_vert)[seg_curve] + seg_index
+    v1 = np.where(last & seg_closed, v0 - seg_index, v0 + 1)
+    starts, ends = flat[v0], flat[v1]
+    d0, d1 = depth[v0], depth[v1]
 
     deltas = ends - starts
     lens = np.linalg.norm(deltas, axis=1)
@@ -249,101 +239,77 @@ def project(curves: Sequence[Curve], xi, tol: float = 1e-9) -> Diagram:
         raise NonGenericDirectionError("degenerate_segment")
 
     # consecutive segments folding straight back overlap in projection
-    for ci, c in enumerate(curves):
-        p = flat[ci]
-        if c.closed:
-            d = np.roll(p, -1, axis=0) - p
-            nxt = np.roll(d, -1, axis=0)
-        else:
-            d = p[1:] - p[:-1]
-            nxt = d[1:]
-            d = d[:-1]
-        if d.shape[0]:
-            crossz = d[:, 0] * nxt[:, 1] - d[:, 1] * nxt[:, 0]
-            dots = np.einsum("ij,ij->i", d, nxt)
-            norms = np.linalg.norm(d, axis=1) * np.linalg.norm(nxt, axis=1)
-            bad = (np.abs(crossz) <= tol * norms) & (dots < 0)
-            if np.any(bad):
-                raise NonGenericDirectionError("fold_back")
+    k = np.flatnonzero(~last | seg_closed)
+    nxt = np.where(last[k], k - seg_index[k], k + 1)
+    d, dn = deltas[k], deltas[nxt]
+    crossz = d[:, 0] * dn[:, 1] - d[:, 1] * dn[:, 0]
+    dots = np.einsum("ij,ij->i", d, dn)
+    if np.any((np.abs(crossz) <= tol * (lens[k] * lens[nxt])) & (dots < 0)):
+        raise NonGenericDirectionError("fold_back")
 
-    crossings: List[_Crossing] = []
-    touching = _touching_terminal_pairs(curves)
-    for a, b in _candidate_pairs(starts, ends, seg_curve, seg_index, curves, tol,
-                                 touching):
-        pa, da = starts[a], deltas[a]
-        pb, db = starts[b], deltas[b]
-        denom = da[0] * db[1] - da[1] * db[0]
-        scale = lens[a] * lens[b]
-        if abs(denom) <= tol * scale:
-            # parallel; reject only if the segments come within tol
-            if _segments_too_close(pa.tolist(), (pa + da).tolist(),
-                                   pb.tolist(), (pb + db).tolist(), tol):
-                raise NonGenericDirectionError("tangency")
-            continue
-        w = pb - pa
-        s = (w[0] * db[1] - w[1] * db[0]) / denom
-        t = (w[0] * da[1] - w[1] * da[0]) / denom
-        fa, fb = tol / lens[a], tol / lens[b]
-        inside = 0.0 <= s <= 1.0 and 0.0 <= t <= 1.0
-        near = -fa <= s <= 1.0 + fa and -fb <= t <= 1.0 + fb
-        if not near:
-            continue
-        if not inside:
+    pa_all, pb_all = _candidate_pairs(starts, ends, seg_curve, seg_index, seg_count,
+                                      seg_closed, tol,
+                                      _touching_terminal_pairs(curves, seg_first))
+    da, db = deltas[pa_all], deltas[pb_all]
+    denom = da[:, 0] * db[:, 1] - da[:, 1] * db[:, 0]
+    parallel = np.abs(denom) <= tol * (lens[pa_all] * lens[pb_all])
+
+    q = np.flatnonzero(~parallel)
+    a, b, da, db, denom = pa_all[q], pb_all[q], da[q], db[q], denom[q]
+    w = starts[b] - starts[a]
+    s = (w[:, 0] * db[:, 1] - w[:, 1] * db[:, 0]) / denom
+    t = (w[:, 0] * da[:, 1] - w[:, 1] * da[:, 0]) / denom
+    fa, fb = tol / lens[a], tol / lens[b]
+    inside = (0.0 <= s) & (s <= 1.0) & (0.0 <= t) & (t <= 1.0)
+    near = (-fa <= s) & (s <= 1.0 + fa) & (-fb <= t) & (t <= 1.0 + fb)
+    za = d0[a] * (1.0 - s) + d1[a] * s
+    zb = d0[b] * (1.0 - t) + d1[b] * t
+    failed = np.flatnonzero(near & (~inside | (np.abs(za - zb) <= tol)))
+
+    # the first failing pair in pair order names the error; parallel
+    # pairs before it are tested one by one
+    stop = q[failed[0]] if failed.shape[0] else parallel.shape[0]
+    for p in np.flatnonzero(parallel[:stop]).tolist():
+        pa, pb = starts[pa_all[p]], starts[pb_all[p]]
+        if _segments_too_close(pa.tolist(), (pa + deltas[pa_all[p]]).tolist(),
+                               pb.tolist(), (pb + deltas[pb_all[p]]).tolist(), tol):
+            raise NonGenericDirectionError("tangency")
+    if failed.shape[0]:
+        if not inside[failed[0]]:
             raise NonGenericDirectionError("crossing_near_vertex")
-        point = pa + s * da
-        za = d0[a] * (1.0 - s) + d1[a] * s
-        zb = d0[b] * (1.0 - t) + d1[b] * t
-        if abs(za - zb) <= tol:
-            raise NonGenericDirectionError("depth_coincidence")
-        slot_a = (int(seg_curve[a]), int(seg_index[a]), float(s))
-        slot_b = (int(seg_curve[b]), int(seg_index[b]), float(t))
-        if za > zb:
-            over_slot, under_slot, d_over, d_under = slot_a, slot_b, da, db
-        else:
-            over_slot, under_slot, d_over, d_under = slot_b, slot_a, db, da
-        cross_od = d_over[0] * d_under[1] - d_over[1] * d_under[0]
-        sign = 1 if cross_od > 0 else -1
-        crossings.append(_Crossing(point, min(za, zb), max(za, zb),
-                                   over_slot, under_slot, sign))
+        raise NonGenericDirectionError("depth_coincidence")
 
-    pts = np.array([c.point for c in crossings]) if crossings else np.zeros((0, 2))
-    if len(crossings) > 1:
-        diff = pts[:, None, :] - pts[None, :, :]
-        dist = np.linalg.norm(diff, axis=2)
-        np.fill_diagonal(dist, np.inf)
-        if dist.min() <= tol:
+    a, b, s, t, za, zb, denom = (x[near] for x in (a, b, s, t, za, zb, denom))
+    pts = starts[a] + s[:, None] * deltas[a]
+    n_cross = pts.shape[0]
+    if n_cross:
+        # crossings closer than tol to each other or to a vertex, found
+        # by an x-sweep with a 2 tol window
+        both = np.concatenate([pts, flat])
+        i, j = _overlaps(both[:, 0] - tol, both[:, 0] + tol)
+        dx = both[i, 0] - both[j, 0]
+        dy = both[i, 1] - both[j, 1]
+        close = np.sqrt(dx * dx + dy * dy) <= tol
+        if np.any(close & (i < n_cross) & (j < n_cross)):
             raise NonGenericDirectionError("crossing_separation")
-    if crossings:
-        all_vertices = np.concatenate(flat)
-        dv = np.linalg.norm(pts[:, None, :] - all_vertices[None, :, :], axis=2)
-        if dv.min() <= tol:
+        if np.any(close & ((i < n_cross) != (j < n_cross))):
             raise NonGenericDirectionError("crossing_near_vertex")
 
-    order = sorted(
-        range(len(crossings)),
-        key=lambda i: tuple(sorted([crossings[i].over_slot, crossings[i].under_slot])),
-    )
-    names = {}
-    for rank, i in enumerate(order):
-        names[i] = f"c{rank}"
+    # names follow the sorted (curve, segment, parameter) slots of each crossing
+    a_over = za > zb
+    rank = np.empty(n_cross, dtype=np.int64)
+    rank[np.lexsort((t, b, s, a))] = np.arange(n_cross)
+    names = [f"c{r}" for r in rank.tolist()]
+    # cross(over, under) is denom when a is over and -denom otherwise
+    signs = dict(zip(names, np.where(a_over == (denom > 0), 1, -1).tolist()))
 
-    per_slot: Dict[Tuple[int, int], List[Tuple[float, str, str]]] = {}
-    for i, cr in enumerate(crossings):
-        ci, si, s = cr.over_slot
-        per_slot.setdefault((ci, si), []).append((s, names[i], "o"))
-        ci, si, t = cr.under_slot
-        per_slot.setdefault((ci, si), []).append((t, names[i], "u"))
-
-    comps = []
-    for ci, c in enumerate(curves):
-        passages: List[Tuple[str, str]] = []
-        for si in range(c.segment_count):
-            hits = per_slot.get((ci, si))
-            if hits:
-                for _, name, role in sorted(hits):
-                    passages.append((name, role))
-        comps.append(Component(c.id, c.closed, tuple(passages)))
-    signs = {names[i]: crossings[i].sign for i in range(len(crossings))}
+    seg = np.concatenate([a, b])
+    order = np.lexsort((np.concatenate([s, t]), seg))
+    over = np.concatenate([a_over, ~a_over])[order].tolist()
+    passages: List[List[Tuple[str, str]]] = [[] for _ in curves]
+    for e, ci, o in zip(order.tolist(), seg_curve[seg[order]].tolist(), over):
+        passages[ci].append((names[e % n_cross], "o" if o else "u"))
+    comps = [Component(c.id, c.closed, tuple(p)) for c, p in zip(curves, passages)]
     return Diagram(comps, signs)
 
 

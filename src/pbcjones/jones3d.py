@@ -19,7 +19,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .bracket import DEFAULT_CROSSING_CAP, bracket, writhe_prefactor
-from .errors import NonGenericDirectionError, StateSumTooLargeError
+from .errors import NonGenericDirectionError, PbcJonesError, StateSumTooLargeError
 from .geometry import Curve, perturbed_direction, project, sample_directions
 from .laurent import EXACT, FLOAT, LaurentPoly
 
@@ -41,6 +41,10 @@ class SamplingConfig:
             raise ValueError(f"unknown sampling mode {self.mode!r}")
         if self.on_cap not in ("error", "skip"):
             raise ValueError(f"on_cap must be 'error' or 'skip', got {self.on_cap!r}")
+        for name in ("directions", "workers"):
+            value = getattr(self, name)
+            if value < 1:
+                raise PbcJonesError(f"{name} must be at least 1, got {value}")
 
 
 @dataclass(frozen=True)
@@ -101,6 +105,16 @@ def _direction_term(curves, xi, cfg: SamplingConfig):
     return poly, tries, n_cross, res.states_expanded, res.cache_hits
 
 
+def _accumulate(total: Dict[int, int], terms) -> None:
+    """Add (exponent, coefficient) pairs into total, dropping zero sums."""
+    for e, c in terms:
+        nc = total.get(e, 0) + c
+        if nc:
+            total[e] = nc
+        else:
+            del total[e]
+
+
 def _chunk_sum(args) -> Tuple[Dict[int, int], int, int, int, int, int]:
     curves, dirs, cfg = args
     total: Dict[int, int] = {}
@@ -114,12 +128,7 @@ def _chunk_sum(args) -> Tuple[Dict[int, int], int, int, int, int, int]:
         used += 1
         expanded += st
         hits += ch
-        for e, c in poly.terms():
-            nc = total.get(e, 0) + c
-            if nc:
-                total[e] = nc
-            else:
-                del total[e]
+        _accumulate(total, poly.terms())
     return total, used, retries, max_cross, expanded, hits
 
 
@@ -161,12 +170,7 @@ def jones(curves: Sequence[Curve], cfg: Optional[SamplingConfig] = None) -> Jone
         max_cross = max(max_cross, mc)
         expanded += st
         hits += ch
-        for e, c in part.items():
-            nc = total.get(e, 0) + c
-            if nc:
-                total[e] = nc
-            else:
-                del total[e]
+        _accumulate(total, part.items())
     if used == 0:
         raise StateSumTooLargeError(max_cross, cfg.crossing_cap)
     avg = LaurentPoly({e: Fraction(c, used) for e, c in total.items()}, EXACT)

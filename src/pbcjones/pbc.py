@@ -95,6 +95,8 @@ class GeneratingChain:
             a = np.asarray(a, dtype=float)
             if a.ndim != 2 or a.shape[1] != 3 or a.shape[0] < 2:
                 raise PbcJonesError(f"chain {id!r}: arc {k} must have shape (n>=2, 3)")
+            if not np.all(np.isfinite(a)):
+                raise PbcJonesError(f"chain {id!r}: arc {k} must be finite")
             arrs.append(a)
         if not arrs:
             raise PbcJonesError(f"chain {id!r}: needs at least one arc")

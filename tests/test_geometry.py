@@ -1,7 +1,10 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from oracles import brute_segment_crossings, gauss_linking
 
 from pbcjones.errors import NonGenericDirectionError, PbcJonesError
@@ -270,3 +273,76 @@ class TestEndpointContact:
         c = Curve("c", [[0.5, -1, 1], [0.5, 1, 1]], False)
         d = project([a, b, c], [0.0, 0.0, 1.0])
         assert len(d.crossings) == 1
+
+
+class TestSweepKernel:
+    """The array kernel against the direct scan, and its error and memory behavior."""
+
+    component = st.one_of(st.tuples(st.integers(2, 12), st.just(False)),
+                          st.tuples(st.integers(3, 12), st.just(True)))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.lists(component, min_size=1, max_size=4),
+           st.integers(0, 2**32 - 1))
+    def test_crossings_and_writhe_match_brute_scan(self, seed, specs, dir_seed):
+        # specs holds (vertex count, closed) per component
+        rng = np.random.default_rng(seed)
+        curves = [Curve(f"k{i}", rng.normal(size=(n, 3)), closed)
+                  for i, (n, closed) in enumerate(specs)]
+        xi = sample_directions(1, "random", dir_seed)[0]
+        diagram, xi_used, _ = project_generic(curves, xi, 1e-9, 100)
+        flat, segs, _ = flatten(curves, xi_used)
+        assert len(diagram.crossings) == len(brute_segment_crossings(flat, segs))
+        assert diagram.writhe == brute_writhe(curves, xi_used)
+
+    # three pairs, far apart in x, each failing one check along +z
+    FAILING = {
+        "depth_coincidence": [[[-1, 0, 0], [1, 0, 0]], [[0, -1, 0], [0, 1, 0]]],
+        "tangency": [[[10, 0, 0], [11, 0, 0]], [[10.5, 5e-10, 1], [11.5, 5e-10, 1]]],
+        "crossing_near_vertex": [[[19, 0, 0], [20 - 5e-10, 0, 0]], [[20, -1, 1], [20, 1, 1]]],
+    }
+
+    @pytest.mark.parametrize("first", sorted(FAILING))
+    def test_first_failing_pair_names_the_error(self, first):
+        # pairs are tested in (a < b) order of the segments, so the group
+        # whose curves come first decides, whatever the other checks find
+        order = [first] + sorted(set(self.FAILING) - {first})
+        curves = [Curve(f"{name}{k}", verts, False)
+                  for name in order for k, verts in enumerate(self.FAILING[name])]
+        with pytest.raises(NonGenericDirectionError) as err:
+            project(curves, [0.0, 0.0, 1.0])
+        assert err.value.feature == first
+
+    def test_third_curve_vertex_at_crossing_is_rejected(self):
+        a = Curve("a", [[-1, 0, 0], [1, 0, 0]], False)
+        b = Curve("b", [[0, -1, 1], [0, 1, 1]], False)
+        c = Curve("c", [[4e-10, 3e-10, 2], [3, 0.1, 2], [3, 2, 2]], False)
+        assert len(project([a, b], [0.0, 0.0, 1.0]).crossings) == 1
+        with pytest.raises(NonGenericDirectionError) as err:
+            project([a, b, c], [0.0, 0.0, 1.0])
+        assert err.value.feature == "crossing_near_vertex"
+
+    def test_crossing_within_tol_of_a_free_end_is_rejected(self):
+        # the crossing is inside both segments, so only the vertex sweep sees it
+        a = Curve("a", [[-1e-12, 0, 0], [1, 0, 0]], False)
+        b = Curve("b", [[0, -1, 1], [0, 1, 1]], False)
+        with pytest.raises(NonGenericDirectionError) as err:
+            project([a, b], [0.0, 0.0, 1.0])
+        assert err.value.feature == "crossing_near_vertex"
+
+    def test_long_walk_memory_stays_far_below_dense_matrices(self):
+        rng = np.random.default_rng(5)
+        steps = rng.normal(size=(5000, 3))
+        steps /= np.linalg.norm(steps, axis=1, keepdims=True)
+        walk = Curve("w", np.concatenate([np.zeros((1, 3)), np.cumsum(steps, axis=0)]), False)
+        tracemalloc.start()
+        try:
+            diagram, _, _ = project_generic([walk], sample_directions(1, "random", 0)[0],
+                                            1e-9, 100)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # a float64 crossings x vertices distance matrix with its (x, y) differences
+        dense = len(diagram.crossings) * walk.vertices.shape[0] * 2 * 8
+        assert len(diagram.crossings) > 1000
+        assert peak < dense / 20

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from pbcjones.errors import StateSumTooLargeError
+from pbcjones.errors import PbcJonesError, StateSumTooLargeError
 from pbcjones.fixtures import (figure_eight, hopf_link, open_trefoil, trefoil,
                                unlinked_circles)
 from pbcjones.jones3d import (SamplingConfig, jones, jones_single_direction,
@@ -120,6 +120,12 @@ class TestConfig:
     def test_bad_cap_policy_rejected(self):
         with pytest.raises(ValueError):
             SamplingConfig(on_cap="ignore")
+
+    @pytest.mark.parametrize("field,value", [("directions", 0), ("directions", -3),
+                                             ("workers", 0), ("workers", -1)])
+    def test_counts_below_one_rejected(self, field, value):
+        with pytest.raises(PbcJonesError, match=f"^{field} must be at least 1, got {value}$"):
+            SamplingConfig(**{field: value})
 
     def test_result_json_fields(self):
         res = jones(list(hopf_link()), SamplingConfig())

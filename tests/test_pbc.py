@@ -55,6 +55,12 @@ class TestGeneratingChain:
         with pytest.raises(PbcJonesError, match="basepoint vertex"):
             GeneratingChain("c", [arc], "open", basepoint=(0, 5))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_arc_rejected(self, bad):
+        arc = [[0.0, 0.0, 0.0], [0.5, bad, 0.0], [1.0, 0.0, 0.0]]
+        with pytest.raises(PbcJonesError, match="arc 0 must be finite"):
+            GeneratingChain("x", [arc], "infinite")
+
     def test_json_round_trip_keeps_basepoint(self):
         chain = GeneratingChain("c", [[[0, 0, 0], [1, 0, 0], [1, 1, 0]]],
                                 "open", basepoint=(0, 2))

@@ -9,19 +9,35 @@ closures, which the terminal graph has already folded in.  A state's key
 is the tuple of partner ports, one per live port in ascending order, so a
 smoothing rewrites it by position: two slot writes per bond, then one
 itemgetter that drops the resolved crossing's four slots.
+
+A caller that solves many diagrams can pass ``bracket`` a memo dict.  Its
+key is the complete input of the state sum: the strand matching as one
+partner port per global port, the crossing signs in crossing-index order,
+and the count of free loops.  The crossing order, the polynomial and the
+``states_expanded``/``cache_hits`` counts are functions of that key
+alone, so a hit returns the stored ``BracketResult`` and is exact down to
+the counters.  Diagrams that differ only in component ids, or in crossing
+names that sort alike, share an entry.  The caller owns the memo and
+keeps it for one call (one direction chunk, one cutoff check): there is
+no cache across calls.  Past ``MEMO_LIMIT`` entries a memo stops storing,
+which holds it near 8 MB on 25-crossing diagrams.
 """
 
 from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from .diagram import Diagram, smoothing_joins, terminal_graph
 from .errors import StateSumTooLargeError
 from .laurent import LaurentPoly
 
 DEFAULT_CROSSING_CAP = 48
+# entries past which a bracket memo stops storing (about 2 KB each at 25 crossings)
+MEMO_LIMIT = 4096
+
+MemoKey = Tuple[Tuple[int, ...], Tuple[int, ...], int]
 
 
 @dataclass(frozen=True)
@@ -62,14 +78,14 @@ def _div_d(poly: Dict[int, int]) -> Dict[int, int]:
     return q
 
 
-def _crossing_order(n: int, strand: Dict[int, int]) -> List[int]:
+def _crossing_order(n: int, strand: Tuple[int, ...]) -> List[int]:
     """Greedy order keeping the processed set tightly connected.
 
     Repeatedly takes the crossing with the most strand connections into
     the already-chosen set, which keeps the live frontier narrow.
     """
     nbrs: List[Dict[int, int]] = [dict() for _ in range(n)]
-    for p, q in strand.items():
+    for p, q in enumerate(strand):
         a, b = p // 4, q // 4
         if a != b:
             nbrs[a][b] = nbrs[a].get(b, 0) + 1
@@ -85,7 +101,8 @@ def _crossing_order(n: int, strand: Dict[int, int]) -> List[int]:
     return order
 
 
-def bracket(diagram: Diagram, crossing_cap: int = DEFAULT_CROSSING_CAP) -> BracketResult:
+def bracket(diagram: Diagram, crossing_cap: int = DEFAULT_CROSSING_CAP,
+            memo: Optional[Dict[MemoKey, BracketResult]] = None) -> BracketResult:
     tg = terminal_graph(diagram)
     n = len(tg.crossing_ids)
     if n > crossing_cap:
@@ -96,11 +113,25 @@ def bracket(diagram: Diagram, crossing_cap: int = DEFAULT_CROSSING_CAP) -> Brack
             return BracketResult(LaurentPoly.one(), 1, 0)
         return BracketResult(LaurentPoly(_mul_d({0: 1}, tg.free_loops - 1)), 1, 0)
 
-    signs = [diagram.crossings[c] for c in tg.crossing_ids]
-    order = _crossing_order(n, dict(tg.strand))
+    key = (tuple(tg.strand[p] for p in range(4 * n)),
+           tuple(diagram.crossings[c] for c in tg.crossing_ids), tg.free_loops)
+    if memo is None:
+        return _state_sum(*key)
+    res = memo.get(key)
+    if res is None:
+        res = _state_sum(*key)
+        if len(memo) < MEMO_LIMIT:
+            memo[key] = res
+    return res
 
-    live: List[int] = sorted(tg.strand)
-    states: Dict[Tuple[int, ...], Dict[int, int]] = {tuple(tg.strand[p] for p in live): {0: 1}}
+
+def _state_sum(strand: Tuple[int, ...], signs: Tuple[int, ...], free_loops: int) -> BracketResult:
+    """Frontier DP over the crossings of a terminal graph with at least one crossing."""
+    n = len(signs)
+    order = _crossing_order(n, strand)
+
+    live: List[int] = list(range(4 * n))
+    states: Dict[Tuple[int, ...], Dict[int, int]] = {strand: {0: 1}}
     states_expanded = 1
     cache_hits = 0
 
@@ -149,8 +180,8 @@ def bracket(diagram: Diagram, crossing_cap: int = DEFAULT_CROSSING_CAP) -> Brack
         live = [live[i] for i in keep]
 
     total = states.get((), {})
-    if tg.free_loops:
-        total = _mul_d(total, tg.free_loops - 1)
+    if free_loops:
+        total = _mul_d(total, free_loops - 1)
     else:
         total = _div_d(total)
     return BracketResult(LaurentPoly(total), states_expanded, cache_hits)

@@ -289,6 +289,8 @@ def _cmd_ingest(args) -> None:
         raise PbcJonesError(f"frame {args.frame} out of range (file has {len(frames)})")
     frame = frames[args.frame]
     system = select_interior_chains(frame)
+    if not system.chains:
+        raise PbcJonesError(f"frame {args.frame} has no interior chains; no system written")
     write_system(args.system_out, system)
     report = AnalysisReport("ingest", {
         "input": args.input,

@@ -12,14 +12,21 @@ independent oracle.  At a projection whose shared crossings all agree in
 sign per copy pair the oriented state is the only disconnecting one;
 oblique projections can pick up cancelling crossing pairs that admit
 more, which the report flags without breaking the identity.
+
+The enumeration walks the shared-crossing states depth first in
+lexicographic order of their A/B words, with A before B at each shared
+crossing in name order.  Each prefix of smoothings is applied once and
+shared by every state that extends it, so s shared crossings cost
+2^(s+1) - 2 smoothings rather than s * 2^s.  The N copies and many states
+split into pieces with the same terminal graph; one bracket memo per
+check solves each such piece once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -120,12 +127,14 @@ def build_cutoff(system: PBCSystem, n_copies: int,
     return CutoffLink(n_copies, axis, period, cells, tuple(copies), link)
 
 
-def split_bracket(diagram: Diagram, crossing_cap: int = DEFAULT_CROSSING_CAP) -> LaurentPoly:
+def split_bracket(diagram: Diagram, crossing_cap: int = DEFAULT_CROSSING_CAP,
+                  memo=None) -> LaurentPoly:
     """Bracket of a diagram that may split into independent pieces.
 
     Components are grouped by shared crossings and by shared open-end
     owners (virtual closures tie those together); each group is evaluated
-    on its own and one loop factor is charged per extra piece.
+    on its own, through ``memo`` when given, and one loop factor is
+    charged per extra piece.
     """
     comp_ids = [c.id for c in diagram.components]
     parent = {cid: cid for cid in comp_ids}
@@ -164,7 +173,7 @@ def split_bracket(diagram: Diagram, crossing_cap: int = DEFAULT_CROSSING_CAP) ->
         comps = groups[root]
         present = {p[0] for c in comps for p in c.passages}
         sub = Diagram(comps, {cid: diagram.crossings[cid] for cid in present})
-        total = total * bracket(sub, crossing_cap).poly
+        total = total * bracket(sub, crossing_cap, memo=memo).poly
     return total * d_power(len(groups) - 1)
 
 
@@ -248,8 +257,9 @@ def verify_cutoff_factorization(system: PBCSystem, n_copies: int, xi=None,
             f"{len(shared)} copy-to-copy crossings exceed the enumeration cap {enumerate_cap}"
         )
 
+    memo: dict = {}  # copies and smoothed states repeat the same pieces
     base_diagram, _, _ = project_generic(cut.copy_curves(0), xi_used, tol, retries)
-    bracket_base = bracket(base_diagram, crossing_cap).poly
+    bracket_base = bracket(base_diagram, crossing_cap, memo=memo).poly
     v_base = writhe_prefactor(base_diagram.writhe) * bracket_base
 
     slk = slk_p(system, xi_used, link=cut.link, axis=cut.axis, tol=tol, retries=retries)
@@ -264,7 +274,7 @@ def verify_cutoff_factorization(system: PBCSystem, n_copies: int, xi=None,
     state_term = (LaurentPoly.monomial(-1 if m % 2 else 1, 2 * m)
                   * d_power(n - 1) * v_base ** n)
 
-    bracket_total = bracket(diagram, crossing_cap).poly
+    bracket_total = bracket(diagram, crossing_cap, memo=memo).poly
     v_cutoff = writhe_prefactor(diagram.writhe) * bracket_total
 
     # oriented smoothing of every shared crossing disconnects the copies
@@ -272,20 +282,15 @@ def verify_cutoff_factorization(system: PBCSystem, n_copies: int, xi=None,
     for cid in shared:
         s_diag = s_diag.oriented_smooth(cid)
     target = d_power(n - 1) * bracket_base ** n
-    state_oracle_ok = split_bracket(s_diag, crossing_cap) == target
+    state_oracle_ok = split_bracket(s_diag, crossing_cap, memo=memo) == target
 
     # enumerate every shared-crossing state
     states_sum = LaurentPoly.zero()
     lambda_bracket = LaurentPoly.zero()
     disconnecting: List[Tuple[str, ...]] = []
     oriented_kinds = tuple("A" if diagram.crossings[c] > 0 else "B" for c in shared)
-    for kinds in product("AB", repeat=len(shared)):
-        d_state = diagram
-        exp = 0
-        for cid, kind in zip(shared, kinds):
-            d_state = d_state.smooth(cid, kind)
-            exp += 1 if kind == "A" else -1
-        value = LaurentPoly.monomial(1, exp) * split_bracket(d_state, crossing_cap)
+    for kinds, exp, d_state in _shared_states(diagram, shared):
+        value = LaurentPoly.monomial(1, exp) * split_bracket(d_state, crossing_cap, memo=memo)
         states_sum = states_sum + value
         if kinds != oriented_kinds:
             lambda_bracket = lambda_bracket + value
@@ -318,6 +323,21 @@ def verify_cutoff_factorization(system: PBCSystem, n_copies: int, xi=None,
         sum_identity_ok=sum_ok,
         factorization_ok=factorization_ok,
     )
+
+
+def _shared_states(diagram: Diagram,
+                   shared: Sequence[str]) -> Iterator[Tuple[Tuple[str, ...], int, Diagram]]:
+    """Every A/B state of the shared crossings in lexicographic order.
+
+    Yields (kinds, A-count minus B-count, smoothed diagram); the diagram
+    smoothed at the first crossing is shared by all states below it.
+    """
+    if not shared:
+        yield (), 0, diagram
+        return
+    for kind, shift in (("A", 1), ("B", -1)):
+        for kinds, exp, d_state in _shared_states(diagram.smooth(shared[0], kind), shared[1:]):
+            yield (kind,) + kinds, exp + shift, d_state
 
 
 def _is_disconnecting(d_state: Diagram, cut: CutoffLink, copy_of, owner_orig) -> bool:

@@ -87,16 +87,17 @@ def project_generic(curves: Sequence[Curve], xi, tol: float, retries: int):
     raise last
 
 
-def _direction_term(curves, xi, cfg: SamplingConfig):
+def _direction_term(curves, xi, cfg: SamplingConfig, memo=None):
     """Exact Jones polynomial for one direction.
 
-    Returns (poly or None when capped and skipping, retries, crossings,
-    states_expanded, cache_hits).
+    ``memo`` is the bracket memo of the calling chunk.  Returns (poly or
+    None when capped and skipping, retries, crossings, states_expanded,
+    cache_hits).
     """
     diagram, _, tries = project_generic(curves, xi, cfg.tolerance, cfg.genericity_retries)
     n_cross = len(diagram.crossings)
     try:
-        res = bracket(diagram, cfg.crossing_cap)
+        res = bracket(diagram, cfg.crossing_cap, memo=memo)
     except StateSumTooLargeError:
         if cfg.on_cap == "skip":
             return None, tries, n_cross, 0, 0
@@ -119,8 +120,9 @@ def _chunk_sum(args) -> Tuple[Dict[int, int], int, int, int, int, int]:
     curves, dirs, cfg = args
     total: Dict[int, int] = {}
     used = retries = max_cross = expanded = hits = 0
+    memo: dict = {}  # nearby directions often give the same diagram
     for xi in dirs:
-        poly, tries, n_cross, st, ch = _direction_term(curves, xi, cfg)
+        poly, tries, n_cross, st, ch = _direction_term(curves, xi, cfg, memo)
         retries += tries
         max_cross = max(max_cross, n_cross)
         if poly is None:

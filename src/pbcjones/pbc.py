@@ -41,6 +41,8 @@ class Cell:
         b = np.asarray(basis, dtype=float)
         if b.shape != (3, 3):
             raise PbcJonesError("cell basis must be a 3x3 matrix (rows are cell vectors)")
+        if not np.all(np.isfinite(b)):
+            raise PbcJonesError("cell basis must be finite")
         if abs(np.linalg.det(b)) < 1e-12:
             raise PbcJonesError("cell basis is singular")
         if len(periodic) != 3:
@@ -48,6 +50,8 @@ class Cell:
         self.basis = b
         self.periodic = tuple(bool(p) for p in periodic)
         self.origin = np.asarray(origin, dtype=float)
+        if self.origin.shape != (3,) or not np.all(np.isfinite(self.origin)):
+            raise PbcJonesError("cell origin must be 3 finite coordinates")
         self._inv = np.linalg.inv(b)
 
     def to_fractional(self, points) -> np.ndarray:

@@ -1,3 +1,5 @@
+import importlib
+
 import numpy as np
 import pytest
 from oracles import brute_bracket
@@ -11,6 +13,9 @@ from pbcjones.geometry import Curve, sample_directions
 from pbcjones.jones3d import project_generic
 from pbcjones.laurent import LaurentPoly, d_power
 from pbcjones.pbc import link_curves, minimal_periodic_link
+
+# the package attribute ``pbcjones.bracket`` is the function, not the module
+bracket_mod = importlib.import_module("pbcjones.bracket")
 
 
 def project(curves, seed):
@@ -142,3 +147,53 @@ class TestWritheNormalization:
     def test_projection_independent_for_closed_curves(self):
         values = {jones_of_diagram(project([trefoil()], s)) for s in range(5)}
         assert len(values) == 1
+
+
+def fields(res):
+    return res.poly, res.states_expanded, res.cache_hits
+
+
+def renamed(d):
+    """The same closed-curve diagram under new component ids."""
+    return Diagram([Component("r" + c.id, c.closed, c.passages) for c in d.components],
+                   d.crossings)
+
+
+class TestMemo:
+    @pytest.mark.parametrize("make,seed", [
+        (lambda: [trefoil()], 1),
+        (lambda: link_curves(minimal_periodic_link(jersey_system())), 5),
+    ], ids=["trefoil", "jersey"])
+    def test_hit_equals_fresh_bracket(self, make, seed):
+        d = project(make(), seed)
+        memo = {}
+        first = bracket(d, crossing_cap=64, memo=memo)
+        hit = bracket(renamed(d), crossing_cap=64, memo=memo)
+        assert len(memo) == 1
+        assert hit is first
+        assert fields(hit) == fields(bracket(d, crossing_cap=64))
+
+    def test_sign_and_free_loops_are_part_of_the_key(self):
+        d = project([figure_eight()], 3)
+        flip = sorted(d.crossings)[0]
+        flipped = Diagram(d.components, {c: -s if c == flip else s
+                                         for c, s in d.crossings.items()})
+        looser = Diagram(d.components + (Component("loose", True, ()),), d.crossings)
+        memo = {}
+        results = [bracket(x, memo=memo) for x in (d, flipped, looser)]
+        assert len(memo) == 3
+        for x, res in zip((d, flipped, looser), results):
+            assert fields(res) == fields(bracket(x))
+        assert results[2].poly == results[0].poly * d_power(1)
+        assert results[1].poly != results[0].poly
+
+    def test_memo_stops_storing_at_its_limit(self, monkeypatch):
+        monkeypatch.setattr(bracket_mod, "MEMO_LIMIT", 2)
+        diagrams = [project([trefoil()], 1), project([figure_eight()], 3),
+                    project(hopf_link(), 0), project([figure_eight()], 0)]
+        memo = {}
+        for _ in range(2):
+            for d in diagrams:
+                assert fields(bracket(d, memo=memo)) == fields(bracket(d))
+                assert len(memo) <= 2
+        assert len(memo) == 2

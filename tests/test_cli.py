@@ -198,6 +198,19 @@ class TestIngest:
         assert run["results"]["directions_used"] == 3
         assert run["results"]["component_count"] >= 7
 
+    def test_frame_without_interior_chains_writes_nothing(self, tmp_path, capsys):
+        # one molecule whose two atoms sit on opposite faces: its unwrapped
+        # chain leaves the box, so no chain is interior
+        dump = tmp_path / "edge.xyzm"
+        dump.write_text("2\n0 1 0 1 0 1\n1 0.0 0.5 0.5\n1 0.9 0.5 0.5\n")
+        out = tmp_path / "s.json"
+        with pytest.warns(UserWarning, match="no interior chains"):
+            rc = main(["ingest", str(dump), "--format", "xyz-mol",
+                       "--system-out", str(out)])
+        assert rc == 2
+        assert "no interior chains" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_frame_out_of_range(self, tmp_path, capsys):
         dump = tmp_path / "melt.dump"
         dump.write_text(melt_dump_text())

@@ -7,12 +7,15 @@ copy-to-copy crossing pair has equal signs), which is where the oriented
 state is the unique disconnecting one.
 """
 
+from itertools import product
+
 import numpy as np
 import pytest
 
 from pbcjones.bracket import bracket
-from pbcjones.cutoff import (build_cutoff, split_bracket,
+from pbcjones.cutoff import (_shared_states, build_cutoff, split_bracket,
                              verify_cutoff_factorization)
+from pbcjones.diagram import Diagram
 from pbcjones.errors import PbcJonesError
 from pbcjones.fixtures import chainmail_system, melt_system, trefoil
 from pbcjones.geometry import Curve
@@ -117,6 +120,32 @@ class TestObliqueDirection:
         assert rep.sum_identity_ok
         assert rep.factorization_ok
         assert not rep.disconnecting_unique_ok
+
+
+class TestStateEnumeration:
+    def test_states_come_in_lexicographic_order(self):
+        diagram, _, _ = project_generic([trefoil()], COHERENT_XI, 1e-9, 100)
+        shared = sorted(diagram.crossings)[:3]
+        walked = list(_shared_states(diagram, shared))
+        assert [kinds for kinds, _, _ in walked] == list(product("AB", repeat=3))
+        for kinds, exp, d_state in walked:
+            assert exp == kinds.count("A") - kinds.count("B")
+            expected = diagram
+            for cid, kind in zip(shared, kinds):
+                expected = expected.smooth(cid, kind)
+            assert d_state.components == expected.components
+            assert d_state.crossings == expected.crossings
+
+    def test_each_prefix_is_smoothed_once(self, monkeypatch):
+        calls = []
+        smooth = Diagram.smooth
+        monkeypatch.setattr(Diagram, "smooth",
+                            lambda d, cid, kind: calls.append(cid) or smooth(d, cid, kind))
+        rep = verify_cutoff_factorization(chainmail_system(), 3, xi=COHERENT_XI)
+        s = rep.shared_crossings
+        assert s == 4 and rep.states_enumerated == 2 ** s
+        # the walk's tree, plus the oriented state's own smoothings
+        assert len(calls) == 2 ** (s + 1) - 2 + s
 
 
 class TestLimits:

@@ -51,6 +51,18 @@ class TestSystemJson:
         with pytest.raises(PbcJonesError, match="three booleans"):
             system_from_json_obj(obj)
 
+    @pytest.mark.parametrize("field,value,where", [
+        ("origin", [0.0, float("nan"), 0.0], "cell origin"),
+        ("origin", [float("inf"), 0.0, 0.0], "cell origin"),
+        ("basis", [[1.0, 0.0, 0.0], [0.0, float("nan"), 0.0], [0.0, 0.0, 1.0]], "cell basis"),
+        ("basis", [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, float("-inf")]], "cell basis"),
+    ])
+    def test_non_finite_cell_is_rejected(self, field, value, where):
+        obj = system_to_json_obj(chainmail_system())
+        obj["cell"][field] = value
+        with pytest.raises(PbcJonesError, match=f"^cell: {where} must be"):
+            system_from_json_obj(obj)
+
     def test_chain_error_names_its_index(self):
         obj = system_to_json_obj(chainmail_system())
         obj["chains"][0]["topology"] = "sideways"

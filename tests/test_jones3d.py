@@ -1,6 +1,10 @@
+import importlib
+
 import numpy as np
 import pytest
 
+from pbcjones import jones3d
+from pbcjones.diagram import terminal_graph
 from pbcjones.errors import PbcJonesError, StateSumTooLargeError
 from pbcjones.fixtures import (figure_eight, hopf_link, open_trefoil, trefoil,
                                unlinked_circles)
@@ -142,3 +146,32 @@ class TestProjectGeneric:
         diagram, used, tries = project_generic(curves, xi, 1e-9, 50)
         assert tries == 0
         assert np.allclose(used / np.linalg.norm(used), xi / np.linalg.norm(xi))
+
+
+class TestDiagramMemo:
+    def test_each_distinct_diagram_is_solved_once(self, monkeypatch):
+        bracket_mod = importlib.import_module("pbcjones.bracket")
+        solved = []
+        order = bracket_mod._crossing_order
+        monkeypatch.setattr(bracket_mod, "_crossing_order",
+                            lambda n, strand: solved.append(n) or order(n, strand))
+        seen = []
+        inner = jones3d.bracket
+        monkeypatch.setattr(jones3d, "bracket",
+                            lambda d, *a, **kw: seen.append(d) or inner(d, *a, **kw))
+        ref = jones([open_trefoil(0.3)], SamplingConfig(directions=200))
+
+        keys = []
+        for d in seen:
+            tg = terminal_graph(d)
+            n = len(tg.crossing_ids)
+            if n:
+                keys.append((tuple(tg.strand[p] for p in range(4 * n)),
+                             tuple(d.crossings[c] for c in tg.crossing_ids), tg.free_loops))
+        assert len(seen) == 200
+        assert len(solved) == len(set(keys)) < len(keys)
+
+        # the memo changes neither the average nor the work counters
+        monkeypatch.setattr(jones3d, "bracket", lambda d, *a, memo=None: inner(d, *a))
+        again = jones([open_trefoil(0.3)], SamplingConfig(directions=200))
+        assert again == ref

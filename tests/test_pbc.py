@@ -39,6 +39,23 @@ class TestCell:
         assert np.allclose(back.origin, cell.origin)
 
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_basis_rejected(self, bad):
+        basis = np.diag([2.0, 3.0, 5.0])
+        basis[1, 2] = bad
+        with pytest.raises(PbcJonesError, match="cell basis must be finite"):
+            Cell(basis, (True, False, False))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_origin_rejected(self, bad):
+        with pytest.raises(PbcJonesError, match="cell origin"):
+            Cell(np.eye(3), (True, False, False), origin=(0.0, bad, 0.0))
+
+    def test_origin_must_have_three_coordinates(self):
+        with pytest.raises(PbcJonesError, match="cell origin"):
+            Cell(np.eye(3), (True, False, False), origin=(0.0, 1.0))
+
+
 class TestGeneratingChain:
     def test_unknown_topology_rejected(self):
         with pytest.raises(PbcJonesError, match="topology"):

@@ -10,14 +10,20 @@ is the tuple of partner ports, one per live port in ascending order, so a
 smoothing rewrites it by position: two slot writes per bond, then one
 itemgetter that drops the resolved crossing's four slots.
 
+Each state yields two successor keys per crossing, and each is either a
+new state (counted in ``states_expanded``) or a merge into one already
+made.  The DP starts and ends with one state, so merges always number
+``states_expanded - 1``; ``cache_hits`` reports that rather than
+counting it.
+
 A caller that solves many diagrams can pass ``bracket`` a memo dict.  Its
 key is the complete input of the state sum: the strand matching as one
 partner port per global port, the crossing signs in crossing-index order,
-and the count of free loops.  The crossing order, the polynomial and the
-``states_expanded``/``cache_hits`` counts are functions of that key
-alone, so a hit returns the stored ``BracketResult`` and is exact down to
-the counters.  Diagrams that differ only in component ids, or in crossing
-names that sort alike, share an entry.  The caller owns the memo and
+and the count of free loops.  The crossing order, the polynomial and
+``states_expanded`` are functions of that key alone, so a hit returns
+the stored ``BracketResult`` and is exact down to the counters.
+Diagrams that differ only in component ids, or in crossing names that
+sort alike, share an entry.  The caller owns the memo and
 keeps it for one call (one direction chunk, one cutoff check): there is
 no cache across calls.  Past ``MEMO_LIMIT`` entries a memo stops storing,
 which holds it near 8 MB on 25-crossing diagrams.
@@ -44,7 +50,11 @@ MemoKey = Tuple[Tuple[int, ...], Tuple[int, ...], int]
 class BracketResult:
     poly: LaurentPoly
     states_expanded: int
-    cache_hits: int
+
+    @property
+    def cache_hits(self) -> int:
+        """States merged into an existing key: always states_expanded - 1."""
+        return self.states_expanded - 1
 
 
 def _mul_d(poly: Dict[int, int], times: int) -> Dict[int, int]:
@@ -110,8 +120,8 @@ def bracket(diagram: Diagram, crossing_cap: int = DEFAULT_CROSSING_CAP,
 
     if n == 0:
         if tg.free_loops == 0:
-            return BracketResult(LaurentPoly.one(), 1, 0)
-        return BracketResult(LaurentPoly(_mul_d({0: 1}, tg.free_loops - 1)), 1, 0)
+            return BracketResult(LaurentPoly.one(), 1)
+        return BracketResult(LaurentPoly(_mul_d({0: 1}, tg.free_loops - 1)), 1)
 
     key = (tuple(tg.strand[p] for p in range(4 * n)),
            tuple(diagram.crossings[c] for c in tg.crossing_ids), tg.free_loops)
@@ -133,7 +143,6 @@ def _state_sum(strand: Tuple[int, ...], signs: Tuple[int, ...], free_loops: int)
     live: List[int] = list(range(4 * n))
     states: Dict[Tuple[int, ...], Dict[int, int]] = {strand: {0: 1}}
     states_expanded = 1
-    cache_hits = 0
 
     for ci in order:
         sign = signs[ci]
@@ -169,7 +178,6 @@ def _state_sum(strand: Tuple[int, ...], signs: Tuple[int, ...], free_loops: int)
                     nxt[key2] = contrib
                     states_expanded += 1
                 else:
-                    cache_hits += 1
                     for e, c in contrib.items():
                         nc = slot.get(e, 0) + c
                         if nc:
@@ -184,7 +192,7 @@ def _state_sum(strand: Tuple[int, ...], signs: Tuple[int, ...], free_loops: int)
         total = _mul_d(total, free_loops - 1)
     else:
         total = _div_d(total)
-    return BracketResult(LaurentPoly(total), states_expanded, cache_hits)
+    return BracketResult(LaurentPoly(total), states_expanded)
 
 
 def writhe_prefactor(writhe: int) -> LaurentPoly:

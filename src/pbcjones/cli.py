@@ -8,7 +8,6 @@ so a run can be reproduced from its own output.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from fractions import Fraction
 from typing import Dict, List, Optional
@@ -19,6 +18,7 @@ from .errors import PbcJonesError
 from .io_formats import (
     AnalysisReport,
     TRAJECTORY_FORMATS,
+    load_json,
     read_curves,
     read_system,
     read_trajectory,
@@ -31,10 +31,9 @@ from .jones3d import JonesResult, SamplingConfig, jones
 from .laurent import LaurentPoly
 from .pbc import (
     cell_curves,
-    link_curves,
     minimal_periodic_link,
     normalized,
-    rebuild_link,
+    periodic_jones,
     search_basepoint,
     slk_p,
     with_basepoint,
@@ -66,10 +65,14 @@ def _add_output_flags(p: argparse.ArgumentParser) -> None:
                    help="write the report here instead of stdout")
 
 
+def _require_positive(flag: str, value: int) -> None:
+    if value < 1:
+        raise PbcJonesError(f"{flag} must be at least 1, got {value}")
+
+
 def _config(args) -> SamplingConfig:
-    for flag, value in (("--directions", args.directions), ("--workers", args.workers)):
-        if value < 1:
-            raise PbcJonesError(f"{flag} must be at least 1, got {value}")
+    _require_positive("--directions", args.directions)
+    _require_positive("--workers", args.workers)
     return SamplingConfig(
         directions=args.directions, mode=args.mode, seed=args.seed,
         tolerance=args.tolerance, crossing_cap=args.crossing_cap,
@@ -142,8 +145,7 @@ def _parse_direction(text: str) -> np.ndarray:
 
 
 def _load_composition(path: str) -> Dict[str, List[List[int]]]:
-    with open(path, "r", encoding="utf-8") as fh:
-        obj = json.load(fh)
+    obj = load_json(path)
     if isinstance(obj, dict) and "results" in obj:
         obj = obj["results"].get("composition")
     if isinstance(obj, dict) and "composition" in obj:
@@ -188,12 +190,8 @@ def _cmd_periodic_jones(args) -> None:
         for chain in system.chains:
             if chain.topology == "infinite":
                 system = with_basepoint(system, chain.id, search_basepoint(system, chain.id))
-    if args.frozen_components:
-        link = rebuild_link(system, _load_composition(args.frozen_components))
-    else:
-        link = minimal_periodic_link(system)
-    curves = link_curves(link)
-    res = jones(curves, cfg)
+    frozen = _load_composition(args.frozen_components) if args.frozen_components else None
+    res, link = periodic_jones(system, cfg, frozen)
     params = _sampling_params(args, args.input)
     params["frozen_components"] = args.frozen_components
     params["basepoint_search"] = bool(args.basepoint_search)
@@ -212,8 +210,7 @@ def _cmd_periodic_jones(args) -> None:
 
 
 def _cmd_normalize(args) -> None:
-    with open(args.input, "r", encoding="utf-8") as fh:
-        obj = json.load(fh)
+    obj = load_json(args.input)
     components = args.components
     if isinstance(obj, dict) and "results" in obj:
         res = obj["results"]
@@ -225,6 +222,7 @@ def _cmd_normalize(args) -> None:
     poly = LaurentPoly.from_json_obj(obj)
     if components is None:
         raise PbcJonesError("--components is required when the input carries no count")
+    _require_positive("--components", components)
     report = AnalysisReport("normalize", {
         "input": args.input,
         "components": components,
@@ -263,6 +261,7 @@ def _cmd_slk(args) -> None:
 
 
 def _cmd_cutoff_verify(args) -> None:
+    _require_positive("--copies", args.copies)
     system = read_system(args.input)
     xi = _parse_direction(args.direction) if args.direction else None
     rep = verify_cutoff_factorization(

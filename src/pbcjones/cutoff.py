@@ -36,7 +36,7 @@ from .errors import PbcJonesError
 from .geometry import Curve, sample_directions
 from .jones3d import project_generic
 from .laurent import LaurentPoly, d_power
-from .pbc import (MinimalPeriodicLink, PBCSystem, PlacedImage, box_presence,
+from .pbc import (MinimalPeriodicLink, PBCSystem, PlacedImage, UnfoldingBox, box_presence,
                   minimal_periodic_link, single_periodic_axis, slk_p)
 
 
@@ -78,20 +78,12 @@ def build_cutoff(system: PBCSystem, n_copies: int,
     axis = single_periodic_axis(system.cell)
     if link is None:
         link = minimal_periodic_link(system)
-    m = link.mcu.dims[axis]
-    period = 2 * m - 1
-
+    period = link.mcu.copy_period(axis)
     copies: List[Tuple[PlacedImage, ...]] = []
     for k in range(n_copies):
         shift = [0, 0, 0]
         shift[axis] = k * period
-        placed = []
-        for im in link.images:
-            v = tuple(im.translate[ax] + shift[ax] for ax in range(3))
-            placed.append(PlacedImage(im.chain_id, v,
-                                      im.closed,
-                                      im.polyline + system.cell.translation(shift)))
-        copies.append(tuple(placed))
+        copies.append(tuple(im.shifted(system.cell, shift) for im in link.images))
 
     sets = [frozenset(im.translate for im in c) for c in copies]
     for i in range(len(sets)):
@@ -100,9 +92,10 @@ def build_cutoff(system: PBCSystem, n_copies: int,
                 raise PbcJonesError("cutoff copies overlap; period too small for this system")
 
     # independent membership enumeration over the whole window
-    lo = link.mcu.lo.copy()
-    hi = link.mcu.hi.copy()
-    hi[axis] += (n_copies - 1) * period
+    dims = list(link.mcu.dims)
+    dims[axis] += (n_copies - 1) * period
+    window = UnfoldingBox(link.mcu.anchor, tuple(dims))
+    lo, hi = window.lo, window.hi
     base_img = link.base_images[system.chains[0].id]
     frac = system.cell.to_fractional(base_img.polyline)
     expected = set()
@@ -120,61 +113,23 @@ def build_cutoff(system: PBCSystem, n_copies: int,
             f"cutoff window membership mismatch: copies give {sorted(got)}, "
             f"window enumeration gives {sorted(expected)}"
         )
-
-    dims = list(link.mcu.dims)
-    dims[axis] = (2 * n_copies - 1) * m - (n_copies - 1)
-    cells = dims[0] * dims[1] * dims[2]
-    return CutoffLink(n_copies, axis, period, cells, tuple(copies), link)
+    return CutoffLink(n_copies, axis, period, window.cell_count, tuple(copies), link)
 
 
 def split_bracket(diagram: Diagram, crossing_cap: int = DEFAULT_CROSSING_CAP,
                   memo=None) -> LaurentPoly:
     """Bracket of a diagram that may split into independent pieces.
 
-    Components are grouped by shared crossings and by shared open-end
-    owners (virtual closures tie those together); each group is evaluated
-    on its own, through ``memo`` when given, and one loop factor is
-    charged per extra piece.
+    Each of ``diagram.pieces()`` is evaluated on its own, through ``memo``
+    when given, and one loop factor is charged per extra piece.
     """
-    comp_ids = [c.id for c in diagram.components]
-    parent = {cid: cid for cid in comp_ids}
-
-    def find(x: str) -> str:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(a: str, b: str) -> None:
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[rb] = ra
-
-    owner = diagram.passage_owner()
-    for cid in diagram.crossings:
-        union(owner[(cid, "o")], owner[(cid, "u")])
-    by_end_owner: Dict[str, str] = {}
-    for comp in diagram.components:
-        if comp.closed:
-            continue
-        for end_owner, _ in comp.ends:
-            if end_owner in by_end_owner:
-                union(by_end_owner[end_owner], comp.id)
-            else:
-                by_end_owner[end_owner] = comp.id
-
-    groups: Dict[str, List] = {}
-    for comp in diagram.components:
-        groups.setdefault(find(comp.id), []).append(comp)
-    if not groups:
+    pieces = diagram.pieces()
+    if not pieces:
         return LaurentPoly.one()
     total = LaurentPoly.one()
-    for root in sorted(groups):
-        comps = groups[root]
-        present = {p[0] for c in comps for p in c.passages}
-        sub = Diagram(comps, {cid: diagram.crossings[cid] for cid in present})
-        total = total * bracket(sub, crossing_cap, memo=memo).poly
-    return total * d_power(len(groups) - 1)
+    for piece in pieces:
+        total = total * bracket(piece, crossing_cap, memo=memo).poly
+    return total * d_power(len(pieces) - 1)
 
 
 @dataclass(frozen=True)
@@ -343,32 +298,10 @@ def _shared_states(diagram: Diagram,
 def _is_disconnecting(d_state: Diagram, cut: CutoffLink, copy_of, owner_orig) -> bool:
     """True when every piece of the smoothed diagram carries crossings of
     at most one copy and the pieces realize all copies separately."""
-    owner = d_state.passage_owner()
-    comp_ids = [c.id for c in d_state.components]
-    parent = {cid: cid for cid in comp_ids}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(a, b):
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[rb] = ra
-
-    for cid in d_state.crossings:
-        union(owner[(cid, "o")], owner[(cid, "u")])
-    copies_of_group: Dict[str, set] = {}
-    for cid in d_state.crossings:
-        root = find(owner[(cid, "o")])
-        a = copy_of[owner_orig[(cid, "o")]]
-        b = copy_of[owner_orig[(cid, "u")]]
-        copies_of_group.setdefault(root, set()).update((a, b))
-    if any(len(s) > 1 for s in copies_of_group.values()):
-        return False
-    seen = set()
-    for s in copies_of_group.values():
-        seen.update(s)
+    seen: set = set()
+    for piece in d_state.pieces():
+        copies = {copy_of[owner_orig[(cid, role)]] for cid in piece.crossings for role in "ou"}
+        if len(copies) > 1:
+            return False
+        seen |= copies
     return seen == set(range(cut.n_copies))

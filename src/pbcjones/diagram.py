@@ -105,6 +105,39 @@ class Diagram:
                 owner[p] = comp.id
         return owner
 
+    def pieces(self) -> List["Diagram"]:
+        """Split into independent sub-diagrams, in order of first component.
+
+        Two components share a piece when they pass through a common
+        crossing or carry ends of the same owner curve, which virtual
+        closures tie together.
+        """
+        root = {comp.id: comp.id for comp in self.components}
+
+        def find(x: str) -> str:
+            while root[x] != x:
+                root[x] = root[root[x]]
+                x = root[x]
+            return x
+
+        owner = self.passage_owner()
+        ties = [(owner[(cid, "o")], owner[(cid, "u")]) for cid in self.crossings]
+        first_with_owner: Dict[str, str] = {}
+        for comp in self.components:
+            if not comp.closed:
+                ties.extend((first_with_owner.setdefault(o, comp.id), comp.id)
+                            for o, _ in comp.ends)
+        for a, b in ties:
+            root[find(b)] = find(a)
+        groups: Dict[str, List[Component]] = {}
+        for comp in self.components:
+            groups.setdefault(find(comp.id), []).append(comp)
+        out = []
+        for comps in groups.values():
+            present = {p[0] for comp in comps for p in comp.passages}
+            out.append(Diagram(comps, {c: s for c, s in self.crossings.items() if c in present}))
+        return out
+
     def inter_linking(self, group_a: Iterable[str], group_b: Iterable[str]) -> Fraction:
         """Half the signed count of crossings between two disjoint component groups."""
         a, b = set(group_a), set(group_b)

@@ -105,12 +105,19 @@ def system_to_json_obj(system: PBCSystem) -> dict:
     return obj
 
 
-def read_system(path: str) -> PBCSystem:
+def load_json(path: str):
+    """Parse a JSON file; malformed content raises a PbcJonesError."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            obj = json.load(fh)
+            return json.load(fh)
         except json.JSONDecodeError as exc:
             raise PbcJonesError(f"{path}:{exc.lineno}: invalid JSON ({exc.msg})") from None
+        except UnicodeDecodeError as exc:
+            raise PbcJonesError(f"{path}: not UTF-8 text ({exc.reason})") from None
+
+
+def read_system(path: str) -> PBCSystem:
+    obj = load_json(path)
     try:
         return system_from_json_obj(obj)
     except PbcJonesError as exc:
@@ -158,11 +165,7 @@ def curves_to_json_obj(curves: Sequence[Curve]) -> dict:
 
 
 def read_curves(path: str) -> List[Curve]:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            obj = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise PbcJonesError(f"{path}:{exc.lineno}: invalid JSON ({exc.msg})") from None
+    obj = load_json(path)
     try:
         return curves_from_json_obj(obj)
     except PbcJonesError as exc:

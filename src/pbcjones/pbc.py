@@ -14,6 +14,7 @@ box at isolated points does not count as presence.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
@@ -38,7 +39,10 @@ class Cell:
     __slots__ = ("basis", "periodic", "origin", "_inv")
 
     def __init__(self, basis, periodic: Sequence[bool], origin=(0.0, 0.0, 0.0)):
-        b = np.asarray(basis, dtype=float)
+        try:
+            b = np.asarray(basis, dtype=float)
+        except (TypeError, ValueError):
+            raise PbcJonesError("cell basis must be a 3x3 matrix of numbers") from None
         if b.shape != (3, 3):
             raise PbcJonesError("cell basis must be a 3x3 matrix (rows are cell vectors)")
         if not np.all(np.isfinite(b)):
@@ -49,7 +53,10 @@ class Cell:
             raise PbcJonesError("periodic flags must have length 3")
         self.basis = b
         self.periodic = tuple(bool(p) for p in periodic)
-        self.origin = np.asarray(origin, dtype=float)
+        try:
+            self.origin = np.asarray(origin, dtype=float)
+        except (TypeError, ValueError):
+            raise PbcJonesError("cell origin must be 3 finite coordinates") from None
         if self.origin.shape != (3,) or not np.all(np.isfinite(self.origin)):
             raise PbcJonesError("cell origin must be 3 finite coordinates")
         self._inv = np.linalg.inv(b)
@@ -171,8 +178,6 @@ class Image:
     chain_id: str
     closed: bool
     polyline: np.ndarray
-    placements: Tuple[Tuple[int, Vec3], ...]  # (arc index, lattice translate)
-    advance: Optional[Vec3]  # period of an infinite chain, in cell units
 
 
 def _lattice_match(cell: Cell, target_frac, point_frac) -> Optional[Vec3]:
@@ -196,25 +201,22 @@ def unfold_image(system: PBCSystem, chain: GeneratingChain) -> Image:
     n = len(chain.arcs)
     used = [False] * n
 
-    def candidates_forward(end_frac):
+    def take(point, end: int, where: str) -> Optional[Tuple[int, Vec3]]:
+        """The unused arc translate whose vertex ``end`` (0 or -1) meets point."""
         found = []
         for j in range(n):
-            if used[j]:
-                continue
-            v = _lattice_match(cell, end_frac, frac_arcs[j][0])
-            if v is not None:
-                found.append((j, v))
-        return found
-
-    def candidates_backward(start_frac):
-        found = []
-        for j in range(n):
-            if used[j]:
-                continue
-            v = _lattice_match(cell, start_frac, frac_arcs[j][-1])
-            if v is not None:
-                found.append((j, v))
-        return found
+            if not used[j]:
+                v = _lattice_match(cell, point, frac_arcs[j][end])
+                if v is not None:
+                    found.append((j, v))
+        if len(found) > 1:
+            raise AmbiguousMatchError(
+                f"chain {chain.id!r}: {len(found)} arc translates continue the {where}"
+            )
+        if found:
+            used[found[0][0]] = True
+            return found[0]
+        return None
 
     base = chain.basepoint_arc
     used[base] = True
@@ -222,36 +224,25 @@ def unfold_image(system: PBCSystem, chain: GeneratingChain) -> Image:
     head = frac_arcs[base][-1].copy()
     tail = frac_arcs[base][0].copy()
 
-    def step(found, where):
-        if len(found) > 1:
-            raise AmbiguousMatchError(
-                f"chain {chain.id!r}: {len(found)} arc translates continue the {where}"
-            )
-        return found[0]
-
     # forward walk from the head
-    closing_v: Optional[Vec3] = None
     while True:
-        if chain.topology == "closed":
-            closing_v = _lattice_match(cell, head, frac_arcs[base][0])
-            if closing_v == (0, 0, 0):
-                break
-        found = candidates_forward(head)
-        if not found:
+        if (chain.topology == "closed"
+                and _lattice_match(cell, head, frac_arcs[base][0]) == (0, 0, 0)):
             break
-        j, v = step(found, "head")
-        used[j] = True
-        placements.append((j, v))
+        found = take(head, 0, "head")
+        if found is None:
+            break
+        j, v = found
+        placements.append(found)
         head = frac_arcs[j][-1] + np.asarray(v, dtype=float)
 
     if chain.topology == "open":
         while True:
-            found = candidates_backward(tail)
-            if not found:
+            found = take(tail, -1, "tail")
+            if found is None:
                 break
-            j, v = step(found, "tail")
-            used[j] = True
-            placements.insert(0, (j, v))
+            j, v = found
+            placements.insert(0, found)
             tail = frac_arcs[j][0] + np.asarray(v, dtype=float)
 
     if not all(used):
@@ -259,19 +250,15 @@ def unfold_image(system: PBCSystem, chain: GeneratingChain) -> Image:
             f"chain {chain.id!r}: {used.count(False)} arc(s) not reachable from the basepoint"
         )
 
-    advance: Optional[Vec3] = None
-    if chain.topology == "closed":
-        if _lattice_match(cell, head, frac_arcs[base][0]) != (0, 0, 0):
-            raise ChainConnectivityError(
-                f"chain {chain.id!r}: closed chain does not return to its start"
-            )
-    elif chain.topology == "infinite":
-        adv = _lattice_match(cell, head, frac_arcs[base][0])
-        if adv is None or adv == (0, 0, 0):
-            raise ChainConnectivityError(
-                f"chain {chain.id!r}: infinite chain must advance by a nonzero translate"
-            )
-        advance = adv
+    advance = _lattice_match(cell, head, frac_arcs[base][0])
+    if chain.topology == "closed" and advance != (0, 0, 0):
+        raise ChainConnectivityError(
+            f"chain {chain.id!r}: closed chain does not return to its start"
+        )
+    if chain.topology == "infinite" and advance in (None, (0, 0, 0)):
+        raise ChainConnectivityError(
+            f"chain {chain.id!r}: infinite chain must advance by a nonzero translate"
+        )
 
     pts: List[np.ndarray] = []
     for j, v in placements:
@@ -283,7 +270,7 @@ def unfold_image(system: PBCSystem, chain: GeneratingChain) -> Image:
     closed = chain.topology == "closed"
     if closed and np.linalg.norm(poly[0] - poly[-1]) <= MATCH_TOL * 10:
         poly = poly[:-1]
-    return Image(chain.id, closed, poly, tuple(placements), advance)
+    return Image(chain.id, closed, poly)
 
 
 # -- cell decomposition of a polyline ----------------------------------
@@ -360,25 +347,9 @@ def box_presence(frac_poly: np.ndarray, closed: bool, lo, hi) -> float:
 
 
 @dataclass(frozen=True)
-class MinimalUnfolding:
-    cells: Tuple[Vec3, ...]
-    anchor: Vec3
-    dims: Vec3
+class UnfoldingBox:
+    """Box of whole lattice cells: the lowest cell and the extent per axis."""
 
-
-def minimal_unfolding(system: PBCSystem, image: Image) -> MinimalUnfolding:
-    frac = system.cell.to_fractional(image.polyline)
-    cells = sorted(polyline_cells(frac, image.closed))
-    if not cells:
-        raise PbcJonesError(f"image of chain {image.chain_id!r} has no cell presence")
-    arr = np.asarray(cells)
-    anchor = tuple(int(x) for x in arr.min(axis=0))
-    dims = tuple(int(x) for x in (arr.max(axis=0) - arr.min(axis=0) + 1))
-    return MinimalUnfolding(tuple(cells), anchor, dims)
-
-
-@dataclass(frozen=True)
-class MinimalCollectiveUnfolding:
     anchor: Vec3
     dims: Vec3
 
@@ -394,21 +365,35 @@ class MinimalCollectiveUnfolding:
     def cell_count(self) -> int:
         return self.dims[0] * self.dims[1] * self.dims[2]
 
+    def copy_period(self, axis: int) -> int:
+        """Cells between link copies along axis: 2*dims - 1, the smallest
+        translate whose image set is disjoint from the original."""
+        return 2 * self.dims[axis] - 1
 
-def minimal_collective_unfolding(system: PBCSystem):
-    """Per-chain unfoldings plus the collective bounding box.
 
-    Returns (images by chain id, unfoldings by chain id, the collective box).
-    """
+def minimal_unfolding(system: PBCSystem, image: Image) -> UnfoldingBox:
+    """Box of the cells in which the image has positive length."""
+    frac = system.cell.to_fractional(image.polyline)
+    cells = sorted(polyline_cells(frac, image.closed))
+    if not cells:
+        raise PbcJonesError(f"image of chain {image.chain_id!r} has no cell presence")
+    arr = np.asarray(cells)
+    anchor = tuple(int(x) for x in arr.min(axis=0))
+    dims = tuple(int(x) for x in (arr.max(axis=0) - arr.min(axis=0) + 1))
+    return UnfoldingBox(anchor, dims)
+
+
+def minimal_collective_unfolding(system: PBCSystem) -> Tuple[Dict[str, Image], UnfoldingBox]:
+    """Per-chain images plus the collective box: the lowest anchor and the
+    largest extent of the chains' boxes, per axis."""
     images: Dict[str, Image] = {}
-    mus: Dict[str, MinimalUnfolding] = {}
+    boxes: List[UnfoldingBox] = []
     for chain in system.chains:
-        img = unfold_image(system, chain)
-        images[chain.id] = img
-        mus[chain.id] = minimal_unfolding(system, img)
-    anchor = tuple(int(min(mu.anchor[ax] for mu in mus.values())) for ax in range(3))
-    dims = tuple(int(max(mu.dims[ax] for mu in mus.values())) for ax in range(3))
-    return images, mus, MinimalCollectiveUnfolding(anchor, dims)
+        img = images[chain.id] = unfold_image(system, chain)
+        boxes.append(minimal_unfolding(system, img))
+    anchor = tuple(min(b.anchor[ax] for b in boxes) for ax in range(3))
+    dims = tuple(max(b.dims[ax] for b in boxes) for ax in range(3))
+    return images, UnfoldingBox(anchor, dims)
 
 
 # -- minimal periodic link ----------------------------------------------
@@ -426,12 +411,16 @@ class PlacedImage:
         v = self.translate
         return f"{self.chain_id}@{v[0]},{v[1]},{v[2]}"
 
+    def shifted(self, cell: Cell, shift: Sequence[int]) -> "PlacedImage":
+        """The same image moved by a further lattice translate."""
+        v = tuple(a + b for a, b in zip(self.translate, shift))
+        return PlacedImage(self.chain_id, v, self.closed, self.polyline + cell.translation(shift))
+
 
 @dataclass(frozen=True)
 class MinimalPeriodicLink:
     images: Tuple[PlacedImage, ...]
-    mcu: MinimalCollectiveUnfolding
-    unfoldings: Mapping[str, MinimalUnfolding]
+    mcu: UnfoldingBox
     base_images: Mapping[str, Image]
 
     @property
@@ -461,19 +450,29 @@ def _translate_range(cell: Cell, frac_poly: np.ndarray, lo, hi) -> List[Vec3]:
     return [v for v in product(*ranges)]
 
 
-def minimal_periodic_link(system: PBCSystem) -> MinimalPeriodicLink:
-    """All image translates with positive presence in the collective box."""
-    images, mus, mcu = minimal_collective_unfolding(system)
+def _place_images(system: PBCSystem, translates) -> MinimalPeriodicLink:
+    """Unfold every chain and place its image at each lattice translate
+    that ``translates(image, box)`` returns, chains in system order."""
+    images, box = minimal_collective_unfolding(system)
     placed: List[PlacedImage] = []
     for chain in system.chains:
         img = images[chain.id]
-        frac = system.cell.to_fractional(img.polyline)
-        for v in _translate_range(system.cell, frac, mcu.lo, mcu.hi):
-            shifted = frac + np.asarray(v, dtype=float)
-            if box_presence(shifted, img.closed, mcu.lo, mcu.hi) > PRESENCE_TOL:
-                poly = img.polyline + system.cell.translation(v)
-                placed.append(PlacedImage(chain.id, v, img.closed, poly))
-    return MinimalPeriodicLink(tuple(placed), mcu, mus, images)
+        at_base = PlacedImage(chain.id, (0, 0, 0), img.closed, img.polyline)
+        placed.extend(at_base.shifted(system.cell, v) for v in translates(img, box))
+    return MinimalPeriodicLink(tuple(placed), box, images)
+
+
+def minimal_periodic_link(system: PBCSystem) -> MinimalPeriodicLink:
+    """All image translates with positive presence in the collective box."""
+    cell = system.cell
+
+    def present(img: Image, box: UnfoldingBox) -> List[Vec3]:
+        frac = cell.to_fractional(img.polyline)
+        return [v for v in _translate_range(cell, frac, box.lo, box.hi)
+                if box_presence(frac + np.asarray(v, dtype=float), img.closed,
+                                box.lo, box.hi) > PRESENCE_TOL]
+
+    return _place_images(system, present)
 
 
 def search_basepoint(system: PBCSystem, chain_id: str) -> Tuple[int, int]:
@@ -503,20 +502,30 @@ def with_basepoint(system: PBCSystem, chain_id: str, basepoint: Tuple[int, int])
 
 def rebuild_link(system: PBCSystem, composition: Mapping[str, Sequence[Sequence[int]]]) -> MinimalPeriodicLink:
     """Place images at previously captured translates (frozen components)."""
-    images, mus, mcu = minimal_collective_unfolding(system)
-    placed: List[PlacedImage] = []
-    for chain in system.chains:
-        if chain.id not in composition:
-            continue
-        img = images[chain.id]
-        for v in composition[chain.id]:
-            v = (int(v[0]), int(v[1]), int(v[2]))
-            for ax in range(3):
-                if v[ax] and not system.cell.periodic[ax]:
-                    raise PbcJonesError(f"translate {v} moves along a non-periodic axis")
-            poly = img.polyline + system.cell.translation(v)
-            placed.append(PlacedImage(chain.id, v, img.closed, poly))
-    return MinimalPeriodicLink(tuple(placed), mcu, mus, images)
+    unknown = sorted(set(composition) - {c.id for c in system.chains})
+    if unknown:
+        raise PbcJonesError(f"frozen composition names chains not in the system: {unknown}")
+    frozen: Dict[str, List[Vec3]] = {}
+    for chain_id, translates in composition.items():
+        if not isinstance(translates, (list, tuple)):
+            raise PbcJonesError(f"frozen chain {chain_id!r}: expected a list of translates")
+        frozen[chain_id] = [_frozen_translate(system.cell, chain_id, t) for t in translates]
+    if not any(frozen.values()):
+        raise PbcJonesError("frozen composition places no image")
+    return _place_images(system, lambda img, box: frozen.get(img.chain_id, ()))
+
+
+def _frozen_translate(cell: Cell, chain_id: str, t) -> Vec3:
+    try:
+        v = tuple(operator.index(x) for x in t)
+    except TypeError:
+        v = ()
+    if len(v) != 3:
+        raise PbcJonesError(f"frozen chain {chain_id!r}: translate {t!r} is not three integers")
+    for ax in range(3):
+        if v[ax] and not cell.periodic[ax]:
+            raise PbcJonesError(f"translate {v} moves along a non-periodic axis")
+    return v
 
 
 def link_curves(link: MinimalPeriodicLink) -> List[Curve]:
@@ -651,9 +660,9 @@ def slk_p(system: PBCSystem, xi, link: Optional[MinimalPeriodicLink] = None,
     periodic link and its translates by the copy period, summed over all
     nonzero translates.
 
-    The copy period along each axis is 2*dims - 1 cells, the smallest
-    translate whose image set is disjoint from the original.  Translates
-    run over every periodic axis unless ``axis`` restricts them to one.
+    The copy period along each axis is the link box's ``copy_period``.
+    Translates run over every periodic axis unless ``axis`` restricts
+    them to one.
     """
     if link is None:
         link = minimal_periodic_link(system)
@@ -662,6 +671,8 @@ def slk_p(system: PBCSystem, xi, link: Optional[MinimalPeriodicLink] = None,
         if not axes:
             raise PbcJonesError("no periodic axis")
     else:
+        if axis not in (0, 1, 2):
+            raise PbcJonesError(f"axis must be 0, 1 or 2, got {axis}")
         if not system.cell.periodic[axis]:
             raise PbcJonesError(f"axis {axis} is not periodic")
         axes = [axis]
@@ -674,7 +685,7 @@ def slk_p(system: PBCSystem, xi, link: Optional[MinimalPeriodicLink] = None,
     period = {}
     ranges = []
     for ax in axes:
-        period[ax] = 2 * link.mcu.dims[ax] - 1
+        period[ax] = link.mcu.copy_period(ax)
         span = float(frac_all[:, ax].max() - frac_all[:, ax].min())
         vmax = int(math.ceil(span / period[ax])) + 1
         ranges.append(range(-vmax, vmax + 1))

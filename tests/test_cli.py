@@ -218,3 +218,70 @@ class TestIngest:
                    "--system-out", str(tmp_path / "s.json")])
         assert rc == 2
         assert "out of range" in capsys.readouterr().err
+
+
+class TestMalformedInput:
+    """Bad files and out-of-range flags exit 2 with one error line."""
+
+    @staticmethod
+    def assert_rejected(capsys, argv, message):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert message in captured.err
+
+    @pytest.mark.parametrize("command", ["periodic-jones", "normalize"])
+    @pytest.mark.parametrize("content, message", [
+        (b'{"composition": {\n  "ring": [[0, 0, 0],]}}', "bad.json:2: invalid JSON"),
+        (b'\xff\xfe{}', "bad.json: not UTF-8 text"),
+    ])
+    def test_unreadable_json(self, command, content, message, chainmail_file, tmp_path,
+                             capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(content)
+        argv = (["periodic-jones", chainmail_file, "--frozen-components", str(bad)]
+                if command == "periodic-jones" else ["normalize", str(bad)])
+        self.assert_rejected(capsys, argv, message)
+
+    @pytest.mark.parametrize("composition, message", [
+        ({"ring": [[1, 2]]}, "translate [1, 2] is not three integers"),
+        ({"ring": [["a", 0, 0]]}, "is not three integers"),
+        ({"ring": [[0.5, 0, 0]]}, "is not three integers"),
+        ({"ring": 3}, "expected a list of translates"),
+        ({"ring": [[0, 0, 0]], "knot": [[0, 0, 0]]}, "chains not in the system: ['knot']"),
+        ({}, "places no image"),
+        ({"ring": []}, "places no image"),
+    ])
+    def test_malformed_frozen_composition(self, composition, message, chainmail_file,
+                                          tmp_path, capsys):
+        frozen = tmp_path / "frozen.json"
+        frozen.write_text(json.dumps({"composition": composition}))
+        self.assert_rejected(capsys, ["periodic-jones", chainmail_file,
+                                      "--frozen-components", str(frozen)], message)
+
+    @pytest.mark.parametrize("argv, message", [
+        (["normalize", "POLY", "--components", "0"], "--components must be at least 1, got 0"),
+        (["normalize", "POLY", "--components", "-2"], "--components must be at least 1, got -2"),
+        (["cutoff-verify", "SYSTEM", "--copies", "0"], "--copies must be at least 1, got 0"),
+        (["slk", "SYSTEM", "--axis", "5"], "axis must be 0, 1 or 2, got 5"),
+        (["slk", "SYSTEM", "--axis", "-3"], "axis must be 0, 1 or 2, got -3"),
+    ])
+    def test_flag_out_of_range(self, argv, message, chainmail_file, tmp_path, capsys):
+        poly = tmp_path / "poly.json"
+        poly.write_text(json.dumps(LaurentPoly({-2: -1, -10: -1}).to_json_obj()))
+        files = {"POLY": str(poly), "SYSTEM": chainmail_file}
+        self.assert_rejected(capsys, [files.get(a, a) for a in argv], message)
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("origin", "abc", "cell: cell origin must be 3 finite coordinates"),
+        ("basis", [[1.0, 0.0, 0.0], [0.0, "x", 0.0], [0.0, 0.0, 1.0]],
+         "cell: cell basis must be a 3x3 matrix of numbers"),
+    ])
+    def test_non_numeric_cell_rejected(self, key, value, message, chainmail_file, capsys):
+        with open(chainmail_file, encoding="utf-8") as fh:
+            obj = json.load(fh)
+        obj["cell"][key] = value
+        with open(chainmail_file, "w", encoding="utf-8") as fh:
+            json.dump(obj, fh)
+        self.assert_rejected(capsys, ["slk", chainmail_file], message)

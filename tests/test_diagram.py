@@ -172,6 +172,32 @@ class TestInvariance:
         assert jones_of_diagram(d) == expected
 
 
+class TestPieces:
+    @staticmethod
+    def shape(diagram):
+        return [([c.id for c in p.components], p.crossings) for p in diagram.pieces()]
+
+    def test_shared_crossings_tie_components(self):
+        d = Diagram([closed("a", ("c1", "o"), ("c2", "o")),
+                     closed("k", ("c3", "o"), ("c3", "u")),
+                     closed("b", ("c1", "u"), ("c2", "u"))],
+                    {"c1": 1, "c2": -1, "c3": -1})
+        assert self.shape(d) == [(["a", "b"], {"c1": 1, "c2": -1}), (["k"], {"c3": -1})]
+
+    def test_shared_end_owners_tie_components(self):
+        # p and q carry the two ends of owners "a" and "b"; s reaches q
+        # through a crossing, r owns both of its own ends
+        p = Component("p", False, (), (("a", "tail"), ("b", "head")))
+        q = Component("q", False, (("x", "o"),), (("b", "tail"), ("a", "head")))
+        d = Diagram([p, strand("r"), closed("s", ("x", "u")), q], {"x": 1})
+        assert self.shape(d) == [(["p", "s", "q"], {"x": 1}), (["r"], {})]
+
+    def test_crossingless_loops_are_separate_pieces(self):
+        d = Diagram([closed("a"), closed("b")], {})
+        assert self.shape(d) == [(["a"], {}), (["b"], {})]
+        assert Diagram([], {}).pieces() == []
+
+
 class TestTerminalGraph:
     def test_crossing_free_closed_loops_counted(self):
         g = terminal_graph(Diagram([closed("a"), closed("b")], {}))

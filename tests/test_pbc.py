@@ -143,6 +143,13 @@ class TestMinimalPeriodicLink:
         assert link.component_count == 1
         assert link.mcu.cell_count == 1
 
+    @pytest.mark.parametrize("make, periods", [(chainmail_system, [3, 1, 1]),
+                                               (jersey_system, [3, 3, 1])])
+    def test_copy_period_is_twice_dims_minus_one(self, make, periods):
+        box = minimal_periodic_link(make()).mcu
+        assert [box.copy_period(ax) for ax in range(3)] == periods
+        assert periods == [2 * d - 1 for d in box.dims]
+
     def test_jersey_count(self):
         assert minimal_periodic_link(jersey_system()).component_count == 8
 

@@ -16,12 +16,31 @@ made.  The DP starts and ends with one state, so merges always number
 ``states_expanded - 1``; ``cache_hits`` reports that rather than
 counting it.
 
+The crossing order sets how wide the frontier gets.  ``_crossing_order``
+runs a greedy that takes the crossing with the most strand connections
+into the solved set, ties to the lowest index, starting at crossing 0; a
+heap with lazy deletion makes it O(n log n).  The same pass tracks the
+cut, the strand edges between solved and unsolved crossings after each
+step, and predicts the order's work as ``(peak cut, sum of 2^(cut/2))``.
+When the greedy sum exceeds ``SEARCH_WORK``, the greedy runs again from
+every start crossing, once with its own tie-break and once taking the
+smallest change in the cut first, and the order with the least predicted
+work wins.  The greedy order is the first candidate, so the search never
+picks an order predicted to be worse.  The constant keeps the search off
+diagrams where it cannot pay: searching every diagram costs about 0.9 s
+of order search per melt pass of the benchmark to save 0.08 s of DP,
+and the greedy work peaks at 438 on melt, 147 on chainmail and 51 on the
+open trefoil.  On jersey the 13 diagrams above 300 hold 44,068 of the
+46,544 states of a pass; the search runs on the 7 above 512 and brings
+the pass to 22,262 states.
+
 A caller that solves many diagrams can pass ``bracket`` a memo dict.  Its
 key is the complete input of the state sum: the strand matching as one
 partner port per global port, the crossing signs in crossing-index order,
-and the count of free loops.  The crossing order, the polynomial and
-``states_expanded`` are functions of that key alone, so a hit returns
-the stored ``BracketResult`` and is exact down to the counters.
+and the count of free loops.  The crossing order, searched or not, reads
+only the strand matching, so it, the polynomial and ``states_expanded``
+are functions of that key alone, and a hit returns the stored
+``BracketResult`` exact down to the counters.
 Diagrams that differ only in component ids, or in crossing names that
 sort alike, share an entry.  The caller owns the memo and
 keeps it for one call (one direction chunk, one cutoff check): there is
@@ -31,6 +50,7 @@ which holds it near 8 MB on 25-crossing diagrams.
 
 from __future__ import annotations
 
+import heapq
 import operator
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
@@ -42,6 +62,8 @@ from .laurent import LaurentPoly
 DEFAULT_CROSSING_CAP = 48
 # entries past which a bracket memo stops storing (about 2 KB each at 25 crossings)
 MEMO_LIMIT = 4096
+# predicted work (sum of 2^(cut/2)) above which the crossing order is searched
+SEARCH_WORK = 512
 
 MemoKey = Tuple[Tuple[int, ...], Tuple[int, ...], int]
 
@@ -88,26 +110,66 @@ def _div_d(poly: Dict[int, int]) -> Dict[int, int]:
     return q
 
 
-def _crossing_order(n: int, strand: Tuple[int, ...]) -> List[int]:
-    """Greedy order keeping the processed set tightly connected.
+def _greedy_order(nbrs: List[Dict[int, int]], deg: List[int], start: int, min_delta: bool,
+                  bound: Optional[Tuple[int, int]]) -> Optional[Tuple[List[int], Tuple[int, int]]]:
+    """One greedy crossing order from ``start`` and its predicted work.
 
-    Repeatedly takes the crossing with the most strand connections into
-    the already-chosen set, which keeps the live frontier narrow.
+    Each later step takes the unsolved crossing with the most strand
+    connections into the solved set; with ``min_delta`` it first takes the
+    smallest change in the cut, then the most connections.  Ties go to the
+    lowest index.  A heap with lazy deletion serves the picks: a crossing's
+    key strictly falls as its connections grow, so its newest entry pops
+    first and older ones find it done.  Returns None as soon as the
+    order's work reaches ``bound``, since it can no longer beat it.
+    """
+    n = len(nbrs)
+    score = [0] * n
+    done = [False] * n
+    heap = [(deg[i] if min_delta else 0, 0, i) for i in range(n)]
+    heapq.heapify(heap)
+    order: List[int] = []
+    cut = peak = work = 0
+    c = start
+    while True:
+        done[c] = True
+        order.append(c)
+        cut += deg[c] - 2 * score[c]  # degrees are even, so is the cut
+        peak = max(peak, cut)
+        work += 1 << (cut // 2)
+        if bound is not None and (peak, work) >= bound:
+            return None
+        if len(order) == n:
+            return order, (peak, work)
+        for b, w in nbrs[c].items():
+            if not done[b]:
+                s = score[b] = score[b] + w
+                heapq.heappush(heap, (deg[b] - 2 * s if min_delta else -s, -s, b))
+        while True:
+            c = heapq.heappop(heap)[2]
+            if not done[c]:
+                break
+
+
+def _crossing_order(n: int, strand: Tuple[int, ...]) -> List[int]:
+    """Order of ``n >= 1`` crossings: the greedy from crossing 0, searched
+    over start crossings and tie-breaks when its predicted work exceeds
+    ``SEARCH_WORK`` (see the module docstring).  Only a strictly smaller
+    ``(peak, sum)`` replaces the greedy order.
     """
     nbrs: List[Dict[int, int]] = [dict() for _ in range(n)]
     for p, q in enumerate(strand):
         a, b = p // 4, q // 4
         if a != b:
             nbrs[a][b] = nbrs[a].get(b, 0) + 1
-    score = [0] * n
-    order: List[int] = []
-    remaining = set(range(n))
-    for _ in range(n):
-        best = min(remaining, key=lambda i: (-score[i], i))
-        order.append(best)
-        remaining.discard(best)
-        for b, w in nbrs[best].items():
-            score[b] += w
+    deg = [sum(d.values()) for d in nbrs]
+    order, work = _greedy_order(nbrs, deg, 0, False, None)
+    if work[1] <= SEARCH_WORK:
+        return order
+    for start in range(n):
+        for min_delta in (False, True):
+            found = _greedy_order(nbrs, deg, start, min_delta, work)
+            if found is not None:
+                order, work = found
     return order
 
 

@@ -147,7 +147,8 @@ def _parse_direction(text: str) -> np.ndarray:
 def _load_composition(path: str) -> Dict[str, List[List[int]]]:
     obj = load_json(path)
     if isinstance(obj, dict) and "results" in obj:
-        obj = obj["results"].get("composition")
+        results = obj["results"]
+        obj = results.get("composition") if isinstance(results, dict) else None
     if isinstance(obj, dict) and "composition" in obj:
         obj = obj["composition"]
     if not isinstance(obj, dict):
@@ -219,7 +220,10 @@ def _cmd_normalize(args) -> None:
         obj = res.get("polynomial", obj)
     if isinstance(obj, dict) and "polynomial" in obj:
         obj = obj["polynomial"]
-    poly = LaurentPoly.from_json_obj(obj)
+    try:
+        poly = LaurentPoly.from_json_obj(obj)
+    except PbcJonesError as exc:
+        raise PbcJonesError(f"{args.input}: {exc}") from None
     if components is None:
         raise PbcJonesError("--components is required when the input carries no count")
     _require_positive("--components", components)

@@ -13,6 +13,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Iterator, Mapping, Optional, Tuple, Union
 
+from .errors import PbcJonesError
+
 Coeff = Union[int, Fraction, float]
 
 EXACT = "exact"
@@ -198,13 +200,15 @@ class LaurentPoly:
 
     @classmethod
     def from_json_obj(cls, obj: Mapping) -> "LaurentPoly":
-        mode = obj.get("mode", EXACT)
-        coeffs: Dict[int, Coeff] = {}
-        for k, v in obj["coeffs"].items():
-            if isinstance(v, str):
-                v = Fraction(v)
-            coeffs[int(k)] = v
-        return cls(coeffs, mode)
+        """Inverse of ``to_json_obj``; anything else raises PbcJonesError."""
+        coeffs = obj.get("coeffs") if isinstance(obj, Mapping) else None
+        if not isinstance(coeffs, Mapping):
+            raise PbcJonesError("not a polynomial: expected an object with 'coeffs'")
+        try:
+            return cls({int(k): Fraction(v) if isinstance(v, str) else v
+                        for k, v in coeffs.items()}, obj.get("mode", EXACT))
+        except (TypeError, ValueError, ZeroDivisionError) as exc:
+            raise PbcJonesError(f"not a polynomial: {exc}") from None
 
     # -- display --------------------------------------------------------
 

@@ -9,6 +9,12 @@ recover one connected image per chain.
 
 Cell membership of a polyline is by positive clipped length: grazing a
 box at isolated points does not count as presence.
+
+Every arc vertex must lie within ``ARC_REACH`` cells of the cell, in
+fractional coordinates on every axis.  The cell walk, the unfolding box
+and the translate search all grow with the cells an arc spans, so an
+unbounded coordinate such as 1e300 would otherwise walk about as many
+lattice planes; ``PBCSystem`` rejects it instead.
 """
 
 from __future__ import annotations
@@ -29,6 +35,7 @@ from .laurent import DivisionResult, LaurentPoly, divide_by_d_power
 
 MATCH_TOL = 1e-6  # fractional-coordinate tolerance for arc end matching
 PRESENCE_TOL = 1e-9  # fractional length below which box presence is ignored
+ARC_REACH = 4  # cells an arc vertex may lie beyond the cell, per axis
 
 Vec3 = Tuple[int, int, int]
 
@@ -146,6 +153,12 @@ class PBCSystem:
         ids = [c.id for c in chains]
         if len(set(ids)) != len(ids):
             raise PbcJonesError("chain ids must be unique")
+        for chain in chains:
+            for k, arc in enumerate(chain.arcs):
+                frac = cell.to_fractional(arc)
+                if not np.all((frac >= -ARC_REACH) & (frac <= 1 + ARC_REACH)):
+                    raise PbcJonesError(f"chain {chain.id!r}: arc {k} reaches more than "
+                                        f"{ARC_REACH} cells beyond the cell")
         self.cell = cell
         self.chains = tuple(chains)
 

@@ -2,10 +2,12 @@ import importlib
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from oracles import brute_bracket
 
 from pbcjones.bracket import bracket, jones_of_diagram
-from pbcjones.diagram import Component, Diagram
+from pbcjones.diagram import Component, Diagram, terminal_graph
 from pbcjones.errors import StateSumTooLargeError
 from pbcjones.fixtures import (chainmail_system, figure_eight, hopf_link, jersey_system,
                                trefoil)
@@ -117,24 +119,95 @@ class TestCapAndAccounting:
         assert res.states_expanded > 0
         assert res.cache_hits > 0
 
-    # counts of the dict-keyed kernel; a kernel rewrite must reproduce them
+    # counts of the kernel under the current crossing order; a kernel rewrite
+    # must reproduce them, an order change must re-pin them.  The first three
+    # stay below SEARCH_WORK and keep the greedy order's counts; the jersey
+    # diagram is searched and needed 20060 states under the greedy order.
     @pytest.mark.parametrize("make,seed,crossings,states,hits", [
         (lambda: [trefoil()], 1, 4, 8, 7),
         (lambda: [figure_eight()], 3, 14, 54, 53),
         (lambda: link_curves(minimal_periodic_link(chainmail_system())), 7, 14, 22, 21),
-        (lambda: link_curves(minimal_periodic_link(jersey_system())), 23, 63, 20060, 20059),
+        (lambda: link_curves(minimal_periodic_link(jersey_system())), 23, 63, 2886, 2885),
     ], ids=["trefoil", "figure_eight", "chainmail_base", "jersey"])
     def test_work_counters_are_pinned(self, make, seed, crossings, states, hits):
         d = project(make(), seed)
         assert len(d.crossings) == crossings
         res = bracket(d, crossing_cap=crossings)
         assert (res.states_expanded, res.cache_hits) == (states, hits)
+        assert res.states_expanded < 20060
 
     def test_deterministic_across_calls(self):
         d = project([trefoil()], 1)
         r1, r2 = bracket(d), bracket(d)
         assert r1.poly == r2.poly
         assert r1.states_expanded == r2.states_expanded
+
+
+def jersey_diagram(seed):
+    return project(link_curves(minimal_periodic_link(jersey_system())), seed)
+
+
+def strand_of(d):
+    tg = terminal_graph(d)
+    n = len(tg.crossing_ids)
+    return n, tuple(tg.strand[p] for p in range(4 * n))
+
+
+def predicted_work(strand, order):
+    """(peak, sum of 2^(cut/2)) over the strand edges leaving the solved set after each step."""
+    solved, cuts = set(), []
+    for c in order:
+        solved.add(c)
+        cuts.append(sum(p // 4 in solved and q // 4 not in solved for p, q in enumerate(strand)))
+    return max(cuts), sum(2 ** (k // 2) for k in cuts)
+
+
+class TestCrossingOrder:
+    # jersey seed 23 is above SEARCH_WORK; seeds 3, 5 and 26 stay below it
+    @pytest.mark.parametrize("seed", [23, 3, 5, 26])
+    def test_order_is_a_permutation_no_worse_than_greedy(self, seed, monkeypatch):
+        n, strand = strand_of(jersey_diagram(seed))
+        chosen = bracket_mod._crossing_order(n, strand)
+        limit = bracket_mod.SEARCH_WORK
+        monkeypatch.setattr(bracket_mod, "SEARCH_WORK", float("inf"))
+        greedy = bracket_mod._crossing_order(n, strand)
+        assert sorted(chosen) == sorted(greedy) == list(range(n))
+        work = predicted_work(strand, greedy)
+        assert predicted_work(strand, chosen) <= work
+        assert (chosen == greedy) == (work[1] <= limit)
+
+    def test_min_delta_runs_are_part_of_the_search(self):
+        # a 70-crossing view of jersey: the score tie-break alone reaches
+        # (12, 1897), only a min-delta run reaches (12, 1881)
+        xi = sample_directions(200, "fibonacci")[100]
+        d, _, _ = project_generic(link_curves(minimal_periodic_link(jersey_system())),
+                                  xi, 1e-9, 100)
+        n, strand = strand_of(d)
+        assert n == 70
+        assert predicted_work(strand, bracket_mod._crossing_order(n, strand)) == (12, 1881)
+
+    def test_searching_every_diagram_keeps_the_jersey_bracket(self, monkeypatch):
+        d = jersey_diagram(5)
+        n, strand = strand_of(d)
+        greedy, ref = bracket_mod._crossing_order(n, strand), bracket(d, crossing_cap=64)
+        monkeypatch.setattr(bracket_mod, "SEARCH_WORK", 0)
+        assert bracket_mod._crossing_order(n, strand) != greedy
+        assert bracket(d, crossing_cap=64).poly == ref.poly
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 2), st.integers(4, 7), st.booleans())
+    def test_searched_order_matches_enumeration(self, seed, n_curves, n_pts, closed):
+        curves = [Curve(c.id, c.vertices, closed)
+                  for c in random_open_tangle(seed, n_curves, n_pts)]
+        d = project(curves, seed)
+        assume(1 <= len(d.crossings) <= 8)
+        old = bracket_mod.SEARCH_WORK
+        bracket_mod.SEARCH_WORK = 0
+        try:
+            res = bracket(d)
+        finally:
+            bracket_mod.SEARCH_WORK = old
+        assert res.poly == brute_bracket(d)
 
 
 class TestWritheNormalization:

@@ -1,6 +1,7 @@
 """End-to-end CLI runs through main(), checking exit codes and reports."""
 
 import json
+import time
 
 import numpy as np
 import pytest
@@ -259,6 +260,40 @@ class TestMalformedInput:
         frozen.write_text(json.dumps({"composition": composition}))
         self.assert_rejected(capsys, ["periodic-jones", chainmail_file,
                                       "--frozen-components", str(frozen)], message)
+
+    @pytest.mark.parametrize("content", [{"results": [1]}, {"results": {"composition": 3}}, [1]])
+    def test_report_without_composition(self, content, chainmail_file, tmp_path, capsys):
+        frozen = tmp_path / "r.json"
+        frozen.write_text(json.dumps(content))
+        self.assert_rejected(capsys, ["periodic-jones", chainmail_file,
+                                      "--frozen-components", str(frozen)],
+                             "r.json: no composition found")
+
+    @pytest.mark.parametrize("content, message", [
+        (None, "chainmail.json: not a polynomial: expected an object with 'coeffs'"),
+        ({"coeffs": [1]}, "expected an object with 'coeffs'"),
+        ({"coeffs": {"x": 1}}, "not a polynomial: invalid literal"),
+        ({"coeffs": {"0": "1/0"}}, "not a polynomial"),
+        ({"coeffs": {"0": 1.5}}, "exact mode requires int or Fraction"),
+        ({"mode": "complex", "coeffs": {}}, "unknown mode"),
+    ])
+    def test_normalize_rejects_non_polynomials(self, content, message, chainmail_file, capsys):
+        if content is not None:
+            with open(chainmail_file, "w", encoding="utf-8") as fh:
+                json.dump(content, fh)
+        self.assert_rejected(capsys, ["normalize", chainmail_file, "--components", "2"], message)
+
+    @pytest.mark.parametrize("command", ["periodic-jones", "slk"])
+    def test_unbounded_arc_is_rejected_at_once(self, command, chainmail_file, capsys):
+        with open(chainmail_file, encoding="utf-8") as fh:
+            obj = json.load(fh)
+        obj["chains"][0]["arcs"][0][1] = [1e300, 0.6, 0.7]
+        with open(chainmail_file, "w", encoding="utf-8") as fh:
+            json.dump(obj, fh)
+        t0 = time.perf_counter()
+        self.assert_rejected(capsys, [command, chainmail_file],
+                             "system: chain 'ring': arc 0 reaches more than 4 cells beyond")
+        assert time.perf_counter() - t0 < 1.0
 
     @pytest.mark.parametrize("argv, message", [
         (["normalize", "POLY", "--components", "0"], "--components must be at least 1, got 0"),

@@ -78,6 +78,19 @@ class TestGeneratingChain:
         with pytest.raises(PbcJonesError, match="arc 0 must be finite"):
             GeneratingChain("x", [arc], "infinite")
 
+    @pytest.mark.parametrize("x, ok", [(5.0, True), (-4.0, True), (5.01, False),
+                                       (-4.01, False), (1e300, False)])
+    def test_arc_reach_is_bounded(self, x, ok):
+        # fractional coordinates must stay within [-ARC_REACH, 1 + ARC_REACH]
+        cell = Cell(np.diag([2.0, 1.0, 1.0]), (True, True, True), origin=(1.0, 0.0, 0.0))
+        arc = np.array([[1.5, 0.5, 0.5], [1.0 + 2.0 * x, 0.5, 0.5]])
+        chains = [GeneratingChain("c", [arc], "open")]
+        if ok:
+            PBCSystem(cell, chains)
+        else:
+            with pytest.raises(PbcJonesError, match="arc 0 reaches more than 4 cells"):
+                PBCSystem(cell, chains)
+
     def test_json_round_trip_keeps_basepoint(self):
         chain = GeneratingChain("c", [[[0, 0, 0], [1, 0, 0], [1, 1, 0]]],
                                 "open", basepoint=(0, 2))

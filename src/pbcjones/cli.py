@@ -8,8 +8,8 @@ so a run can be reproduced from its own output.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
-from fractions import Fraction
 from typing import Dict, List, Optional
 
 import numpy as np
@@ -80,34 +80,18 @@ def _config(args) -> SamplingConfig:
     )
 
 
-def _sampling_params(args, path: str) -> Dict[str, object]:
-    return {
-        "input": path,
-        "directions": args.directions,
-        "mode": args.mode,
-        "seed": args.seed,
-        "tolerance": args.tolerance,
-        "crossing_cap": args.crossing_cap,
-        "on_cap": args.on_cap,
-        "prune": args.prune,
-        "workers": args.workers,
-    }
+def _sampling_params(cfg: SamplingConfig, path: str) -> Dict[str, object]:
+    return {"input": path, **dataclasses.asdict(cfg)}
 
 
 def _poly_results(res: JonesResult) -> Dict[str, object]:
+    """The result record plus its display-only forms."""
     return {
-        "polynomial": res.poly.to_json_obj(),
+        **res.to_json_obj(),
         "polynomial_str": str(res.poly),
-        "exact": res.exact,
         "span": res.poly.span,
         "min_exp": res.poly.min_exp,
         "max_exp": res.poly.max_exp,
-        "directions_used": res.directions_used,
-        "directions_skipped": res.directions_skipped,
-        "retries": res.retries,
-        "max_crossings": res.max_crossings,
-        "states_expanded": res.states_expanded,
-        "cache_hits": res.cache_hits,
     }
 
 
@@ -138,17 +122,30 @@ def _emit(report: AnalysisReport, args) -> None:
 
 
 def _parse_direction(text: str) -> np.ndarray:
-    parts = [float(x) for x in text.replace(",", " ").split()]
+    try:
+        parts = [float(x) for x in text.replace(",", " ").split()]
+    except ValueError:
+        parts = []
     if len(parts) != 3:
-        raise PbcJonesError("--direction needs three components, e.g. '0.23,1,0.4'")
+        raise PbcJonesError(f"--direction needs three components, e.g. '0.23,1,0.4', "
+                            f"got {text!r}")
     return np.asarray(parts)
+
+
+def _report_results(obj, path: str, what: str) -> Optional[dict]:
+    """The ``results`` object when obj is a report, None when it is not one."""
+    if not (isinstance(obj, dict) and "results" in obj):
+        return None
+    if not isinstance(obj["results"], dict):
+        raise PbcJonesError(f"{path}: no {what} found: report 'results' is not an object")
+    return obj["results"]
 
 
 def _load_composition(path: str) -> Dict[str, List[List[int]]]:
     obj = load_json(path)
-    if isinstance(obj, dict) and "results" in obj:
-        results = obj["results"]
-        obj = results.get("composition") if isinstance(results, dict) else None
+    results = _report_results(obj, path, "composition")
+    if results is not None:
+        obj = results.get("composition")
     if isinstance(obj, dict) and "composition" in obj:
         obj = obj["composition"]
     if not isinstance(obj, dict):
@@ -163,7 +160,7 @@ def _cmd_jones(args) -> None:
     cfg = _config(args)
     curves = read_curves(args.input)
     res = jones(curves, cfg)
-    report = AnalysisReport("jones", _sampling_params(args, args.input), {
+    report = AnalysisReport("jones", _sampling_params(cfg, args.input), {
         **_poly_results(res),
         "component_count": len(curves),
         "closed_components": sum(c.closed for c in curves),
@@ -176,7 +173,7 @@ def _cmd_cell_jones(args) -> None:
     system = read_system(args.input)
     curves = cell_curves(system, tol=args.tolerance)
     res = jones(curves, cfg)
-    report = AnalysisReport("cell-jones", _sampling_params(args, args.input), {
+    report = AnalysisReport("cell-jones", _sampling_params(cfg, args.input), {
         **_poly_results(res),
         "component_count": len(curves),
         "normalization": _normalization_results(res.poly, len(curves), args.tolerance),
@@ -193,7 +190,7 @@ def _cmd_periodic_jones(args) -> None:
                 system = with_basepoint(system, chain.id, search_basepoint(system, chain.id))
     frozen = _load_composition(args.frozen_components) if args.frozen_components else None
     res, link = periodic_jones(system, cfg, frozen)
-    params = _sampling_params(args, args.input)
+    params = _sampling_params(cfg, args.input)
     params["frozen_components"] = args.frozen_components
     params["basepoint_search"] = bool(args.basepoint_search)
     report = AnalysisReport("periodic-jones", params, {
@@ -213,11 +210,11 @@ def _cmd_periodic_jones(args) -> None:
 def _cmd_normalize(args) -> None:
     obj = load_json(args.input)
     components = args.components
-    if isinstance(obj, dict) and "results" in obj:
-        res = obj["results"]
+    results = _report_results(obj, args.input, "polynomial")
+    if results is not None:
         if components is None:
-            components = res.get("component_count")
-        obj = res.get("polynomial", obj)
+            components = results.get("component_count")
+        obj = results.get("polynomial", obj)
     if isinstance(obj, dict) and "polynomial" in obj:
         obj = obj["polynomial"]
     try:
@@ -226,6 +223,9 @@ def _cmd_normalize(args) -> None:
         raise PbcJonesError(f"{args.input}: {exc}") from None
     if components is None:
         raise PbcJonesError("--components is required when the input carries no count")
+    if isinstance(components, bool) or not isinstance(components, int):
+        raise PbcJonesError(f"{args.input}: component_count must be an integer, "
+                            f"got {components!r}")
     _require_positive("--components", components)
     report = AnalysisReport("normalize", {
         "input": args.input,

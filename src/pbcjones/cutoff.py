@@ -8,10 +8,16 @@ contribution factors in closed form through the base polynomial and the
 periodic self-linking, and the remaining states are collected into a
 correction term.  This module builds cutoffs and verifies the
 factorization exactly, enumerating all shared-crossing states as an
-independent oracle.  At a projection whose shared crossings all agree in
-sign per copy pair the oriented state is the only disconnecting one;
-oblique projections can pick up cancelling crossing pairs that admit
-more, which the report flags without breaking the identity.
+independent oracle.
+
+The writhe identity and the state-sum identity hold at every projection;
+the closed form of the oriented state, and with it the factorization,
+need not.  Oblique projections can pick up cancelling pairs of shared
+crossings, whose oriented smoothing may leave extra crossingless loops:
+on the chainmail with N = 2 along (0.05, 0.1, 1), ``state_oracle_ok``
+and ``factorization_ok`` are False while the writhe and sum identities
+hold.  ``disconnecting_unique_ok`` records whether the oriented state is
+the only one that separates the copies; it does not predict failure.
 
 The enumeration walks the shared-crossing states depth first in
 lexicographic order of their A/B words, with A before B at each shared
@@ -24,7 +30,7 @@ check solves each such piece once.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
@@ -34,7 +40,7 @@ from .bracket import DEFAULT_CROSSING_CAP, bracket, writhe_prefactor
 from .diagram import Diagram
 from .errors import PbcJonesError
 from .geometry import Curve, sample_directions
-from .jones3d import project_generic
+from .jones3d import GENERICITY_RETRIES, project_generic
 from .laurent import LaurentPoly, d_power
 from .pbc import (MinimalPeriodicLink, PBCSystem, PlacedImage, UnfoldingBox, box_presence,
                   minimal_periodic_link, single_periodic_axis, slk_p)
@@ -156,33 +162,20 @@ class CutoffReport:
     factorization_ok: bool
 
     def to_json_obj(self) -> dict:
-        return {
-            "n_copies": self.n_copies,
-            "axis": self.axis,
-            "period_cells": self.period_cells,
-            "cell_count": self.cell_count,
-            "component_count": self.component_count,
-            "shared_crossings": self.shared_crossings,
-            "slk": str(self.slk),
-            "shared_sign_total": self.shared_sign_total,
-            "writhe_total": self.writhe_total,
-            "writhe_base": self.writhe_base,
-            "writhe_identity_ok": self.writhe_identity_ok,
-            "v_cutoff": self.v_cutoff.to_json_obj(),
-            "v_base": self.v_base.to_json_obj(),
-            "state_term": self.state_term.to_json_obj(),
-            "lambda_tilde": self.lambda_tilde.to_json_obj(),
-            "states_enumerated": self.states_enumerated,
-            "disconnecting_unique_ok": self.disconnecting_unique_ok,
-            "state_oracle_ok": self.state_oracle_ok,
-            "sum_identity_ok": self.sum_identity_ok,
-            "factorization_ok": self.factorization_ok,
-        }
+        """Every field; polynomials serialized, the slk Fraction as a string."""
+        obj = {}
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, LaurentPoly):
+                value = value.to_json_obj()
+            elif isinstance(value, Fraction):
+                value = str(value)
+            obj[f.name] = value
+        return obj
 
 
 def verify_cutoff_factorization(system: PBCSystem, n_copies: int, xi=None,
-                                tol: float = 1e-9, retries: int = 100,
-                                enumerate_cap: int = 16,
+                                tol: float = 1e-9, enumerate_cap: int = 16,
                                 crossing_cap: int = DEFAULT_CROSSING_CAP) -> CutoffReport:
     """Check the cutoff factorization along one projection direction.
 
@@ -197,7 +190,7 @@ def verify_cutoff_factorization(system: PBCSystem, n_copies: int, xi=None,
         xi = sample_directions(1, "random", seed=0)[0]
     cut = build_cutoff(system, n_copies)
     curves = cut.all_curves()
-    diagram, xi_used, _ = project_generic(curves, xi, tol, retries)
+    diagram, xi_used, _ = project_generic(curves, xi, tol, GENERICITY_RETRIES)
     copy_of = cut.copy_of_curve()
     owner = diagram.passage_owner()
 
@@ -213,11 +206,11 @@ def verify_cutoff_factorization(system: PBCSystem, n_copies: int, xi=None,
         )
 
     memo: dict = {}  # copies and smoothed states repeat the same pieces
-    base_diagram, _, _ = project_generic(cut.copy_curves(0), xi_used, tol, retries)
+    base_diagram, _, _ = project_generic(cut.copy_curves(0), xi_used, tol, GENERICITY_RETRIES)
     bracket_base = bracket(base_diagram, crossing_cap, memo=memo).poly
     v_base = writhe_prefactor(base_diagram.writhe) * bracket_base
 
-    slk = slk_p(system, xi_used, link=cut.link, axis=cut.axis, tol=tol, retries=retries)
+    slk = slk_p(system, xi_used, link=cut.link, axis=cut.axis, tol=tol)
     n = n_copies
     shared_sign_total = sum(diagram.crossings[c] for c in shared)
     slk_term = (n - 1) * slk

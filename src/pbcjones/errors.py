@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types and the number check shared across the package."""
+
+import math
 
 
 class PbcJonesError(Exception):
@@ -38,3 +40,9 @@ class ChainConnectivityError(PbcJonesError):
 
 class AmbiguousMatchError(ChainConnectivityError):
     """More than one arc image continues a chain within tolerance."""
+
+
+def require_nonnegative(name: str, value: float) -> None:
+    """Reject a tolerance-like number that is not finite or is below 0."""
+    if not (math.isfinite(value) and value >= 0):
+        raise PbcJonesError(f"{name} must be finite and at least 0, got {value}")

@@ -10,6 +10,7 @@ from typing import Optional, Sequence, Tuple
 import numpy as np
 
 from .geometry import Curve
+from .io_formats import system_from_json_obj
 from .pbc import Cell, GeneratingChain, PBCSystem
 
 
@@ -124,7 +125,7 @@ def chainmail_system(doubled: bool = False) -> PBCSystem:
 
 def _load_system(name: str) -> PBCSystem:
     text = resources.files("pbcjones.data").joinpath(name).read_text()
-    return PBCSystem.from_json_obj(json.loads(text))
+    return system_from_json_obj(json.loads(text))
 
 
 def jersey_system() -> PBCSystem:

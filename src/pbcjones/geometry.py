@@ -14,7 +14,9 @@ neighbors and end-to-end contacts.  The crossing tests then run on all
 pairs at once.  Checks run in a fixed order, and pairs are taken in
 lexicographic (a < b) order: when several pairs fail, the error names
 the check of the first failing pair.  The separation and near-vertex
-checks sweep crossings and vertices on x with a 2 tol window.
+checks sweep crossings and vertices on x with a 2 tol window.  A
+direction that is not finite and nonzero, or a tolerance that is not
+finite and at least 0, raises PbcJonesError: no nudge can repair it.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from typing import Dict, List, Sequence, Set, Tuple
 import numpy as np
 
 from .diagram import Component, Diagram
-from .errors import NonGenericDirectionError, PbcJonesError
+from .errors import NonGenericDirectionError, PbcJonesError, require_nonnegative
 
 GOLDEN_ANGLE = math.pi * (3.0 - math.sqrt(5.0))
 
@@ -107,8 +109,8 @@ def projection_frame(xi) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Right-handed orthonormal frame (u, v, xi); u x v = xi."""
     xi = np.asarray(xi, dtype=float)
     norm = np.linalg.norm(xi)
-    if norm == 0.0:
-        raise ValueError("zero projection direction")
+    if not (np.isfinite(norm) and norm > 0.0):
+        raise PbcJonesError(f"projection direction must be finite and nonzero, got {xi}")
     xi = xi / norm
     axis = int(np.argmin(np.abs(xi)))
     e = np.zeros(3)
@@ -212,6 +214,7 @@ def project(curves: Sequence[Curve], xi, tol: float = 1e-9) -> Diagram:
 
     Larger depth along xi means nearer the viewer, i.e. the over strand.
     """
+    require_nonnegative("tolerance", tol)
     check_unique_ids(curves)
     u, v, xi = projection_frame(xi)
     uv = np.column_stack([u, v])

@@ -100,9 +100,14 @@ def system_from_json_obj(obj) -> PBCSystem:
 
 
 def system_to_json_obj(system: PBCSystem) -> dict:
-    obj = {"format": SYSTEM_FORMAT, "cell": system.cell.to_json_obj(),
-           "chains": [c.to_json_obj() for c in system.chains]}
-    return obj
+    cell = system.cell
+    return {
+        "format": SYSTEM_FORMAT,
+        "cell": {"basis": cell.basis.tolist(), "periodic": list(cell.periodic),
+                 "origin": cell.origin.tolist()},
+        "chains": [{"id": c.id, "topology": c.topology, "basepoint": list(c.basepoint),
+                    "arcs": [a.tolist() for a in c.arcs]} for c in system.chains],
+    }
 
 
 def load_json(path: str):

@@ -12,16 +12,19 @@ order.
 from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .bracket import DEFAULT_CROSSING_CAP, bracket, writhe_prefactor
-from .errors import NonGenericDirectionError, PbcJonesError, StateSumTooLargeError
+from .errors import (NonGenericDirectionError, PbcJonesError, StateSumTooLargeError,
+                     require_nonnegative)
 from .geometry import Curve, perturbed_direction, project, sample_directions
-from .laurent import EXACT, FLOAT, LaurentPoly
+from .laurent import EXACT, LaurentPoly
+
+GENERICITY_RETRIES = 100  # direction nudges before a projection counts as non-generic
 
 
 @dataclass(frozen=True)
@@ -33,7 +36,6 @@ class SamplingConfig:
     crossing_cap: int = DEFAULT_CROSSING_CAP
     prune: float = 1e-12
     workers: int = 1
-    genericity_retries: int = 100
     on_cap: str = "error"  # or "skip": drop capped directions from the average
 
     def __post_init__(self):
@@ -45,6 +47,8 @@ class SamplingConfig:
             value = getattr(self, name)
             if value < 1:
                 raise PbcJonesError(f"{name} must be at least 1, got {value}")
+        require_nonnegative("tolerance", self.tolerance)
+        require_nonnegative("prune", self.prune)
 
 
 @dataclass(frozen=True)
@@ -56,19 +60,18 @@ class JonesResult:
     retries: int
     max_crossings: int
     states_expanded: int
-    cache_hits: int
+
+    @property
+    def cache_hits(self) -> int:
+        """Merged DP states: each solved direction's bracket merges all but
+        one of its states (``BracketResult.cache_hits``)."""
+        return self.states_expanded - self.directions_used
 
     def to_json_obj(self) -> dict:
-        return {
-            "polynomial": self.poly.to_json_obj(),
-            "exact": self.exact,
-            "directions_used": self.directions_used,
-            "directions_skipped": self.directions_skipped,
-            "retries": self.retries,
-            "max_crossings": self.max_crossings,
-            "states_expanded": self.states_expanded,
-            "cache_hits": self.cache_hits,
-        }
+        obj = {f.name: getattr(self, f.name) for f in fields(self)}
+        obj["polynomial"] = obj.pop("poly").to_json_obj()
+        obj["cache_hits"] = self.cache_hits
+        return obj
 
 
 def project_generic(curves: Sequence[Curve], xi, tol: float, retries: int):
@@ -91,19 +94,18 @@ def _direction_term(curves, xi, cfg: SamplingConfig, memo=None):
     """Exact Jones polynomial for one direction.
 
     ``memo`` is the bracket memo of the calling chunk.  Returns (poly or
-    None when capped and skipping, retries, crossings, states_expanded,
-    cache_hits).
+    None when capped and skipping, retries, crossings, states_expanded).
     """
-    diagram, _, tries = project_generic(curves, xi, cfg.tolerance, cfg.genericity_retries)
+    diagram, _, tries = project_generic(curves, xi, cfg.tolerance, GENERICITY_RETRIES)
     n_cross = len(diagram.crossings)
     try:
         res = bracket(diagram, cfg.crossing_cap, memo=memo)
     except StateSumTooLargeError:
         if cfg.on_cap == "skip":
-            return None, tries, n_cross, 0, 0
+            return None, tries, n_cross, 0
         raise
     poly = writhe_prefactor(diagram.writhe) * res.poly
-    return poly, tries, n_cross, res.states_expanded, res.cache_hits
+    return poly, tries, n_cross, res.states_expanded
 
 
 def _accumulate(total: Dict[int, int], terms) -> None:
@@ -116,31 +118,30 @@ def _accumulate(total: Dict[int, int], terms) -> None:
             del total[e]
 
 
-def _chunk_sum(args) -> Tuple[Dict[int, int], int, int, int, int, int]:
+def _chunk_sum(args) -> Tuple[Dict[int, int], int, int, int, int]:
     curves, dirs, cfg = args
     total: Dict[int, int] = {}
-    used = retries = max_cross = expanded = hits = 0
+    used = retries = max_cross = expanded = 0
     memo: dict = {}  # nearby directions often give the same diagram
     for xi in dirs:
-        poly, tries, n_cross, st, ch = _direction_term(curves, xi, cfg, memo)
+        poly, tries, n_cross, st = _direction_term(curves, xi, cfg, memo)
         retries += tries
         max_cross = max(max_cross, n_cross)
         if poly is None:
             continue
         used += 1
         expanded += st
-        hits += ch
         _accumulate(total, poly.terms())
-    return total, used, retries, max_cross, expanded, hits
+    return total, used, retries, max_cross, expanded
 
 
 def jones_single_direction(curves: Sequence[Curve], xi, cfg: Optional[SamplingConfig] = None) -> JonesResult:
     """Exact Jones polynomial of the diagram seen along one direction."""
     cfg = cfg or SamplingConfig()
-    poly, tries, n_cross, st, ch = _direction_term(curves, np.asarray(xi, dtype=float), cfg)
+    poly, tries, n_cross, st = _direction_term(curves, np.asarray(xi, dtype=float), cfg)
     if poly is None:
         raise StateSumTooLargeError(n_cross, cfg.crossing_cap)
-    return JonesResult(poly, True, 1, 0, tries, n_cross, st, ch)
+    return JonesResult(poly, True, 1, 0, tries, n_cross, st)
 
 
 def jones(curves: Sequence[Curve], cfg: Optional[SamplingConfig] = None) -> JonesResult:
@@ -152,7 +153,7 @@ def jones(curves: Sequence[Curve], cfg: Optional[SamplingConfig] = None) -> Jone
     """
     cfg = cfg or SamplingConfig()
     if not curves:
-        return JonesResult(LaurentPoly.one(), True, 0, 0, 0, 0, 0, 0)
+        return JonesResult(LaurentPoly.one(), True, 0, 0, 0, 0, 0)
     dirs = sample_directions(cfg.directions, cfg.mode, cfg.seed)
     if all(c.closed for c in curves):
         return jones_single_direction(curves, dirs[0], cfg)
@@ -165,17 +166,16 @@ def jones(curves: Sequence[Curve], cfg: Optional[SamplingConfig] = None) -> Jone
         parts = [_chunk_sum((tuple(curves), dirs, cfg))]
 
     total: Dict[int, int] = {}
-    used = retries = max_cross = expanded = hits = 0
-    for part, u, r, mc, st, ch in parts:
+    used = retries = max_cross = expanded = 0
+    for part, u, r, mc, st in parts:
         used += u
         retries += r
         max_cross = max(max_cross, mc)
         expanded += st
-        hits += ch
         _accumulate(total, part.items())
     if used == 0:
         raise StateSumTooLargeError(max_cross, cfg.crossing_cap)
     avg = LaurentPoly({e: Fraction(c, used) for e, c in total.items()}, EXACT)
     poly = avg.to_float().pruned(cfg.prune)
     skipped = cfg.directions - used
-    return JonesResult(poly, False, used, skipped, retries, max_cross, expanded, hits)
+    return JonesResult(poly, False, used, skipped, retries, max_cross, expanded)

@@ -28,9 +28,10 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .errors import AmbiguousMatchError, ChainConnectivityError, PbcJonesError
+from .errors import (AmbiguousMatchError, ChainConnectivityError, PbcJonesError,
+                     require_nonnegative)
 from .geometry import Curve
-from .jones3d import JonesResult, SamplingConfig, jones, project_generic
+from .jones3d import GENERICITY_RETRIES, JonesResult, SamplingConfig, jones, project_generic
 from .laurent import DivisionResult, LaurentPoly, divide_by_d_power
 
 MATCH_TOL = 1e-6  # fractional-coordinate tolerance for arc end matching
@@ -77,17 +78,6 @@ class Cell:
     def translation(self, v) -> np.ndarray:
         return np.asarray(v, dtype=float) @ self.basis
 
-    def to_json_obj(self) -> dict:
-        return {
-            "basis": self.basis.tolist(),
-            "periodic": list(self.periodic),
-            "origin": self.origin.tolist(),
-        }
-
-    @classmethod
-    def from_json_obj(cls, obj: Mapping) -> "Cell":
-        return cls(obj["basis"], obj["periodic"], obj.get("origin", (0.0, 0.0, 0.0)))
-
 
 TOPOLOGIES = ("closed", "open", "infinite")
 
@@ -132,19 +122,6 @@ class GeneratingChain:
     def basepoint_arc(self) -> int:
         return self.basepoint[0]
 
-    def to_json_obj(self) -> dict:
-        return {
-            "id": self.id,
-            "topology": self.topology,
-            "basepoint": list(self.basepoint),
-            "arcs": [a.tolist() for a in self.arcs],
-        }
-
-    @classmethod
-    def from_json_obj(cls, obj: Mapping) -> "GeneratingChain":
-        bp = obj.get("basepoint", (0, 0))
-        return cls(obj["id"], obj["arcs"], obj["topology"], tuple(bp))
-
 
 class PBCSystem:
     __slots__ = ("cell", "chains")
@@ -167,18 +144,6 @@ class PBCSystem:
             if c.id == chain_id:
                 return c
         raise KeyError(chain_id)
-
-    def to_json_obj(self) -> dict:
-        return {
-            "cell": self.cell.to_json_obj(),
-            "chains": [c.to_json_obj() for c in self.chains],
-        }
-
-    @classmethod
-    def from_json_obj(cls, obj: Mapping) -> "PBCSystem":
-        cell = Cell.from_json_obj(obj["cell"])
-        chains = [GeneratingChain.from_json_obj(c) for c in obj["chains"]]
-        return cls(cell, chains)
 
 
 # -- unfolding ----------------------------------------------------------
@@ -653,6 +618,7 @@ def normalized(poly: LaurentPoly, component_count: int, zero_tol: float = 1e-9) 
     """Divide by the loop value to the (component count - 1) power."""
     if component_count < 1:
         raise ValueError("component count must be positive")
+    require_nonnegative("tolerance", zero_tol)
     return divide_by_d_power(poly, component_count - 1, zero_tol)
 
 
@@ -667,8 +633,7 @@ def single_periodic_axis(cell: Cell) -> int:
 
 
 def slk_p(system: PBCSystem, xi, link: Optional[MinimalPeriodicLink] = None,
-          axis: Optional[int] = None, tol: float = 1e-9,
-          retries: int = 100) -> Fraction:
+          axis: Optional[int] = None, tol: float = 1e-9) -> Fraction:
     """Periodic self-linking: half the signed shared crossings between the
     periodic link and its translates by the copy period, summed over all
     nonzero translates.
@@ -713,6 +678,6 @@ def slk_p(system: PBCSystem, xi, link: Optional[MinimalPeriodicLink] = None,
         offset = system.cell.translation(cells)
         shifted = [Curve(f"T|{im.curve_id}", im.polyline + offset, im.closed)
                    for im in link.images]
-        diagram, _, _ = project_generic(base + shifted, xi, tol, retries)
+        diagram, _, _ = project_generic(base + shifted, xi, tol, GENERICITY_RETRIES)
         total += diagram.inter_linking([c.id for c in base], [c.id for c in shifted])
     return total

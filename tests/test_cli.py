@@ -308,6 +308,55 @@ class TestMalformedInput:
         files = {"POLY": str(poly), "SYSTEM": chainmail_file}
         self.assert_rejected(capsys, [files.get(a, a) for a in argv], message)
 
+    @pytest.mark.parametrize("argv, message", [
+        (["jones", "HOPF", "--tolerance", "nan"],
+         "tolerance must be finite and at least 0, got nan"),
+        (["jones", "HOPF", "--tolerance", "-1"],
+         "tolerance must be finite and at least 0, got -1.0"),
+        (["jones", "OPEN", "--prune", "nan"], "prune must be finite and at least 0, got nan"),
+        (["jones", "OPEN", "--prune", "inf"], "prune must be finite and at least 0, got inf"),
+        (["jones", "OPEN", "--prune=-1e-3"], "prune must be finite and at least 0, got -0.001"),
+        (["cell-jones", "SYSTEM", "--tolerance", "nan"], "tolerance must be finite and at least 0"),
+        (["periodic-jones", "SYSTEM", "--tolerance", "nan"], "tolerance must be finite"),
+        (["slk", "SYSTEM", "--tolerance", "nan"], "tolerance must be finite and at least 0"),
+        (["slk", "SYSTEM", "--tolerance", "-1"], "tolerance must be finite and at least 0"),
+        (["slk", "SYSTEM", "--direction", "nan,1,1"], "direction must be finite and nonzero"),
+        (["slk", "SYSTEM", "--direction", "1,inf,0"], "direction must be finite and nonzero"),
+        (["slk", "SYSTEM", "--direction", "0,0,0"], "direction must be finite and nonzero"),
+        (["slk", "SYSTEM", "--direction", "abc"], "--direction needs three components"),
+        (["slk", "SYSTEM", "--direction", "1,x,2"], "got '1,x,2'"),
+        (["cutoff-verify", "SYSTEM", "--copies", "2", "--direction", "nan,1,1"],
+         "direction must be finite and nonzero"),
+        (["cutoff-verify", "SYSTEM", "--copies", "2", "--tolerance", "nan"],
+         "tolerance must be finite and at least 0"),
+        (["normalize", "FLOATREPORT", "--tolerance", "nan"], "tolerance must be finite"),
+        (["normalize", "FLOATREPORT", "--tolerance", "-1"], "tolerance must be finite"),
+    ])
+    def test_non_finite_or_negative_number(self, argv, message, hopf_file, chainmail_file,
+                                           tmp_path, capsys):
+        open_curve = tmp_path / "open.json"
+        write_curves(str(open_curve), [open_trefoil(0.5)])
+        report = tmp_path / "report.json"
+        assert main(["cell-jones", chainmail_file, "--directions", "5", "--out",
+                     str(report)]) == 0
+        files = {"HOPF": hopf_file, "OPEN": str(open_curve), "SYSTEM": chainmail_file,
+                 "FLOATREPORT": str(report)}
+        self.assert_rejected(capsys, [files.get(a, a) for a in argv], message)
+
+    @pytest.mark.parametrize("results, message", [
+        ([1], "report.json: no polynomial found: report 'results' is not an object"),
+        ("poly", "no polynomial found: report 'results' is not an object"),
+        ({"component_count": "3"}, "report.json: component_count must be an integer, got '3'"),
+        ({"component_count": 2.5}, "component_count must be an integer, got 2.5"),
+        ({"component_count": True}, "component_count must be an integer, got True"),
+    ])
+    def test_normalize_rejects_bad_reports(self, results, message, tmp_path, capsys):
+        if isinstance(results, dict):
+            results = {**results, "polynomial": LaurentPoly({-2: -1, -10: -1}).to_json_obj()}
+        report = tmp_path / "report.json"
+        report.write_text(json.dumps({"results": results}))
+        self.assert_rejected(capsys, ["normalize", str(report)], message)
+
     @pytest.mark.parametrize("key, value, message", [
         ("origin", "abc", "cell: cell origin must be 3 finite coordinates"),
         ("basis", [[1.0, 0.0, 0.0], [0.0, "x", 0.0], [0.0, 0.0, 1.0]],

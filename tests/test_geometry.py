@@ -186,6 +186,16 @@ class TestProjection:
         with pytest.raises(PbcJonesError, match="unique"):
             project([a, b], [0, 0, 1])
 
+    @pytest.mark.parametrize("xi", [[0, 0, 0], [math.nan, 1, 1], [1, math.inf, 0]])
+    def test_unusable_direction_rejected(self, xi):
+        with pytest.raises(PbcJonesError, match="direction must be finite and nonzero"):
+            project([trefoil()], xi)
+
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, -1e-9])
+    def test_unusable_tolerance_rejected(self, tol):
+        with pytest.raises(PbcJonesError, match="tolerance must be finite and at least 0"):
+            project([trefoil()], [0.2, 0.1, 0.95], tol)
+
 
 class TestGenericity:
     def test_edge_on_circle_folds_back(self):

@@ -1,4 +1,5 @@
 import importlib
+import math
 
 import numpy as np
 import pytest
@@ -6,11 +7,12 @@ import pytest
 from pbcjones import jones3d
 from pbcjones.diagram import terminal_graph
 from pbcjones.errors import PbcJonesError, StateSumTooLargeError
-from pbcjones.fixtures import (figure_eight, hopf_link, open_trefoil, trefoil,
-                               unlinked_circles)
+from pbcjones.fixtures import (figure_eight, hopf_link, jersey_system, open_trefoil,
+                               trefoil, unlinked_circles)
 from pbcjones.jones3d import (SamplingConfig, jones, jones_single_direction,
                               project_generic)
 from pbcjones.laurent import LaurentPoly, d_power
+from pbcjones.pbc import link_curves, minimal_periodic_link
 
 
 class TestClosedCurves:
@@ -131,6 +133,12 @@ class TestConfig:
         with pytest.raises(PbcJonesError, match=f"^{field} must be at least 1, got {value}$"):
             SamplingConfig(**{field: value})
 
+    @pytest.mark.parametrize("field", ["tolerance", "prune"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -1.0])
+    def test_unusable_tolerances_rejected(self, field, value):
+        with pytest.raises(PbcJonesError, match=f"^{field} must be finite and at least 0"):
+            SamplingConfig(**{field: value})
+
     def test_result_json_fields(self):
         res = jones(list(hopf_link()), SamplingConfig())
         obj = res.to_json_obj()
@@ -175,3 +183,21 @@ class TestDiagramMemo:
         monkeypatch.setattr(jones3d, "bracket", lambda d, *a, memo=None: inner(d, *a))
         again = jones([open_trefoil(0.3)], SamplingConfig(directions=200))
         assert again == ref
+
+
+class TestCounters:
+    def test_cache_hits_sum_the_merges_of_every_solved_direction(self, monkeypatch):
+        hits = []
+        inner = jones3d.bracket
+
+        def counted(d, *a, **kw):
+            res = inner(d, *a, **kw)
+            hits.append(res.cache_hits)
+            return res
+
+        monkeypatch.setattr(jones3d, "bracket", counted)
+        curves = link_curves(minimal_periodic_link(jersey_system()))
+        res = jones(curves, SamplingConfig(directions=9, crossing_cap=64, on_cap="skip"))
+        assert (res.directions_used, res.directions_skipped) == (8, 1)
+        assert res.cache_hits == sum(hits) > 0
+        assert jones([]).cache_hits == 0

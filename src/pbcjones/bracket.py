@@ -35,12 +35,13 @@ open trefoil.  On jersey the 13 diagrams above 300 hold 44,068 of the
 the pass to 22,262 states.
 
 A caller that solves many diagrams can pass ``bracket`` a memo dict.  Its
-key is the complete input of the state sum: the strand matching as one
-partner port per global port, the crossing signs in crossing-index order,
-and the count of free loops.  The crossing order, searched or not, reads
-only the strand matching, so it, the polynomial and ``states_expanded``
-are functions of that key alone, and a hit returns the stored
-``BracketResult`` exact down to the counters.
+key is the complete input of the state sum: ``tg.strand`` of the terminal
+graph as it stands (a tuple holding one partner port per global port),
+the crossing signs in crossing-index order, and the count of free loops.
+The crossing order, searched or not, reads only the strand matching, so
+it, the polynomial and ``states_expanded`` are functions of that key
+alone, and a hit returns the stored ``BracketResult`` exact down to the
+counters.
 Diagrams that differ only in component ids, or in crossing names that
 sort alike, share an entry.  The caller owns the memo and
 keeps it for one call (one direction chunk, one cutoff check): there is
@@ -185,8 +186,7 @@ def bracket(diagram: Diagram, crossing_cap: int = DEFAULT_CROSSING_CAP,
             return BracketResult(LaurentPoly.one(), 1)
         return BracketResult(LaurentPoly(_mul_d({0: 1}, tg.free_loops - 1)), 1)
 
-    key = (tuple(tg.strand[p] for p in range(4 * n)),
-           tuple(diagram.crossings[c] for c in tg.crossing_ids), tg.free_loops)
+    key = (tg.strand, tuple(diagram.crossings[c] for c in tg.crossing_ids), tg.free_loops)
     if memo is None:
         return _state_sum(*key)
     res = memo.get(key)

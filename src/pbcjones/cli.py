@@ -65,14 +65,14 @@ def _add_output_flags(p: argparse.ArgumentParser) -> None:
                    help="write the report here instead of stdout")
 
 
-def _require_positive(flag: str, value: int) -> None:
-    if value < 1:
-        raise PbcJonesError(f"{flag} must be at least 1, got {value}")
+def _require_at_least(flag: str, value: int, least: int = 1) -> None:
+    if value < least:
+        raise PbcJonesError(f"{flag} must be at least {least}, got {value}")
 
 
 def _config(args) -> SamplingConfig:
-    _require_positive("--directions", args.directions)
-    _require_positive("--workers", args.workers)
+    _require_at_least("--directions", args.directions)
+    _require_at_least("--workers", args.workers)
     return SamplingConfig(
         directions=args.directions, mode=args.mode, seed=args.seed,
         tolerance=args.tolerance, crossing_cap=args.crossing_cap,
@@ -226,7 +226,7 @@ def _cmd_normalize(args) -> None:
     if isinstance(components, bool) or not isinstance(components, int):
         raise PbcJonesError(f"{args.input}: component_count must be an integer, "
                             f"got {components!r}")
-    _require_positive("--components", components)
+    _require_at_least("--components", components)
     report = AnalysisReport("normalize", {
         "input": args.input,
         "components": components,
@@ -240,6 +240,7 @@ def _cmd_normalize(args) -> None:
 
 
 def _cmd_slk(args) -> None:
+    _require_at_least("--seed", args.seed, 0)
     system = read_system(args.input)
     if args.direction:
         xi = _parse_direction(args.direction)
@@ -264,8 +265,9 @@ def _cmd_slk(args) -> None:
     _emit(report, args)
 
 
-def _cmd_cutoff_verify(args) -> None:
-    _require_positive("--copies", args.copies)
+def _cmd_cutoff_verify(args) -> int:
+    """Exit code 1 when any identity of the report fails."""
+    _require_at_least("--copies", args.copies)
     system = read_system(args.input)
     xi = _parse_direction(args.direction) if args.direction else None
     rep = verify_cutoff_factorization(
@@ -281,9 +283,8 @@ def _cmd_cutoff_verify(args) -> None:
         "crossing_cap": args.crossing_cap,
     }, rep.to_json_obj())
     _emit(report, args)
-    if not (rep.writhe_identity_ok and rep.state_oracle_ok
-            and rep.sum_identity_ok and rep.factorization_ok):
-        sys.exit(1)
+    return int(not (rep.writhe_identity_ok and rep.state_oracle_ok
+                    and rep.sum_identity_ok and rep.factorization_ok))
 
 
 def _cmd_ingest(args) -> None:
@@ -384,14 +385,10 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        args.func(args)
-    except PbcJonesError as exc:
+        return args.func(args) or 0  # only cutoff-verify returns a code of its own
+    except (PbcJonesError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    return 0
 
 
 if __name__ == "__main__":

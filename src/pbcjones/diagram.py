@@ -10,20 +10,39 @@ Crossing ports are numbered 0..3 in the order over-in, over-out,
 under-in, under-out.  Smoothings reconnect ports pairwise; the oriented
 reconnection joins in-ports to out-ports, the disoriented one joins the
 two in-ports and the two out-ports.
+
+Two strand walks read this structure.  ``terminal_graph`` links each port
+and end label to the one its strand meets next, then follows those links
+from every port to its partner port, crossing an owner's virtual
+head-tail closure at each end label; end labels that no port reaches lie
+on rings, one free loop each.  ``Diagram.smooth`` cuts the components
+through the smoothed crossing into spans between terms (end labels and
+that crossing's ports) and joins spans through the new port bonds: open
+strands first, from their end labels in component order, then closed
+loops from the crossing's out-ports in span order.  A crossing that a
+span walked backwards passes exactly once changes sign.
+
+The walks share no code on purpose.  The brute-force oracle in the tests
+builds its states with ``smooth`` and checks ``bracket``, which reads
+``terminal_graph``; a common helper would let one fault pass both sides.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import Counter
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
 from .errors import PbcJonesError
 
 Passage = Tuple[str, str]  # (crossing id, "o" or "u")
 EndLabel = Tuple[str, str]  # (owner curve id, "tail" or "head")
+Term = Union[int, EndLabel]  # where a strand walk stops: a port code or an end label
 
 OI, OO, UI, UO = 0, 1, 2, 3
+_PORTS = {"o": (OI, OO), "u": (UI, UO)}  # (in-port, out-port) of a passage role
+_OTHER_END = {"tail": "head", "head": "tail"}
 
 
 def smoothing_joins(sign: int, kind: str) -> Tuple[Tuple[int, int], Tuple[int, int]]:
@@ -91,12 +110,6 @@ class Diagram:
     def writhe(self) -> int:
         return sum(self.crossings.values())
 
-    def component(self, comp_id: str) -> Component:
-        for comp in self.components:
-            if comp.id == comp_id:
-                return comp
-        raise KeyError(comp_id)
-
     def passage_owner(self) -> Dict[Tuple[str, str], str]:
         """Map (crossing id, role) to the id of the component carrying it."""
         owner: Dict[Tuple[str, str], str] = {}
@@ -159,124 +172,74 @@ class Diagram:
 
     def smooth(self, cid: str, kind: str) -> "Diagram":
         """Replace one crossing by the chosen reconnection of its four ports."""
-        sign = self.crossings[cid]
-        joins = smoothing_joins(sign, kind)
+        bond: Dict[int, int] = {}
+        for x, y in smoothing_joins(self.crossings[cid], kind):
+            bond[x], bond[y] = y, x
+        # span_from[term] = (passages walked away from term, far term, walked backwards)
+        span_from: Dict[Term, Tuple[Tuple[Passage, ...], Term, bool]] = {}
+        starts: List[Term] = []  # the forward end of each span, in span order
 
-        # Cut components at the two passages of cid into fragments whose
-        # ends are either original endpoint labels or the crossing's ports.
-        fragments: List[Tuple[List[Passage], Tuple, Tuple]] = []
+        def add_span(a: Term, seg: List[Passage], b: Term) -> None:
+            span_from[a] = (tuple(seg), b, False)
+            span_from[b] = (tuple(reversed(seg)), a, True)
+            starts.append(a)
+
         survivors: List[Component] = []
+        open_ends: List[EndLabel] = []
         for comp in self.components:
-            hits = [i for i, (c, _) in enumerate(comp.passages) if c == cid]
+            ps = comp.passages
+            hits = [i for i, (c, _) in enumerate(ps) if c == cid]
             if not hits:
                 survivors.append(comp)
                 continue
-            ps = comp.passages
-
-            def pin(i):
-                return ("p", OI if ps[i][1] == "o" else UI)
-
-            def pout(i):
-                return ("p", OO if ps[i][1] == "o" else UO)
-
             if comp.closed:
-                if len(hits) == 1:
-                    i = hits[0]
-                    seg = list(ps[i + 1:]) + list(ps[:i])
-                    fragments.append((seg, pout(i), pin(i)))
-                else:
-                    i, j = hits
-                    fragments.append((list(ps[i + 1:j]), pout(i), pin(j)))
-                    fragments.append((list(ps[j + 1:]) + list(ps[:i]), pout(j), pin(i)))
+                ps = ps[hits[0] + 1:] + ps[:hits[0] + 1]  # ends at its first hit
+                term: Term = _PORTS[ps[-1][1]][1]
             else:
-                e0, e1 = comp.ends
-                if len(hits) == 1:
-                    i = hits[0]
-                    fragments.append((list(ps[:i]), ("e", e0), pin(i)))
-                    fragments.append((list(ps[i + 1:]), pout(i), ("e", e1)))
-                else:
-                    i, j = hits
-                    fragments.append((list(ps[:i]), ("e", e0), pin(i)))
-                    fragments.append((list(ps[i + 1:j]), pout(i), pin(j)))
-                    fragments.append((list(ps[j + 1:]), pout(j), ("e", e1)))
+                term = comp.ends[0]
+                open_ends.extend(comp.ends)
+            seg: List[Passage] = []
+            for p in ps:
+                if p[0] != cid:
+                    seg.append(p)
+                    continue
+                add_span(term, seg, _PORTS[p[1]][0])
+                term, seg = _PORTS[p[1]][1], []
+            if not comp.closed:
+                add_span(term, seg, comp.ends[1])
 
-        bond: Dict[Tuple, Tuple] = {}
-        for x, y in joins:
-            bond[("p", x)] = ("p", y)
-            bond[("p", y)] = ("p", x)
+        backwards: Counter = Counter()
 
-        frag_at: Dict[Tuple, Tuple[int, int]] = {}
-        for fi, (_, s, e) in enumerate(fragments):
-            frag_at[s] = (fi, 0)
-            frag_at[e] = (fi, 1)
-
-        used = [False] * len(fragments)
-        reversed_count: Dict[str, int] = {}
-        walked: List[Tuple[List[Passage], Optional[Tuple[EndLabel, EndLabel]]]] = []
-
-        def traverse(fi: int, entry_side: int) -> Tuple[List[Passage], Tuple]:
-            """Walk one fragment from the given side; return passages and exit term."""
-            used[fi] = True
-            seg, s, e = fragments[fi]
-            if entry_side == 0:
-                return list(seg), e
-            for c, _ in seg:
-                reversed_count[c] = reversed_count.get(c, 0) + 1
-            return list(reversed(seg)), s
-
-        def walk(start_term: Tuple) -> Tuple[List[Passage], Tuple]:
+        def walk(start: Term) -> Tuple[List[Passage], Optional[EndLabel]]:
+            """Passages from start to an end label, or round to start (then None)."""
             passages: List[Passage] = []
-            term = start_term
+            term = start
             while True:
-                fi, side = frag_at[term]
-                seg, exit_term = traverse(fi, side)
+                seg, far, back = span_from.pop(term)
+                del span_from[far]
                 passages.extend(seg)
-                if exit_term[0] == "e":
-                    return passages, exit_term
-                nxt = bond[exit_term]
-                if nxt == start_term:
-                    return passages, nxt
-                term = nxt
+                if back:
+                    backwards.update(c for c, _ in seg)
+                if not isinstance(far, int):
+                    return passages, far
+                term = bond[far]
+                if term == start:
+                    return passages, None
 
-        # Open walks first, anchored at endpoint labels in fragment order.
-        endpoint_terms = []
-        for seg, s, e in fragments:
-            for t in (s, e):
-                if t[0] == "e":
-                    endpoint_terms.append(t)
-        for t in endpoint_terms:
-            fi, _ = frag_at[t]
-            if used[fi]:
-                continue
-            passages, exit_term = walk(t)
-            walked.append((passages, (t[1], exit_term[1])))
-        # Remaining fragments close into loops.
-        for fi in range(len(fragments)):
-            if used[fi]:
-                continue
-            seg, s, e = fragments[fi]
-            passages, _ = walk(s)
-            walked.append((passages, None))
-
-        new_signs = {}
-        for c, s in self.crossings.items():
-            if c == cid:
-                continue
-            new_signs[c] = -s if reversed_count.get(c, 0) == 1 else s
+        walked = [(walk(t), t) for t in open_ends if t in span_from]
+        walked += [(walk(t), None) for t in starts if t in span_from]
 
         taken = {c.id for c in survivors}
         new_comps = list(survivors)
         counter = 0
-        for passages, ends in walked:
+        for (passages, far), start in walked:
             while f"s{counter}" in taken:
                 counter += 1
-            nid = f"s{counter}"
-            taken.add(nid)
-            if ends is None:
-                new_comps.append(Component(nid, True, tuple(passages)))
-            else:
-                new_comps.append(Component(nid, False, tuple(passages), ends))
-        return Diagram(new_comps, new_signs)
+            taken.add(f"s{counter}")
+            ends = None if start is None else (start, far)
+            new_comps.append(Component(f"s{counter}", start is None, tuple(passages), ends))
+        return Diagram(new_comps, {c: -s if backwards[c] == 1 else s
+                                   for c, s in self.crossings.items() if c != cid})
 
     def oriented_smooth(self, cid: str) -> "Diagram":
         """Smooth a crossing the way that respects both strand orientations."""
@@ -309,13 +272,14 @@ class TerminalGraph:
     """Strand structure of a diagram with open ends virtually closed.
 
     ``strand`` is a perfect matching on global port numbers (4 * crossing
-    index + port code, crossings sorted by id): following the strand away
-    from a port, through any virtual head-tail closures, one reaches its
-    partner port.  ``free_loops`` counts cycles that meet no crossing.
+    index + port code, crossings sorted by id), indexed by port: following
+    the strand away from a port, through any virtual head-tail closures,
+    one reaches its partner port.  ``free_loops`` counts cycles that meet
+    no crossing.
     """
 
     crossing_ids: Tuple[str, ...]
-    strand: Mapping[int, int]
+    strand: Tuple[int, ...]
     free_loops: int
 
     def port(self, cid: str, code: int) -> int:
@@ -324,79 +288,43 @@ class TerminalGraph:
 
 def terminal_graph(diagram: Diagram) -> TerminalGraph:
     ids = tuple(sorted(diagram.crossings))
-    idx = {c: i for i, c in enumerate(ids)}
-
-    def gp(passage: Passage, incoming: bool) -> int:
-        c, r = passage
-        if r == "o":
-            code = OI if incoming else OO
-        else:
-            code = UI if incoming else UO
-        return 4 * idx[c] + code
-
-    edges: List[Tuple] = []
+    base = {c: 4 * i for i, c in enumerate(ids)}
+    # link[t] = what the strand leaving port or end label t meets first
+    link: Dict[Term, Term] = {}
     free_loops = 0
-    owners = set()
     for comp in diagram.components:
         ps = comp.passages
-        if comp.closed:
-            if not ps:
-                free_loops += 1
-                continue
-            for k in range(len(ps)):
-                edges.append((gp(ps[k], False), gp(ps[(k + 1) % len(ps)], True)))
-        else:
-            e0 = ("e",) + comp.ends[0]
-            e1 = ("e",) + comp.ends[1]
-            owners.update(o for o, _ in comp.ends)
-            if not ps:
-                edges.append((e0, e1))
-            else:
-                edges.append((e0, gp(ps[0], True)))
-                for k in range(len(ps) - 1):
-                    edges.append((gp(ps[k], False), gp(ps[k + 1], True)))
-                edges.append((gp(ps[-1], False), e1))
-    for o in sorted(owners):
-        edges.append((("e", o, "head"), ("e", o, "tail")))
-
-    incident: Dict[object, List[int]] = {}
-    for ei, (u, v) in enumerate(edges):
-        incident.setdefault(u, []).append(ei)
-        incident.setdefault(v, []).append(ei)
-
-    strand: Dict[int, int] = {}
-    visited_edges = set()
-    for start in range(4 * len(ids)):
-        if start in strand:
+        if comp.closed and not ps:
+            free_loops += 1
             continue
-        node: object = start
-        prev_edge = -1
-        while True:
-            cands = [ei for ei in incident[node] if ei != prev_edge]
-            ei = cands[0]
-            visited_edges.add(ei)
-            u, v = edges[ei]
-            node = v if node == u else u
-            prev_edge = ei
-            if isinstance(node, int):
-                strand[start] = node
-                strand[node] = start
-                break
-    # Anything untouched is a closed ring of virtual closures and strands.
-    remaining = set(range(len(edges))) - visited_edges
-    while remaining:
-        ei = min(remaining)
-        u, _ = edges[ei]
-        node = u
-        prev_edge = -1
-        while True:
-            cands = [e for e in incident[node] if e != prev_edge and e in remaining]
-            if not cands:
-                break
-            e = cands[0]
-            remaining.discard(e)
-            a, b = edges[e]
-            node = b if node == a else a
-            prev_edge = e
-        free_loops += 1
-    return TerminalGraph(ids, strand, free_loops)
+        ins = [base[c] + _PORTS[r][0] for c, r in ps]
+        outs = [base[c] + _PORTS[r][1] for c, r in ps]
+        if comp.closed:
+            pairs = zip(outs, ins[1:] + ins[:1])
+        else:
+            pairs = zip([comp.ends[0]] + outs, ins + [comp.ends[1]])
+        for a, b in pairs:
+            link[a], link[b] = b, a
+
+    reached = set()
+
+    def close(label: EndLabel) -> Term:
+        """Cross the virtual closure at an end label and follow the next strand."""
+        other = (label[0], _OTHER_END[label[1]])
+        reached.update((label, other))
+        return link[other]
+
+    strand = [-1] * (4 * len(ids))
+    for p in range(len(strand)):
+        if strand[p] < 0:
+            q = link[p]
+            while not isinstance(q, int):
+                q = close(q)
+            strand[p], strand[q] = q, p
+    # End labels no port reaches lie on rings of strands and closures.
+    for label in link:
+        if not isinstance(label, int) and label not in reached:
+            free_loops += 1
+            while label not in reached:
+                label = close(label)
+    return TerminalGraph(ids, tuple(strand), free_loops)

@@ -64,12 +64,6 @@ class Curve:
         n = self.vertices.shape[0]
         return n if self.closed else n - 1
 
-    def segment_ends(self) -> Tuple[np.ndarray, np.ndarray]:
-        v = self.vertices
-        if self.closed:
-            return v, np.roll(v, -1, axis=0)
-        return v[:-1], v[1:]
-
     def reversed(self) -> "Curve":
         return Curve(self.id, self.vertices[::-1].copy(), self.closed)
 

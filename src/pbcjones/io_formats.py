@@ -9,6 +9,7 @@ inputs and parameters serialize to the same bytes.
 from __future__ import annotations
 
 import json
+import math
 import warnings
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -199,10 +200,21 @@ class TrajectoryFrame:
         """Positions per molecule, ordered by ascending atom id."""
         out: Dict[int, np.ndarray] = {}
         order = np.argsort(self.ids, kind="stable")
-        ids, mols, pos = self.ids[order], self.mols[order], self.positions[order]
+        mols, pos = self.mols[order], self.positions[order]
         for m in np.unique(mols):
             out[int(m)] = pos[mols == m]
         return out
+
+
+def _number(text: str, kind, where: str, what: str):
+    """One int (that fits int64) or finite float field of a trajectory file."""
+    try:
+        value = kind(text)
+    except ValueError:
+        value = None
+    if value is None or not (abs(value) < 2 ** 63 if kind is int else math.isfinite(value)):
+        raise PbcJonesError(f"{where}: bad {what} {text!r}")
+    return value
 
 
 def _finish_frame(timestep, bounds, rows, path, lineno) -> TrajectoryFrame:
@@ -244,9 +256,12 @@ def _read_lammps_dump(path: str) -> List[TrajectoryFrame]:
             line = raw.strip()
             if not line:
                 continue
+            where = f"{path}:{lineno}"
             if line.startswith("ITEM:"):
                 tokens = line.split()
                 head = tokens[1] if len(tokens) > 1 else ""
+                if head in ("NUMBER", "BOX", "ATOMS") and timestep is None:
+                    raise PbcJonesError(f"{where}: {line!r} comes before any TIMESTEP value")
                 if head == "TIMESTEP":
                     close(lineno)
                     section = "timestep"
@@ -258,9 +273,9 @@ def _read_lammps_dump(path: str) -> List[TrajectoryFrame]:
                 elif head == "ATOMS":
                     columns = tokens[2:]
                     if "mol" not in columns:
-                        raise PbcJonesError(f"{path}:{lineno}: ATOMS columns lack molecule ids")
+                        raise PbcJonesError(f"{where}: ATOMS columns lack molecule ids")
                     if "id" not in columns:
-                        raise PbcJonesError(f"{path}:{lineno}: ATOMS columns lack atom ids")
+                        raise PbcJonesError(f"{where}: ATOMS columns lack atom ids")
                     if all(c in columns for c in ("x", "y", "z")):
                         scaled = False
                         names = ("x", "y", "z")
@@ -269,7 +284,7 @@ def _read_lammps_dump(path: str) -> List[TrajectoryFrame]:
                         names = ("xs", "ys", "zs")
                     else:
                         raise PbcJonesError(
-                            f"{path}:{lineno}: unknown atom columns {columns!r} "
+                            f"{where}: unknown atom columns {columns!r} "
                             "(need x y z or xs ys zs)")
                     section = ("atoms", columns.index("id"), columns.index("mol"),
                                tuple(columns.index(n) for n in names))
@@ -277,17 +292,17 @@ def _read_lammps_dump(path: str) -> List[TrajectoryFrame]:
                     section = "skip"
                 continue
             if section == "timestep":
-                timestep = int(line)
+                timestep = _number(line, int, where, "timestep")
                 section = None
             elif section == "natoms":
-                declared = int(line)
+                declared = _number(line, int, where, "atom count")
                 section = None
             elif section == "box":
                 parts = line.split()
                 if len(parts) != 2:
                     raise PbcJonesError(
-                        f"{path}:{lineno}: expected 'lo hi' box bounds, got {line!r}")
-                pending_bounds.append([float(parts[0]), float(parts[1])])
+                        f"{where}: expected 'lo hi' box bounds, got {line!r}")
+                pending_bounds.append([_number(t, float, where, "box bound") for t in parts])
                 if len(pending_bounds) == 3:
                     bounds = np.array(pending_bounds, dtype=float)
                     section = None
@@ -295,12 +310,16 @@ def _read_lammps_dump(path: str) -> List[TrajectoryFrame]:
                 _, i_id, i_mol, i_pos = section
                 parts = line.split()
                 if len(parts) != len(columns):
-                    raise PbcJonesError(f"{path}:{lineno}: expected {len(columns)} columns")
-                coords = [float(parts[j]) for j in i_pos]
+                    raise PbcJonesError(f"{where}: expected {len(columns)} columns")
+                coords = [_number(parts[j], float, where, "coordinate") for j in i_pos]
                 if scaled:
-                    lo, hi = bounds[:, 0], bounds[:, 1]
-                    coords = list(lo + np.array(coords) * (hi - lo))
-                rows.append((int(parts[i_id]), int(parts[i_mol]), coords))
+                    if bounds is None:
+                        raise PbcJonesError(f"{where}: scaled coordinates before BOX BOUNDS")
+                    coords = [lo + c * (hi - lo) for c, (lo, hi) in zip(coords, bounds.tolist())]
+                    if not all(map(math.isfinite, coords)):
+                        raise PbcJonesError(f"{where}: scaled coordinates overflow")
+                rows.append((_number(parts[i_id], int, where, "atom id"),
+                             _number(parts[i_mol], int, where, "molecule id"), coords))
     close(-1)
     if not frames:
         raise PbcJonesError(f"{path}: no frames found")
@@ -334,16 +353,19 @@ def _read_xyz_mol(path: str) -> List[TrajectoryFrame]:
             raise PbcJonesError(
                 f"{path}:{i + 2}: comment line must carry box bounds 'xlo xhi ylo yhi zlo zhi'")
         bounds = np.array(nums[:6], dtype=float).reshape(3, 2)
+        if not np.all(np.isfinite(bounds)):
+            raise PbcJonesError(f"{path}:{i + 2}: box bounds must be finite")
         rows: List[Tuple[int, int, List[float]]] = []
         for k in range(count):
             ln = i + 2 + k
             if ln >= len(lines):
                 raise PbcJonesError(f"{path}:{ln + 1}: truncated frame")
             parts = lines[ln].split()
+            where = f"{path}:{ln + 1}"
             if len(parts) != 4:
-                raise PbcJonesError(
-                    f"{path}:{ln + 1}: expected 'mol x y z' (molecule ids are required)")
-            rows.append((k + 1, int(parts[0]), [float(p) for p in parts[1:]]))
+                raise PbcJonesError(f"{where}: expected 'mol x y z' (molecule ids are required)")
+            rows.append((k + 1, _number(parts[0], int, where, "molecule id"),
+                         [_number(p, float, where, "coordinate") for p in parts[1:]]))
         frames.append(_finish_frame(len(frames), bounds, rows, path, i + 1))
         i += 2 + count
     if not frames:
@@ -355,11 +377,13 @@ TRAJECTORY_FORMATS = ("lammps-dump", "xyz-mol")
 
 
 def read_trajectory(path: str, format: str = "lammps-dump") -> List[TrajectoryFrame]:
-    if format == "lammps-dump":
-        return _read_lammps_dump(path)
-    if format == "xyz-mol":
-        return _read_xyz_mol(path)
-    raise PbcJonesError(f"unknown trajectory format {format!r}")
+    readers = {"lammps-dump": _read_lammps_dump, "xyz-mol": _read_xyz_mol}
+    if format not in readers:
+        raise PbcJonesError(f"unknown trajectory format {format!r}")
+    try:
+        return readers[format](path)
+    except UnicodeDecodeError as exc:
+        raise PbcJonesError(f"{path}: not UTF-8 text ({exc.reason})") from None
 
 
 # -- interior-chain selection -------------------------------------------
@@ -368,8 +392,12 @@ def read_trajectory(path: str, format: str = "lammps-dump") -> List[TrajectoryFr
 def unwrap_chain(points: np.ndarray, bounds: np.ndarray,
                  periodic: Sequence[bool] = (True, True, True)) -> np.ndarray:
     """Minimum-image unwrap: a step beyond half the box is an image jump."""
-    lengths = bounds[:, 1] - bounds[:, 0]
     out = np.array(points, dtype=float)
+    with np.errstate(over="ignore"):
+        lengths = bounds[:, 1] - bounds[:, 0]
+        sizes_ok = np.all(np.isfinite(lengths)) and np.all(np.isfinite(np.diff(out, axis=0)))
+    if not sizes_ok:
+        raise PbcJonesError("box side or chain step too long to unwrap")
     for k in range(1, len(out)):
         d = out[k] - out[k - 1]
         for ax in range(3):

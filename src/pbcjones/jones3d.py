@@ -43,10 +43,10 @@ class SamplingConfig:
             raise ValueError(f"unknown sampling mode {self.mode!r}")
         if self.on_cap not in ("error", "skip"):
             raise ValueError(f"on_cap must be 'error' or 'skip', got {self.on_cap!r}")
-        for name in ("directions", "workers"):
+        for name, least in (("directions", 1), ("workers", 1), ("seed", 0)):
             value = getattr(self, name)
-            if value < 1:
-                raise PbcJonesError(f"{name} must be at least 1, got {value}")
+            if value < least:
+                raise PbcJonesError(f"{name} must be at least {least}, got {value}")
         require_nonnegative("tolerance", self.tolerance)
         require_nonnegative("prune", self.prune)
 

@@ -210,6 +210,25 @@ class TestCrossingOrder:
         assert res.poly == brute_bracket(d)
 
 
+class TestSkeinRelation:
+    """<D> = A <D_A> + A^-1 <D_B> at every crossing: ``Diagram.smooth``
+    makes the two states and ``bracket`` reads them through
+    ``terminal_graph``, so each walk checks the other."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 3), st.integers(3, 6), st.booleans())
+    def test_every_crossing_satisfies_the_skein_relation(self, seed, n_curves, n_pts, closed):
+        curves = [Curve(c.id, c.vertices, closed)
+                  for c in random_open_tangle(seed, n_curves, n_pts)]
+        d = project(curves, seed)
+        assume(1 <= len(d.crossings) <= 12)
+        whole = bracket(d).poly
+        a, a_inv = LaurentPoly.monomial(1, 1), LaurentPoly.monomial(1, -1)
+        for cid in d.crossings:
+            assert (a * bracket(d.smooth(cid, "A")).poly
+                    + a_inv * bracket(d.smooth(cid, "B")).poly) == whole, cid
+
+
 class TestWritheNormalization:
     def test_jones_of_diagram_matches_manual_prefactor(self):
         d = project(hopf_link(), 2)

@@ -13,6 +13,7 @@ from pbcjones.io_formats import write_curves, write_system
 from pbcjones.laurent import LaurentPoly, d_power
 
 COHERENT = "-0.632398,-0.322856,-0.704156"
+MELT = melt_dump_text()
 
 
 @pytest.fixture
@@ -176,6 +177,12 @@ class TestCutoffVerify:
         assert res["shared_crossings"] == 2
         assert res["slk"] == "2"
 
+    def test_failed_identity_returns_one(self, chainmail_file, capsys):
+        # main returns the code rather than raising SystemExit
+        assert main(["cutoff-verify", chainmail_file, "--copies", "2",
+                     "--direction", "0.05,0.1,1"]) == 1
+        assert json.loads(capsys.readouterr().out)["results"]["factorization_ok"] is False
+
     def test_enumeration_cap_exits_nonzero(self, chainmail_file, capsys):
         rc = main(["cutoff-verify", chainmail_file, "--copies", "2",
                    "--direction=" + COHERENT, "--enumerate-cap", "1"])
@@ -331,6 +338,9 @@ class TestMalformedInput:
          "tolerance must be finite and at least 0"),
         (["normalize", "FLOATREPORT", "--tolerance", "nan"], "tolerance must be finite"),
         (["normalize", "FLOATREPORT", "--tolerance", "-1"], "tolerance must be finite"),
+        (["slk", "SYSTEM", "--seed", "-1"], "--seed must be at least 0, got -1"),
+        (["jones", "OPEN", "--mode", "random", "--seed", "-1"],
+         "seed must be at least 0, got -1"),
     ])
     def test_non_finite_or_negative_number(self, argv, message, hopf_file, chainmail_file,
                                            tmp_path, capsys):
@@ -342,6 +352,37 @@ class TestMalformedInput:
         files = {"HOPF": hopf_file, "OPEN": str(open_curve), "SYSTEM": chainmail_file,
                  "FLOATREPORT": str(report)}
         self.assert_rejected(capsys, [files.get(a, a) for a in argv], message)
+
+    @pytest.mark.parametrize("fmt, text, message", [
+        ("lammps-dump", MELT.replace("TIMESTEP\n0", "TIMESTEP\nabc"), "t:2: bad timestep 'abc'"),
+        ("lammps-dump", MELT.replace("ATOMS\n98", "ATOMS\nabc"), "t:4: bad atom count 'abc'"),
+        ("lammps-dump", MELT.replace("0.0 12.0", "0 x", 1), "t:6: bad box bound 'x'"),
+        ("lammps-dump", MELT.replace("0.0 12.0", "0 inf", 1), "t:6: bad box bound 'inf'"),
+        ("lammps-dump", MELT.replace("\n1 1 2.9171326830 ", "\n1 1 a "), "t:10: bad coordinate 'a'"),
+        # a nan used to drop its chain quietly as not interior
+        ("lammps-dump", MELT.replace("\n1 1 2.9171326830 ", "\n1 1 nan "),
+         "t:10: bad coordinate 'nan'"),
+        ("lammps-dump", MELT.replace("\n1 1 2.9171326830 ", "\n99999999999999999999 1 1 "),
+         "t:10: bad atom id '99999999999999999999'"),
+        ("lammps-dump", MELT.replace("\n1 1 2.9171326830 ", "\n1 1 1e308 ").replace(
+            "\n2 1 2.3694848537 ", "\n2 1 -1e308 "), "chain step too long to unwrap"),
+        ("lammps-dump", "ITEM: TIMESTEP\n0\nITEM: NUMBER OF ATOMS\n1\n"
+                        "ITEM: ATOMS id mol xs ys zs\n1 1 0.5 0.5 0.5\n"
+                        "ITEM: BOX BOUNDS pp pp pp\n0 1\n0 1\n0 1\n",
+         "t:6: scaled coordinates before BOX BOUNDS"),
+        ("xyz-mol", "2\n0 10 0 10 0 10\n1 a 1 1\n1 2 1 1\n", "t:3: bad coordinate 'a'"),
+        ("xyz-mol", "2\n0 10 0 10 0 10\nx 1 1 1\n1 2 1 1\n", "t:3: bad molecule id 'x'"),
+        ("xyz-mol", "2\n0 nan 0 10 0 10\n1 1 1 1\n1 2 1 1\n", "t:2: box bounds must be finite"),
+    ], ids=["timestep", "atom-count", "box-bound", "box-inf", "coordinate", "coordinate-nan",
+            "atom-id-overflow", "step-overflow", "scaled-before-box", "xyz-coordinate",
+            "xyz-molecule", "xyz-box-nan"])
+    def test_malformed_trajectory(self, fmt, text, message, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        with open("t", "w", encoding="utf-8") as fh:
+            fh.write(text)
+        self.assert_rejected(capsys, ["ingest", "t", "--format", fmt, "--system-out", "s.json"],
+                             message)
+        assert not (tmp_path / "s.json").exists()
 
     @pytest.mark.parametrize("results, message", [
         ([1], "report.json: no polynomial found: report 'results' is not an object"),

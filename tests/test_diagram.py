@@ -15,6 +15,10 @@ def strand(cid, *passages):
     return Component(cid, False, tuple(passages))
 
 
+def shape(d):
+    return [(c.id, c.closed, c.passages, c.ends) for c in d.components]
+
+
 def kink(sign):
     return Diagram([closed("k", ("c", "o"), ("c", "u"))], {"c": sign})
 
@@ -112,6 +116,44 @@ class TestSmoothing:
         ab = d.smooth("c1", "A").smooth("c2", "B")
         ba = d.smooth("c2", "B").smooth("c1", "A")
         assert bracket(ab).poly == bracket(ba).poly
+
+    def test_backward_span_flips_crossings_passed_once(self):
+        # the disoriented smoothing of kink c walks the span (x, y, y) backwards:
+        # x, passed once there, changes sign; y, passed twice, keeps it
+        d = Diagram([closed("k", ("c", "o"), ("c", "u"), ("x", "o"), ("y", "o"), ("y", "u")),
+                     closed("m", ("x", "u"))], {"c": 1, "x": 1, "y": -1})
+        s = d.smooth("c", "B")
+        assert shape(s) == [("m", True, (("x", "u"),), None),
+                            ("s0", True, (("y", "u"), ("y", "o"), ("x", "o")), None)]
+        assert list(s.crossings.items()) == [("x", -1), ("y", -1)]
+
+    def test_closed_component_passing_twice(self):
+        d = Diagram([closed("k", ("c", "o"), ("z", "o"), ("c", "u")),
+                     closed("m", ("z", "u"))], {"c": 1, "z": 1})
+        oriented = d.smooth("c", "A")
+        assert shape(oriented) == [("m", True, (("z", "u"),), None),
+                                   ("s0", True, (("z", "o"),), None),
+                                   ("s1", True, (), None)]
+        assert oriented.crossings == {"z": 1}
+        # the disoriented smoothing walks the empty span backwards: no sign changes
+        assert shape(d.smooth("c", "B")) == [("m", True, (("z", "u"),), None),
+                                             ("s0", True, (("z", "o"),), None)]
+        assert d.smooth("c", "B").crossings == {"z": 1}
+
+    def test_open_component_passing_twice(self):
+        d = Diagram([strand("w", ("c", "o"), ("z", "o"), ("c", "u")),
+                     closed("s0", ("z", "u"))], {"c": 1, "z": 1})
+        ends = (("w", "tail"), ("w", "head"))
+        # new ids skip the survivor's: the open strand comes first, then the loop
+        oriented = d.smooth("c", "A")
+        assert shape(oriented) == [("s0", True, (("z", "u"),), None),
+                                   ("s1", False, (), ends),
+                                   ("s2", True, (("z", "o"),), None)]
+        assert oriented.crossings == {"z": 1}
+        disoriented = d.smooth("c", "B")
+        assert shape(disoriented) == [("s0", True, (("z", "u"),), None),
+                                      ("s1", False, (("z", "o"),), ends)]
+        assert disoriented.crossings == {"z": -1}
 
 
 class TestInterLinking:
@@ -213,3 +255,33 @@ class TestTerminalGraph:
         # following the loop away from the over-out port reaches under-in
         assert g.strand[g.port("c", OO)] == g.port("c", UI)
         assert g.strand[g.port("c", UO)] == g.port("c", OI)
+
+    @staticmethod
+    def chain(*owners, passages=((),)):
+        """Open strands from each owner's tail to the next owner's head."""
+        k = len(owners)
+        return [Component(f"w{owners[i]}", False, passages[i] if i < len(passages) else (),
+                          ((owners[i], "tail"), (owners[(i + 1) % k], "head")))
+                for i in range(k)]
+
+    @pytest.mark.parametrize("owners", ["ab", "abc"])
+    def test_strands_chained_through_closures_are_one_ring(self, owners):
+        g = terminal_graph(Diagram(self.chain(*owners), {}))
+        assert g.free_loops == 1
+        assert not g.strand
+
+    def test_each_ring_is_one_free_loop(self):
+        comps = (self.chain("a", "b") + self.chain("c", "d", "e") + [strand("f"), closed("g")]
+                 + list(kink(1).components))
+        g = terminal_graph(Diagram(comps, {"c": 1}))
+        assert g.free_loops == 4
+        assert g.strand[g.port("c", OO)] == g.port("c", UI)
+
+    def test_port_walk_crosses_two_closures(self):
+        # the kink's strand runs a-tail -> b-head; the bare strand b-tail -> a-head
+        # closes it, so the kink's outer ports are partners and no ring is left
+        comps = self.chain("a", "b", passages=((("c", "o"), ("c", "u")),))
+        g = terminal_graph(Diagram(comps, {"c": -1}))
+        assert g.free_loops == 0
+        assert g.strand[g.port("c", UO)] == g.port("c", OI)
+        assert g.strand[g.port("c", OO)] == g.port("c", UI)

@@ -72,10 +72,7 @@ def run_cases(directory: Path):
         for name, expected_rc, argv in CASES:
             out = StringIO()
             with redirect_stdout(out):
-                try:
-                    rc = main(argv)
-                except SystemExit as exc:  # cutoff-verify exits 1 on a failed identity
-                    rc = exc.code
+                rc = main(argv)
             Path(name).write_text(out.getvalue(), encoding="utf-8")
             yield name, rc, expected_rc, out.getvalue()
     finally:

@@ -5,10 +5,12 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from pbcjones.errors import PbcJonesError
 from pbcjones.fixtures import chainmail_system, hopf_link, melt_dump_text, trefoil
-from pbcjones.io_formats import (AnalysisReport, canonical_dumps,
+from pbcjones.io_formats import (TRAJECTORY_FORMATS, AnalysisReport, canonical_dumps,
                                  curves_from_json_obj, curves_to_json_obj,
                                  read_curves, read_system, read_trajectory,
                                  report_text, select_interior_chains,
@@ -190,6 +192,17 @@ class TestLammpsDump:
         with pytest.raises(PbcJonesError, match="no frames"):
             read_trajectory(str(path))
 
+    def test_atoms_before_any_timestep(self, tmp_path):
+        text = "ITEM: ATOMS id mol x y z\n1 1 1 1 1\n" + melt_dump_text()
+        with pytest.raises(PbcJonesError, match=r":1: .* comes before any TIMESTEP value"):
+            read_trajectory_text(tmp_path, text)
+
+    def test_not_utf8(self, tmp_path):
+        path = tmp_path / "bin.dump"
+        path.write_bytes(b"ITEM: TIMESTEP\n\xff\n")
+        with pytest.raises(PbcJonesError, match="not UTF-8 text"):
+            read_trajectory(str(path))
+
     def test_unknown_format_name(self, tmp_path):
         with pytest.raises(PbcJonesError, match="unknown trajectory format"):
             read_trajectory("whatever", format="csv")
@@ -237,6 +250,50 @@ class TestXyzMol:
         text = "1\n0 1 0 1 0 1\n0.0 0.0 0.0\n"
         with pytest.raises(PbcJonesError, match="molecule ids are required"):
             read_trajectory(self.make(tmp_path, text), format="xyz-mol")
+
+
+# tokens that make readers take many paths: section heads, counts, bad numbers
+TOKENS = st.sampled_from([
+    "ITEM: TIMESTEP", "ITEM: NUMBER OF ATOMS", "ITEM: BOX BOUNDS pp pp pp",
+    "ITEM: ATOMS id mol x y z", "ITEM: ATOMS id mol xs ys zs", "ITEM: ATOMS id x y z",
+    "ITEM:", "0", "1", "2", "-1", "0.5", "1e308", "-1e308", "1e999", "nan", "inf", "a",
+    "99999999999999999999", "box",
+])
+LINES = st.one_of(st.lists(TOKENS, min_size=1, max_size=6).map(" ".join),
+                  st.text(st.characters(blacklist_categories=("Cs",)), max_size=12))
+# valid frames of each format, for soups that are edits of a readable file
+TEMPLATES = [
+    ["ITEM: TIMESTEP", "5", "ITEM: NUMBER OF ATOMS", "2", "ITEM: BOX BOUNDS pp pp pp",
+     "0 1", "0 1", "0 1", "ITEM: ATOMS id mol xs ys zs", "1 1 0.2 0.2 0.2", "2 1 0.3 0.2 0.2"],
+    ["2", "0 10 0 10 0 10", "1 1 1 1", "1 2 1 1"],
+]
+
+
+@st.composite
+def soups(draw):
+    if draw(st.booleans()):
+        return draw(st.lists(LINES, max_size=30))
+    lines = list(draw(st.sampled_from(TEMPLATES))) * draw(st.integers(1, 2))
+    for _ in range(draw(st.integers(0, 3))):
+        at = draw(st.integers(0, len(lines)))
+        lines[at:at + draw(st.integers(0, 1))] = [draw(LINES)]
+    return lines
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(soups())
+def test_line_soup_gives_frames_or_a_located_error(tmp_path, lines):
+    path = tmp_path / "soup"
+    path.write_text("\n".join(lines), encoding="utf-8")
+    for fmt in TRAJECTORY_FORMATS:
+        try:
+            frames = read_trajectory(str(path), fmt)
+        except PbcJonesError:
+            continue
+        assert frames
+        for frame in frames:
+            assert np.all(np.isfinite(frame.positions)) and np.all(np.isfinite(frame.bounds))
 
 
 class TestUnwrap:

@@ -6,23 +6,38 @@ separated from each other, and with distinct depths.  Any violation
 raises NonGenericDirectionError naming the failed check; callers retry
 with a deterministically perturbed direction.
 
-``project`` works on whole arrays.  Candidate segment pairs come from a
-sort-and-sweep: the tol-padded boxes are sorted by their low x, each
-box's x-window is found with ``searchsorted`` on its high x, and the
-windows are expanded into pairs and filtered on y overlap, same-curve
-neighbors and end-to-end contacts.  The crossing tests then run on all
-pairs at once.  Checks run in a fixed order, and pairs are taken in
-lexicographic (a < b) order: when several pairs fail, the error names
-the check of the first failing pair.  The separation and near-vertex
-checks sweep crossings and vertices on x with a 2 tol window.  A
-direction that is not finite and nonzero, or a tolerance that is not
-finite and at least 0, raises PbcJonesError: no nudge can repair it.
+``project_many`` projects a collection along many directions.  The
+segment tables that do not depend on the direction are built once; the
+directions then go through in blocks of at most ``BLOCK_ROWS``
+(direction, segment) rows, and every check of a block runs as one array
+operation over all its rows.  The block bound keeps the arrays, and so
+the memory, small; larger blocks are no faster.  ``project`` is the
+one-direction call of the same kernel.  Frames use only elementwise
+array operations, so a direction gives the same result alone or in any
+block.
+
+Candidate segment pairs come from a sort-and-sweep: the ends of the
+tol-padded x-intervals are sorted together by (row, value), low ends
+first on ties, and the later partners of a box are the low ends sorted
+between its own two ends.  Sorting on the row as a separate key keeps
+the comparisons exact; coordinates shifted by a multiple of the row
+could round a pair that is within tol apart.  Pairs are then filtered on
+y overlap, same-curve neighbors and end-to-end contacts, and the
+crossing tests run on all pairs of the block at once.  Checks run in a
+fixed order, and pairs are taken in lexicographic (a < b) order: when
+several pairs of a direction fail, its error names the check of the
+first failing pair.  A direction that fails a check leaves the block
+before the next check, so no later check divides by its zero lengths.
+The separation and near-vertex checks sweep crossings and vertices on x
+with a 2 tol window, in the same way.  A direction that is not finite
+and nonzero, or a tolerance that is not finite and at least 0, raises
+PbcJonesError before anything is projected: no nudge can repair it.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Sequence, Set, Tuple
+from typing import Dict, Iterator, List, Sequence, Set, Tuple, Union
 
 import numpy as np
 
@@ -30,6 +45,7 @@ from .diagram import Component, Diagram
 from .errors import NonGenericDirectionError, PbcJonesError, require_nonnegative
 
 GOLDEN_ANGLE = math.pi * (3.0 - math.sqrt(5.0))
+BLOCK_ROWS = 1024  # directions x segments projected in one array pass
 
 
 class Curve:
@@ -50,10 +66,14 @@ class Curve:
         need = 3 if closed else 2
         if v.shape[0] < need:
             raise PbcJonesError(f"curve {id!r}: needs at least {need} vertices")
-        diffs = np.diff(v, axis=0)
-        if np.any(np.linalg.norm(diffs, axis=1) == 0.0):
+        with np.errstate(over="ignore", invalid="ignore"):
+            steps = np.linalg.norm(np.diff(np.concatenate([v, v[:1]]) if closed else v, axis=0),
+                                   axis=1)
+        if not np.all(np.isfinite(steps)):
+            raise PbcJonesError(f"curve {id!r}: segment lengths overflow")
+        if np.any(steps[:v.shape[0] - 1] == 0.0):
             raise PbcJonesError(f"curve {id!r}: repeated consecutive vertex")
-        if closed and np.linalg.norm(v[0] - v[-1]) == 0.0:
+        if closed and steps[-1] == 0.0:
             raise PbcJonesError(f"curve {id!r}: closed curves must not repeat the first vertex")
         self.id = id
         self.vertices = v
@@ -101,17 +121,7 @@ def sample_directions(n: int, mode: str = "fibonacci", seed: int = 0) -> np.ndar
 
 def projection_frame(xi) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Right-handed orthonormal frame (u, v, xi); u x v = xi."""
-    xi = np.asarray(xi, dtype=float)
-    norm = np.linalg.norm(xi)
-    if not (np.isfinite(norm) and norm > 0.0):
-        raise PbcJonesError(f"projection direction must be finite and nonzero, got {xi}")
-    xi = xi / norm
-    axis = int(np.argmin(np.abs(xi)))
-    e = np.zeros(3)
-    e[axis] = 1.0
-    u = e - np.dot(e, xi) * xi
-    u = u / np.linalg.norm(u)
-    v = np.cross(xi, u)
+    u, v, xi = projection_frames([xi])[0]
     return u, v, xi
 
 
@@ -161,46 +171,259 @@ def _touching_terminal_pairs(curves: Sequence[Curve], seg_first) -> Set[Tuple[in
             for i, a in enumerate(ks) for b in ks[i + 1:]}
 
 
-def _overlaps(lo: np.ndarray, hi: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """Index pairs (i, j) of the closed intervals [lo, hi] that overlap.
+def _overlaps(lo: np.ndarray, hi: np.ndarray, group: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Index pairs (i, j) of the closed intervals [lo, hi] of one group that overlap.
 
-    Sort-and-sweep: in lo order, the later partners of an interval are
-    the run of intervals whose lo does not exceed its hi.  Each pair is
+    Sort-and-sweep: the interval ends are sorted together by (group,
+    value), low ends first on ties, so the later partners of an interval
+    are the low ends sorted between its own two ends.  Each pair is
     returned once, in no particular orientation.
     """
-    order = np.argsort(lo, kind="stable")
-    n = order.shape[0]
-    counts = np.searchsorted(lo[order], hi[order], side="right") - np.arange(1, n + 1)
-    first = np.repeat(np.arange(n), counts)
-    step = np.arange(first.shape[0]) - np.repeat(np.cumsum(counts) - counts, counts)
-    return order[first], order[first + 1 + step]
+    n = lo.shape[0]
+    ends = np.lexsort([np.concatenate([lo, hi]), np.concatenate([group, group])])
+    low = ends < n
+    seen = np.empty(2 * n, dtype=np.int64)
+    seen[ends] = low.cumsum()  # low ends sorted at or before each end
+    counts = seen[n:] - seen[:n]
+    i = np.arange(n).repeat(counts)
+    # the partners of interval k have the low-end ranks seen[k], seen[k] + 1, ...
+    shift = (seen[:n] + counts - counts.cumsum()).repeat(counts)
+    return i, ends[low][np.arange(i.shape[0]) + shift]
 
 
-def _candidate_pairs(starts, ends, seg_curve, seg_index, seg_count, seg_closed, tol,
-                     excluded):
-    """Segment pairs (a < b) in lexicographic order whose tol-padded boxes overlap.
+def projection_frames(xis) -> np.ndarray:
+    """Right-handed orthonormal frames (u, v, xi), u x v = xi, of k directions.
 
-    Neighbors on one curve and the global index pairs in ``excluded``
-    are dropped.  Segments that cross or come within tol of each other
-    always have overlapping padded boxes.
+    The result has shape (k, 3, 3).  u is the coordinate axis least
+    aligned with xi, made orthogonal to it.  Only elementwise array
+    operations are used, so a direction gets the same frame in any batch.
     """
-    lo = np.minimum(starts, ends) - tol
-    hi = np.maximum(starts, ends) + tol
-    i, j = _overlaps(lo[:, 0], hi[:, 0])
-    keep = (lo[j, 1] <= hi[i, 1]) & (lo[i, 1] <= hi[j, 1])
-    i, j = i[keep], j[keep]
-    a, b = np.minimum(i, j), np.maximum(i, j)
-    d = np.abs(seg_index[a] - seg_index[b])
-    # neighbors share a vertex, not a crossing
-    keep = ~((seg_curve[a] == seg_curve[b])
-             & ((d <= 1) | (seg_closed[a] & (d == seg_count[a] - 1))))
-    if excluded:
-        # curves meeting end to end touch, not cross
-        n = starts.shape[0]
-        keep &= ~np.isin(a * n + b, [x * n + y for x, y in excluded])
-    a, b = a[keep], b[keep]
-    order = np.lexsort((b, a))
-    return a[order], b[order]
+    xis = np.asarray(xis, dtype=float)
+    if xis.ndim != 2 or xis.shape[1] != 3:
+        raise PbcJonesError(f"projection directions must have shape (k, 3), got {xis.shape}")
+    norm = np.hypot(np.hypot(xis[:, 0], xis[:, 1]), xis[:, 2])
+    usable = np.isfinite(norm) & (norm > 0.0)
+    if not usable.all():
+        bad = xis[(~usable).nonzero()[0][0]]
+        raise PbcJonesError(f"projection direction must be finite and nonzero, got {bad}")
+    xi = xis / norm[:, None]
+    rows = np.arange(xi.shape[0])
+    axis = np.abs(xi).argmin(axis=1)
+    u = (np.arange(3) == axis[:, None]) - xi[rows, axis][:, None] * xi
+    u /= np.sqrt(u[:, 0] * u[:, 0] + u[:, 1] * u[:, 1] + u[:, 2] * u[:, 2])[:, None]
+    # v = xi x u
+    xr, ur = xi.take([1, 2, 0, 2, 0, 1], axis=1), u.take([2, 0, 1, 1, 2, 0], axis=1)
+    v = xr[:, :3] * ur[:, :3] - xr[:, 3:] * ur[:, 3:]
+    return np.concatenate([u, v, xi], axis=1).reshape(-1, 3, 3)
+
+
+# genericity checks in the order they run; a failed direction carries
+# the 1-based index of its first failed check
+CHECKS = ("degenerate_segment", "fold_back", "tangency", "crossing_near_vertex",
+          "depth_coincidence", "crossing_separation")
+DEGENERATE, FOLD_BACK, TANGENCY, NEAR_VERTEX, DEPTH, SEPARATION = range(1, 7)
+
+
+class _Segments:
+    """Direction-independent segment tables of a curve collection.
+
+    Segment k of the concatenated curves runs from vertex v0[k] to v1[k].
+    """
+
+    def __init__(self, curves: Sequence[Curve]):
+        self.curves = curves
+        self.coords = np.concatenate([c.vertices for c in curves]).T.copy()  # (3, vertices)
+        closed = np.array([c.closed for c in curves])
+        n_vert = np.array([c.vertices.shape[0] for c in curves])
+        n_seg = np.where(closed, n_vert, n_vert - 1)
+        self.curve = seg_curve = np.arange(len(curves)).repeat(n_seg)
+        seg_first = n_seg.cumsum() - n_seg
+        self.index = seg_index = np.arange(seg_curve.shape[0]) - seg_first[seg_curve]
+        self.count = n_seg[seg_curve]
+        self.closed = seg_closed = closed[seg_curve]
+        last = seg_index == self.count - 1
+        self.v0 = (n_vert.cumsum() - n_vert)[seg_curve] + seg_index
+        self.v1 = np.where(last & seg_closed, self.v0 - seg_index, self.v0 + 1)
+        # consecutive segment pairs (k, nxt), checked for folding back
+        self.k = (~last | seg_closed).nonzero()[0]
+        self.nxt = np.where(last[self.k], self.k - seg_index[self.k], self.k + 1)
+        n = self.n = seg_curve.shape[0]
+        self.excluded = np.array([a * n + b for a, b in
+                                  _touching_terminal_pairs(curves, seg_first)], dtype=np.int64)
+
+    def project(self, frames: np.ndarray, tol: float) -> list:
+        """The Diagram or NonGenericDirectionError of each direction of a block.
+
+        Coordinate arrays are indexed [axis, row, vertex or segment], axis
+        being u, v and the depth along xi.
+        """
+        n, v0, v1, vc = self.n, self.v0, self.v1, self.coords
+        f = frames.transpose(2, 1, 0)[..., None]
+        pos = vc[0] * f[0] + vc[1] * f[1] + vc[2] * f[2]
+        p0, p1 = pos.take(v0, axis=2), pos.take(v1, axis=2)
+        delta = p1[:2] - p0[:2]
+        lens = np.sqrt(delta[0] * delta[0] + delta[1] * delta[1])
+
+        # consecutive segments folding straight back overlap in projection
+        dk, dn = delta.take(self.k, axis=2), delta.take(self.nxt, axis=2)
+        crossz = dk[0] * dn[1] - dk[1] * dn[0]
+        lk, ln = lens.take(self.k, axis=1), lens.take(self.nxt, axis=1)
+        folds = (np.abs(crossz) <= tol * (lk * ln)) & (dk[0] * dn[0] + dk[1] * dn[1] < 0)
+        fail = np.where((lens <= tol).any(axis=1), DEGENERATE, folds.any(axis=1) * FOLD_BACK)
+
+        # one row per direction still generic; from here arrays are flat
+        # over (row, segment), index r * n + k being segment k of row r
+        live = (fail == 0).nonzero()[0]
+        if live.shape[0] < fail.shape[0]:
+            pos, p0, p1, delta = (w.take(live, axis=1) for w in (pos, p0, p1, delta))
+            lens = lens.take(live, axis=0)
+        rows = live.shape[0]
+        a, b = self._candidate_pairs((np.minimum(p0[:2], p1[:2]) - tol).reshape(2, -1),
+                                     (np.maximum(p0[:2], p1[:2]) + tol).reshape(2, -1))
+        x0, y0, z0 = p0.reshape(3, -1)
+        dx, dy = delta.reshape(2, -1)
+        lens, z1 = lens.ravel(), p1[2].ravel()
+
+        dxa, dya, dxb, dyb = dx[a], dy[a], dx[b], dy[b]
+        denom = dxa * dyb - dya * dxb
+        parallel = np.abs(denom) <= tol * (lens[a] * lens[b])
+        q = (~parallel).nonzero()[0]
+        qa, qb, dxa, dya, dxb, dyb, denom = (w[q] for w in (a, b, dxa, dya, dxb, dyb, denom))
+        wx, wy = x0[qb] - x0[qa], y0[qb] - y0[qa]
+        s = (wx * dyb - wy * dxb) / denom
+        t = (wx * dya - wy * dxa) / denom
+        fa, fb = tol / lens[qa], tol / lens[qb]
+        inside = (0.0 <= s) & (s <= 1.0) & (0.0 <= t) & (t <= 1.0)
+        near = (-fa <= s) & (s <= 1.0 + fa) & (-fb <= t) & (t <= 1.0 + fb)
+        za = z0[qa] * (1.0 - s) + z1[qa] * s
+        zb = z0[qb] * (1.0 - t) + z1[qb] * t
+        failed = (near & (~inside | (np.abs(za - zb) <= tol))).nonzero()[0]
+
+        # the first failing pair of a row in pair order names its error;
+        # parallel pairs before it are tested one by one
+        code = np.zeros(rows, dtype=np.int64)
+        par = parallel.nonzero()[0]
+        if failed.shape[0]:
+            bad_rows, first = np.unique(qa[failed] // n, return_index=True)
+            failed = failed[first]
+            code[bad_rows] = np.where(inside[failed], DEPTH, NEAR_VERTEX)
+            stop = np.full(rows, a.shape[0])
+            stop[bad_rows] = q[failed]
+            par = par[par < stop[a[par] // n]]
+        if par.shape[0]:
+            ax, ay, bx, by = x0.tolist(), y0.tolist(), dx.tolist(), dy.tolist()
+            tangent = set()
+            for i, j in zip(a[par].tolist(), b[par].tolist()):
+                if i // n not in tangent and _segments_too_close(
+                        (ax[i], ay[i]), (ax[i] + bx[i], ay[i] + by[i]),
+                        (ax[j], ay[j]), (ax[j] + bx[j], ay[j] + by[j]), tol):
+                    tangent.add(i // n)
+            code[list(tangent)] = TANGENCY
+
+        keep = near & (code[qa // n] == 0)
+        qa, qb, s, t, za, zb, denom = (w[keep] for w in (qa, qb, s, t, za, zb, denom))
+        cross_row = qa // n
+        if qa.shape[0]:
+            self._separation(code, cross_row, x0[qa] + s * dx[qa], y0[qa] + s * dy[qa],
+                             pos, tol)
+            keep = code[cross_row] == 0
+            qa, qb, s, t, za, zb, denom, cross_row = (
+                w[keep] for w in (qa, qb, s, t, za, zb, denom, cross_row))
+        fail[live] = code
+        return self._diagrams(fail, live, qa, qb, s, t, za > zb, denom, cross_row)
+
+    def _candidate_pairs(self, lo: np.ndarray, hi: np.ndarray):
+        """Segment pairs (a < b) of each row whose padded boxes [lo, hi] overlap.
+
+        Boxes are (x, y) by flat index; pairs come in (row, a, b) order.
+        Neighbors on one curve and the touching terminal pairs are
+        dropped.  Segments that cross or come within tol of each other
+        always have overlapping tol-padded boxes.
+        """
+        n = self.n
+        i, j = _overlaps(lo[0], hi[0], np.arange(lo.shape[1]) // n)
+        lo_y, hi_y = lo[1], hi[1]
+        keep = (lo_y[j] <= hi_y[i]) & (lo_y[i] <= hi_y[j])
+        i, j = i[keep], j[keep]
+        a, b = np.minimum(i, j), np.maximum(i, j)
+        sa, sb = a % n, b % n
+        d = np.abs(self.index[sa] - self.index[sb])
+        # neighbors share a vertex, not a crossing
+        keep = ~((self.curve[sa] == self.curve[sb])
+                 & ((d <= 1) | (self.closed[sa] & (d == self.count[sa] - 1))))
+        if self.excluded.shape[0]:
+            # curves meeting end to end touch, not cross
+            keep &= ~np.isin(sa * n + sb, self.excluded)
+        a, b = a[keep], b[keep]
+        order = np.lexsort([b, a])
+        return a[order], b[order]
+
+    @staticmethod
+    def _separation(code, cross_row, px, py, pos, tol) -> None:
+        """Mark rows with crossings closer than tol to each other or to a vertex.
+
+        Crossings and the vertices of every row are swept on x with a
+        2 tol window.
+        """
+        n_cross = px.shape[0]
+        x = np.concatenate([px, pos[0].ravel()])
+        y = np.concatenate([py, pos[1].ravel()])
+        group = np.concatenate([cross_row, np.arange(pos[0].size) // pos.shape[2]])
+        i, j = _overlaps(x - tol, x + tol, group)
+        dx, dy = x[i] - x[j], y[i] - y[j]
+        close = np.sqrt(dx * dx + dy * dy) <= tol
+        ci, cj = i < n_cross, j < n_cross
+        code[group[i[close & (ci != cj)]]] = NEAR_VERTEX
+        code[group[i[close & ci & cj]]] = SEPARATION
+
+    def _diagrams(self, fail, live, a, b, s, t, a_over, denom, cross_row) -> list:
+        """Outcome of each direction of a block from its surviving crossings.
+
+        Crossings are pairs (a, b) in pair order, grouped by row.
+        """
+        out = [NonGenericDirectionError(CHECKS[f - 1]) if f else None for f in fail.tolist()]
+        n_cross = a.shape[0]
+        bounds = cross_row.searchsorted(np.arange(live.shape[0] + 1)).tolist()
+        names = signs = order = curve = over = []
+        if n_cross:
+            # names follow the sorted (curve, segment, parameter) slots of each crossing
+            rank = np.empty(n_cross, dtype=np.int64)
+            rank[np.lexsort([t, b, s, a])] = np.arange(n_cross)
+            rank -= cross_row.searchsorted(cross_row)
+            names = [f"c{r}" for r in rank.tolist()]
+            # cross(over, under) is denom when a is over and -denom otherwise
+            signs = np.where(a_over == (denom > 0), 1, -1).tolist()
+            seg = np.concatenate([a, b])
+            order = np.lexsort([np.concatenate([s, t]), seg])
+            over = np.concatenate([a_over, ~a_over])[order].tolist()
+            curve = self.curve[seg[order] % self.n].tolist()
+            order = order.tolist()
+        for r, pos in enumerate(live.tolist()):
+            if out[pos] is not None:
+                continue
+            lo, hi = bounds[r], bounds[r + 1]
+            passages: List[List[Tuple[str, str]]] = [[] for _ in self.curves]
+            for e, ci, o in zip(order[2 * lo:2 * hi], curve[2 * lo:2 * hi], over[2 * lo:2 * hi]):
+                passages[ci].append((names[e % n_cross], "o" if o else "u"))
+            comps = [Component(c.id, c.closed, tuple(p)) for c, p in zip(self.curves, passages)]
+            out[pos] = Diagram(comps, dict(zip(names[lo:hi], signs[lo:hi])))
+        return out
+
+
+def project_many(curves: Sequence[Curve], xis, tol: float = 1e-9
+                 ) -> Iterator[Union[Diagram, NonGenericDirectionError]]:
+    """Project curves along each direction of xis, in blocks of BLOCK_ROWS segment rows.
+
+    Yields, per direction, its Diagram or the NonGenericDirectionError
+    naming its first failed check, exactly as ``project`` gives it.
+    """
+    require_nonnegative("tolerance", tol)
+    check_unique_ids(curves)
+    frames = projection_frames(xis)
+    segments = _Segments(curves)
+    step = max(1, BLOCK_ROWS // segments.n)
+    return (out for lo in range(0, frames.shape[0], step)
+            for out in segments.project(frames[lo:lo + step], tol))
 
 
 def project(curves: Sequence[Curve], xi, tol: float = 1e-9) -> Diagram:
@@ -208,106 +431,10 @@ def project(curves: Sequence[Curve], xi, tol: float = 1e-9) -> Diagram:
 
     Larger depth along xi means nearer the viewer, i.e. the over strand.
     """
-    require_nonnegative("tolerance", tol)
-    check_unique_ids(curves)
-    u, v, xi = projection_frame(xi)
-    uv = np.column_stack([u, v])
-    flat = np.concatenate([c.vertices @ uv for c in curves])
-    depth = np.concatenate([c.vertices @ xi for c in curves])
-
-    # segment k of the concatenated curves runs from vertex v0[k] to v1[k]
-    closed = np.array([c.closed for c in curves])
-    n_vert = np.array([c.vertices.shape[0] for c in curves])
-    n_seg = np.where(closed, n_vert, n_vert - 1)
-    seg_curve = np.repeat(np.arange(len(curves)), n_seg)
-    seg_first = np.cumsum(n_seg) - n_seg
-    seg_index = np.arange(seg_curve.shape[0]) - seg_first[seg_curve]
-    seg_count = n_seg[seg_curve]
-    seg_closed = closed[seg_curve]
-    last = seg_index == seg_count - 1
-    v0 = (np.cumsum(n_vert) - n_vert)[seg_curve] + seg_index
-    v1 = np.where(last & seg_closed, v0 - seg_index, v0 + 1)
-    starts, ends = flat[v0], flat[v1]
-    d0, d1 = depth[v0], depth[v1]
-
-    deltas = ends - starts
-    lens = np.linalg.norm(deltas, axis=1)
-    if np.any(lens <= tol):
-        raise NonGenericDirectionError("degenerate_segment")
-
-    # consecutive segments folding straight back overlap in projection
-    k = np.flatnonzero(~last | seg_closed)
-    nxt = np.where(last[k], k - seg_index[k], k + 1)
-    d, dn = deltas[k], deltas[nxt]
-    crossz = d[:, 0] * dn[:, 1] - d[:, 1] * dn[:, 0]
-    dots = np.einsum("ij,ij->i", d, dn)
-    if np.any((np.abs(crossz) <= tol * (lens[k] * lens[nxt])) & (dots < 0)):
-        raise NonGenericDirectionError("fold_back")
-
-    pa_all, pb_all = _candidate_pairs(starts, ends, seg_curve, seg_index, seg_count,
-                                      seg_closed, tol,
-                                      _touching_terminal_pairs(curves, seg_first))
-    da, db = deltas[pa_all], deltas[pb_all]
-    denom = da[:, 0] * db[:, 1] - da[:, 1] * db[:, 0]
-    parallel = np.abs(denom) <= tol * (lens[pa_all] * lens[pb_all])
-
-    q = np.flatnonzero(~parallel)
-    a, b, da, db, denom = pa_all[q], pb_all[q], da[q], db[q], denom[q]
-    w = starts[b] - starts[a]
-    s = (w[:, 0] * db[:, 1] - w[:, 1] * db[:, 0]) / denom
-    t = (w[:, 0] * da[:, 1] - w[:, 1] * da[:, 0]) / denom
-    fa, fb = tol / lens[a], tol / lens[b]
-    inside = (0.0 <= s) & (s <= 1.0) & (0.0 <= t) & (t <= 1.0)
-    near = (-fa <= s) & (s <= 1.0 + fa) & (-fb <= t) & (t <= 1.0 + fb)
-    za = d0[a] * (1.0 - s) + d1[a] * s
-    zb = d0[b] * (1.0 - t) + d1[b] * t
-    failed = np.flatnonzero(near & (~inside | (np.abs(za - zb) <= tol)))
-
-    # the first failing pair in pair order names the error; parallel
-    # pairs before it are tested one by one
-    stop = q[failed[0]] if failed.shape[0] else parallel.shape[0]
-    for p in np.flatnonzero(parallel[:stop]).tolist():
-        pa, pb = starts[pa_all[p]], starts[pb_all[p]]
-        if _segments_too_close(pa.tolist(), (pa + deltas[pa_all[p]]).tolist(),
-                               pb.tolist(), (pb + deltas[pb_all[p]]).tolist(), tol):
-            raise NonGenericDirectionError("tangency")
-    if failed.shape[0]:
-        if not inside[failed[0]]:
-            raise NonGenericDirectionError("crossing_near_vertex")
-        raise NonGenericDirectionError("depth_coincidence")
-
-    a, b, s, t, za, zb, denom = (x[near] for x in (a, b, s, t, za, zb, denom))
-    pts = starts[a] + s[:, None] * deltas[a]
-    n_cross = pts.shape[0]
-    if n_cross:
-        # crossings closer than tol to each other or to a vertex, found
-        # by an x-sweep with a 2 tol window
-        both = np.concatenate([pts, flat])
-        i, j = _overlaps(both[:, 0] - tol, both[:, 0] + tol)
-        dx = both[i, 0] - both[j, 0]
-        dy = both[i, 1] - both[j, 1]
-        close = np.sqrt(dx * dx + dy * dy) <= tol
-        if np.any(close & (i < n_cross) & (j < n_cross)):
-            raise NonGenericDirectionError("crossing_separation")
-        if np.any(close & ((i < n_cross) != (j < n_cross))):
-            raise NonGenericDirectionError("crossing_near_vertex")
-
-    # names follow the sorted (curve, segment, parameter) slots of each crossing
-    a_over = za > zb
-    rank = np.empty(n_cross, dtype=np.int64)
-    rank[np.lexsort((t, b, s, a))] = np.arange(n_cross)
-    names = [f"c{r}" for r in rank.tolist()]
-    # cross(over, under) is denom when a is over and -denom otherwise
-    signs = dict(zip(names, np.where(a_over == (denom > 0), 1, -1).tolist()))
-
-    seg = np.concatenate([a, b])
-    order = np.lexsort((np.concatenate([s, t]), seg))
-    over = np.concatenate([a_over, ~a_over])[order].tolist()
-    passages: List[List[Tuple[str, str]]] = [[] for _ in curves]
-    for e, ci, o in zip(order.tolist(), seg_curve[seg[order]].tolist(), over):
-        passages[ci].append((names[e % n_cross], "o" if o else "u"))
-    comps = [Component(c.id, c.closed, tuple(p)) for c, p in zip(curves, passages)]
-    return Diagram(comps, signs)
+    out = next(project_many(curves, [xi], tol))
+    if isinstance(out, NonGenericDirectionError):
+        raise out
+    return out
 
 
 def _segments_too_close(a0, a1, b0, b1, tol: float) -> bool:

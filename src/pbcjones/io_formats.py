@@ -43,10 +43,12 @@ def _vec3_list(obj, where: str) -> List[List[float]]:
     out = []
     for i, p in enumerate(obj):
         _expect(isinstance(p, list) and len(p) == 3, f"{where}[{i}]", "expected [x, y, z]")
+        _expect(all(isinstance(c, (int, float)) and not isinstance(c, bool) for c in p),
+                f"{where}[{i}]", "non-numeric coordinate")
         try:
             out.append([float(c) for c in p])
-        except (TypeError, ValueError):
-            raise PbcJonesError(f"{where}[{i}]: non-numeric coordinate") from None
+        except OverflowError:
+            raise PbcJonesError(f"{where}[{i}]: coordinate out of range") from None
     return out
 
 
@@ -240,6 +242,7 @@ def _read_lammps_dump(path: str) -> List[TrajectoryFrame]:
     scaled = False
     pending_bounds: List[List[float]] = []
     declared: Optional[int] = None
+    lineno = 0
 
     def close(lineno: int) -> None:
         nonlocal timestep, bounds, rows
@@ -302,7 +305,11 @@ def _read_lammps_dump(path: str) -> List[TrajectoryFrame]:
                 if len(parts) != 2:
                     raise PbcJonesError(
                         f"{where}: expected 'lo hi' box bounds, got {line!r}")
-                pending_bounds.append([_number(t, float, where, "box bound") for t in parts])
+                lo, hi = (_number(t, float, where, "box bound") for t in parts)
+                if not lo < hi:
+                    raise PbcJonesError(
+                        f"{where}: box bounds {line!r} are not 'lo hi' with lo < hi")
+                pending_bounds.append([lo, hi])
                 if len(pending_bounds) == 3:
                     bounds = np.array(pending_bounds, dtype=float)
                     section = None
@@ -320,7 +327,7 @@ def _read_lammps_dump(path: str) -> List[TrajectoryFrame]:
                         raise PbcJonesError(f"{where}: scaled coordinates overflow")
                 rows.append((_number(parts[i_id], int, where, "atom id"),
                              _number(parts[i_mol], int, where, "molecule id"), coords))
-    close(-1)
+    close(lineno)
     if not frames:
         raise PbcJonesError(f"{path}: no frames found")
     frames.sort(key=lambda f: f.timestep)
@@ -355,6 +362,8 @@ def _read_xyz_mol(path: str) -> List[TrajectoryFrame]:
         bounds = np.array(nums[:6], dtype=float).reshape(3, 2)
         if not np.all(np.isfinite(bounds)):
             raise PbcJonesError(f"{path}:{i + 2}: box bounds must be finite")
+        if not np.all(bounds[:, 0] < bounds[:, 1]):
+            raise PbcJonesError(f"{path}:{i + 2}: box bounds must be 'lo hi' pairs with lo < hi")
         rows: List[Tuple[int, int, List[float]]] = []
         for k in range(count):
             ln = i + 2 + k

@@ -7,6 +7,13 @@ over a deterministic direction sample; the average of exact integer
 polynomials is formed with rational arithmetic and converted to float
 once at the end, so results do not depend on worker count or summation
 order.
+
+Each worker's chunk of directions is projected with one
+``project_many`` call.  A direction that fails a genericity check there
+goes through the same nudges as a single-direction projection, starting
+at the first perturbed direction, so its retry count does not depend on
+how the directions were projected.  ``_direction_term`` then solves one
+direction from its diagram.
 """
 
 from __future__ import annotations
@@ -21,7 +28,8 @@ import numpy as np
 from .bracket import DEFAULT_CROSSING_CAP, bracket, writhe_prefactor
 from .errors import (NonGenericDirectionError, PbcJonesError, StateSumTooLargeError,
                      require_nonnegative)
-from .geometry import Curve, perturbed_direction, project, sample_directions
+from .geometry import (Curve, perturbed_direction, project, project_many,
+                       sample_directions)
 from .laurent import EXACT, LaurentPoly
 
 GENERICITY_RETRIES = 100  # direction nudges before a projection counts as non-generic
@@ -74,14 +82,18 @@ class JonesResult:
         return obj
 
 
-def project_generic(curves: Sequence[Curve], xi, tol: float, retries: int):
+def project_generic(curves: Sequence[Curve], xi, tol: float, retries: int, first=None):
     """Project along xi, nudging the direction until generic.
 
-    Returns (diagram, direction_used, retries_needed).
+    ``first`` is the outcome of projecting along xi itself when the
+    caller already has it: a Diagram, or the NonGenericDirectionError that
+    starts the nudges.  Returns (diagram, direction_used, retries_needed).
     """
     xi0 = np.asarray(xi, dtype=float)
-    last: Optional[NonGenericDirectionError] = None
-    for attempt in range(retries + 1):
+    last = first if isinstance(first, NonGenericDirectionError) else None
+    if first is not None and last is None:
+        return first, xi0, 0
+    for attempt in range(0 if last is None else 1, retries + 1):
         cand = xi0 if attempt == 0 else perturbed_direction(xi0, attempt)
         try:
             return project(curves, cand, tol), cand, attempt
@@ -90,13 +102,15 @@ def project_generic(curves: Sequence[Curve], xi, tol: float, retries: int):
     raise last
 
 
-def _direction_term(curves, xi, cfg: SamplingConfig, memo=None):
+def _direction_term(curves, xi, cfg: SamplingConfig, memo=None, first=None):
     """Exact Jones polynomial for one direction.
 
-    ``memo`` is the bracket memo of the calling chunk.  Returns (poly or
-    None when capped and skipping, retries, crossings, states_expanded).
+    ``memo`` is the bracket memo of the calling chunk and ``first`` the
+    outcome of projecting along xi, as for ``project_generic``.  Returns
+    (poly or None when capped and skipping, retries, crossings,
+    states_expanded).
     """
-    diagram, _, tries = project_generic(curves, xi, cfg.tolerance, GENERICITY_RETRIES)
+    diagram, _, tries = project_generic(curves, xi, cfg.tolerance, GENERICITY_RETRIES, first)
     n_cross = len(diagram.crossings)
     try:
         res = bracket(diagram, cfg.crossing_cap, memo=memo)
@@ -123,8 +137,10 @@ def _chunk_sum(args) -> Tuple[Dict[int, int], int, int, int, int]:
     total: Dict[int, int] = {}
     used = retries = max_cross = expanded = 0
     memo: dict = {}  # nearby directions often give the same diagram
-    for xi in dirs:
-        poly, tries, n_cross, st = _direction_term(curves, xi, cfg, memo)
+    # the whole chunk is projected in array passes; only the directions
+    # that fail a genericity check project again, nudged, one at a time
+    for xi, first in zip(dirs, project_many(curves, dirs, cfg.tolerance)):
+        poly, tries, n_cross, st = _direction_term(curves, xi, cfg, memo, first)
         retries += tries
         max_cross = max(max_cross, n_cross)
         if poly is None:

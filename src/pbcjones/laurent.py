@@ -131,6 +131,8 @@ class LaurentPoly:
     def __mul__(self, other):
         if isinstance(other, LaurentPoly):
             mode = self._join_mode(other)
+            if mode == EXACT and (len(self._c) == 1 or len(other._c) == 1):
+                return self._shifted(other) if len(other._c) == 1 else other._shifted(self)
             c: Dict[int, Coeff] = {}
             for e1, v1 in self._c.items():
                 for e2, v2 in other._c.items():
@@ -143,6 +145,20 @@ class LaurentPoly:
         return NotImplemented
 
     __rmul__ = __mul__
+
+    def _shifted(self, monomial: "LaurentPoly") -> "LaurentPoly":
+        """Exact product with a one-term polynomial: shift exponents, scale coefficients.
+
+        Products of nonzero exact coefficients are nonzero, and int
+        products need no normalizing; Fraction products go through the
+        constructor, which turns whole ones into ints.
+        """
+        (e0, v0), = monomial._c.items()
+        c = {e + e0: v * v0 for e, v in self._c.items()}
+        out = LaurentPoly.__new__(LaurentPoly)
+        out.mode = EXACT
+        out._c = c if all(type(v) is int for v in c.values()) else LaurentPoly(c)._c
+        return out
 
     def __pow__(self, n: int) -> "LaurentPoly":
         if not isinstance(n, int) or n < 0:
@@ -207,7 +223,7 @@ class LaurentPoly:
         try:
             return cls({int(k): Fraction(v) if isinstance(v, str) else v
                         for k, v in coeffs.items()}, obj.get("mode", EXACT))
-        except (TypeError, ValueError, ZeroDivisionError) as exc:
+        except (TypeError, ValueError, ZeroDivisionError, OverflowError) as exc:
             raise PbcJonesError(f"not a polynomial: {exc}") from None
 
     # -- display --------------------------------------------------------

@@ -49,13 +49,17 @@ class Cell:
     def __init__(self, basis, periodic: Sequence[bool], origin=(0.0, 0.0, 0.0)):
         try:
             b = np.asarray(basis, dtype=float)
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, OverflowError):
             raise PbcJonesError("cell basis must be a 3x3 matrix of numbers") from None
         if b.shape != (3, 3):
             raise PbcJonesError("cell basis must be a 3x3 matrix (rows are cell vectors)")
         if not np.all(np.isfinite(b)):
             raise PbcJonesError("cell basis must be finite")
-        if abs(np.linalg.det(b)) < 1e-12:
+        with np.errstate(over="ignore", invalid="ignore"):
+            det = np.linalg.det(b)
+        if not np.isfinite(det):
+            raise PbcJonesError("cell basis is too large: its volume overflows")
+        if abs(det) < 1e-12:
             raise PbcJonesError("cell basis is singular")
         if len(periodic) != 3:
             raise PbcJonesError("periodic flags must have length 3")
@@ -63,7 +67,7 @@ class Cell:
         self.periodic = tuple(bool(p) for p in periodic)
         try:
             self.origin = np.asarray(origin, dtype=float)
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, OverflowError):
             raise PbcJonesError("cell origin must be 3 finite coordinates") from None
         if self.origin.shape != (3,) or not np.all(np.isfinite(self.origin)):
             raise PbcJonesError("cell origin must be 3 finite coordinates")
@@ -108,6 +112,9 @@ class GeneratingChain:
             arrs.append(a)
         if not arrs:
             raise PbcJonesError(f"chain {id!r}: needs at least one arc")
+        if not (len(basepoint) == 2 and all(isinstance(i, (int, np.integer))
+                                            and not isinstance(i, bool) for i in basepoint)):
+            raise PbcJonesError(f"chain {id!r}: basepoint must be two integers [arc, vertex]")
         ai, vi = (int(basepoint[0]), int(basepoint[1]))
         if not 0 <= ai < len(arrs):
             raise PbcJonesError(f"chain {id!r}: basepoint arc out of range")
@@ -132,7 +139,10 @@ class PBCSystem:
             raise PbcJonesError("chain ids must be unique")
         for chain in chains:
             for k, arc in enumerate(chain.arcs):
-                frac = cell.to_fractional(arc)
+                # coordinates far outside the cell may overflow to inf or nan,
+                # which fails the reach test below
+                with np.errstate(over="ignore", invalid="ignore"):
+                    frac = cell.to_fractional(arc)
                 if not np.all((frac >= -ARC_REACH) & (frac <= 1 + ARC_REACH)):
                     raise PbcJonesError(f"chain {chain.id!r}: arc {k} reaches more than "
                                         f"{ARC_REACH} cells beyond the cell")

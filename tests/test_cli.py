@@ -9,6 +9,7 @@ import pytest
 from pbcjones.cli import main
 from pbcjones.fixtures import (chainmail_system, hopf_link, melt_dump_text,
                                open_trefoil)
+from pbcjones.geometry import Curve
 from pbcjones.io_formats import write_curves, write_system
 from pbcjones.laurent import LaurentPoly, d_power
 
@@ -69,6 +70,21 @@ class TestJones:
         assert capsys.readouterr().out == ""
         obj = json.loads(dest.read_text())
         assert obj["kind"] == "jones"
+
+    def test_worker_count_changes_nothing_with_retried_directions(self, tmp_path, capsys):
+        # a planar zigzag seen edge-on along the sample's one horizontal
+        # direction (index 4 of 9) must be nudged before it projects
+        path = tmp_path / "flat.json"
+        zigzag = [[9, 0, 0], [10, 1, 0], [11, 0, 0], [12, 1, 0], [13, 0, 0]]
+        write_curves(str(path), [Curve("z", zigzag, False), open_trefoil(0.3)])
+        reports = []
+        for workers in ("1", "2"):
+            obj = run_json(capsys, ["jones", str(path), "--directions", "9",
+                                    "--workers", workers])
+            reports.append((obj["results"], {k: v for k, v in obj["parameters"].items()
+                                             if k != "workers"}))
+        assert reports[0] == reports[1]
+        assert reports[0][0]["retries"] >= 1
 
     def test_runs_are_reproducible(self, tmp_path, capsys):
         path = tmp_path / "open.json"
@@ -373,9 +389,19 @@ class TestMalformedInput:
         ("xyz-mol", "2\n0 10 0 10 0 10\n1 a 1 1\n1 2 1 1\n", "t:3: bad coordinate 'a'"),
         ("xyz-mol", "2\n0 10 0 10 0 10\nx 1 1 1\n1 2 1 1\n", "t:3: bad molecule id 'x'"),
         ("xyz-mol", "2\n0 nan 0 10 0 10\n1 1 1 1\n1 2 1 1\n", "t:2: box bounds must be finite"),
+        # the last frame is closed at the last line read
+        ("lammps-dump", MELT.replace("ATOMS\n98", "ATOMS\n97"),
+         f"t:{len(MELT.splitlines())}: frame 0 declares 97 atoms, found 98"),
+        ("lammps-dump", MELT.replace("0.0 12.0", "12.0 0.0", 1),
+         "t:6: box bounds '12.0 0.0' are not 'lo hi' with lo < hi"),
+        ("lammps-dump", MELT.replace("0.0 12.0", "3.0 3.0", 1),
+         "t:6: box bounds '3.0 3.0' are not 'lo hi' with lo < hi"),
+        ("xyz-mol", "2\n0 10 10 0 0 10\n1 1 1 1\n1 2 1 1\n",
+         "t:2: box bounds must be 'lo hi' pairs with lo < hi"),
     ], ids=["timestep", "atom-count", "box-bound", "box-inf", "coordinate", "coordinate-nan",
             "atom-id-overflow", "step-overflow", "scaled-before-box", "xyz-coordinate",
-            "xyz-molecule", "xyz-box-nan"])
+            "xyz-molecule", "xyz-box-nan", "last-frame-line", "inverted-box", "empty-box",
+            "xyz-inverted-box"])
     def test_malformed_trajectory(self, fmt, text, message, tmp_path, capsys, monkeypatch):
         monkeypatch.chdir(tmp_path)
         with open("t", "w", encoding="utf-8") as fh:
@@ -410,3 +436,22 @@ class TestMalformedInput:
         with open(chainmail_file, "w", encoding="utf-8") as fh:
             json.dump(obj, fh)
         self.assert_rejected(capsys, ["slk", chainmail_file], message)
+
+    @pytest.mark.parametrize("path, value, message", [
+        (["chains", 0, "basepoint"], ["x", 0],
+         "chains[0]: chain 'ring': basepoint must be two integers [arc, vertex]"),
+        (["chains", 0, "basepoint"], [0.5, True],
+         "chains[0]: chain 'ring': basepoint must be two integers [arc, vertex]"),
+        (["cell", "basis"], [[1e308, 0, 0], [0, 1e308, 0], [0, 0, 1e308]],
+         "cell: cell basis is too large: its volume overflows"),
+    ])
+    def test_malformed_system_rejected(self, path, value, message, chainmail_file, capsys):
+        with open(chainmail_file, encoding="utf-8") as fh:
+            obj = json.load(fh)
+        node = obj
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+        with open(chainmail_file, "w", encoding="utf-8") as fh:
+            json.dump(obj, fh)
+        self.assert_rejected(capsys, ["periodic-jones", chainmail_file], message)

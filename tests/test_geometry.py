@@ -7,9 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import brute_segment_crossings, gauss_linking
 
+from pbcjones import geometry
 from pbcjones.errors import NonGenericDirectionError, PbcJonesError
-from pbcjones.fixtures import hopf_link, trefoil, unlinked_circles
-from pbcjones.geometry import (Curve, is_generic, perturbed_direction, project,
+from pbcjones.fixtures import hopf_link, open_trefoil, trefoil, unlinked_circles
+from pbcjones.geometry import (Curve, is_generic, perturbed_direction, project, project_many,
                                projection_frame, rotate_about, sample_directions)
 from pbcjones.jones3d import project_generic
 
@@ -70,6 +71,11 @@ class TestCurve:
     def test_repeated_vertex_rejected(self):
         with pytest.raises(PbcJonesError, match="repeated"):
             Curve("c", [[0, 0, 0], [0, 0, 0], [1, 0, 0]], False)
+
+    @pytest.mark.parametrize("closed", [False, True])
+    def test_overflowing_segment_rejected(self, closed):
+        with pytest.raises(PbcJonesError, match="segment lengths overflow"):
+            Curve("c", [[1e308, 0, 0], [1, 1, 0], [-1e308, 0, 0]][:3 if closed else 2], closed)
 
     def test_closed_must_not_repeat_first(self):
         with pytest.raises(PbcJonesError, match="repeat the first"):
@@ -356,3 +362,113 @@ class TestSweepKernel:
         dense = len(diagram.crossings) * walk.vertices.shape[0] * 2 * 8
         assert len(diagram.crossings) > 1000
         assert peak < dense / 20
+
+
+def outcome(result):
+    """A projection result as plain data: the failed check, or the diagram's parts."""
+    if isinstance(result, NonGenericDirectionError):
+        return result.feature
+    return result.components, list(result.crossings.items())
+
+
+def projected_alone(curves, xi):
+    try:
+        return outcome(project(curves, xi))
+    except NonGenericDirectionError as err:
+        return err.feature
+
+
+class TestBatchedKernel:
+    """project_many against one-direction calls, the brute scan and its block size."""
+
+    AXES = [np.array(v, dtype=float) / np.linalg.norm(v)
+            for v in ([1, 0, 0], [0, -1, 0], [0, 0, 1], [1, 1, 0], [1, -1, 1])]
+    direction = st.one_of(
+        st.integers(0, 2**32 - 1).map(lambda s: sample_directions(1, "random", s)[0]),
+        st.sampled_from(AXES),
+        st.tuples(st.sampled_from(AXES), st.integers(1, 30)).map(
+            lambda a: perturbed_direction(*a)))
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.lists(TestSweepKernel.component, min_size=1, max_size=4),
+           st.lists(direction, min_size=1, max_size=12))
+    def test_batch_matches_single_calls_and_brute_scan(self, seed, specs, dirs):
+        rng = np.random.default_rng(seed)
+        curves = [Curve(f"k{i}", rng.normal(size=(n, 3)), closed)
+                  for i, (n, closed) in enumerate(specs)]
+        batch = list(project_many(curves, dirs))
+        assert [outcome(r) for r in batch] == [projected_alone(curves, xi) for xi in dirs]
+        for xi, diagram in zip(dirs, batch):
+            if isinstance(diagram, NonGenericDirectionError):
+                continue
+            flat, segs, _ = flatten(curves, xi)
+            assert len(diagram.crossings) == len(brute_segment_crossings(flat, segs))
+            assert diagram.writhe == brute_writhe(curves, xi)
+
+    # one layout per check, each turned so that it fails along its own view;
+    # the depth layout's strands pass 9e-10 apart instead of meeting, so
+    # only views near its own axis see equal depths
+    LAYOUTS = dict(
+        TestSweepKernel.FAILING,
+        depth_coincidence=[[[-1, 0, 0], [1, 0, 0]], [[0, -1, 9e-10], [0, 1, 9e-10]]],
+        degenerate_segment=[[[30, 0, 0], [30, 0, 1], [31, 1, 1]]],
+        fold_back=[[[40, 0, 0], [41, 0, 1], [40.5, 0, 2]]],
+        crossing_separation=[[[50, 0, 0], [52, 0, 0]], [[51, -1, 1], [51, 1, 1]],
+                             [[50, -1, 2], [52, 1, 2]]],
+    )
+    VIEWS = {"depth_coincidence": [0.1, 0.2, 1], "tangency": [1, 0.3, 0.2],
+             "crossing_near_vertex": [0.2, 1, -0.3], "degenerate_segment": [-0.6, 0.5, 0.6],
+             "fold_back": [0.5, -0.7, 0.5], "crossing_separation": [0.8, -0.1, -0.4]}
+    GENERIC = [[0.3, -0.9, 0.1], [-0.7, -0.2, 0.4], [0.6, 0.6, -0.2]]
+
+    def layout_curves(self):
+        curves = []
+        for name, strands in self.LAYOUTS.items():
+            view = np.array(self.VIEWS[name], dtype=float) / np.linalg.norm(self.VIEWS[name])
+            axis = np.cross([0.0, 0.0, 1.0], view)
+            angle = math.atan2(np.linalg.norm(axis), view[2])
+            axis /= np.linalg.norm(axis)
+            center = np.mean([p for strand in strands for p in strand], axis=0)
+            curves += [Curve(f"{name}{k}", [rotate_about(np.subtract(p, center), axis, angle)
+                                            + center for p in strand], False)
+                       for k, strand in enumerate(strands)]
+        return curves
+
+    @pytest.mark.parametrize("rows", [None, 1, 10**9], ids=["default", "one-row", "huge"])
+    def test_each_direction_names_its_own_check(self, rows, monkeypatch):
+        if rows is not None:
+            monkeypatch.setattr(geometry, "BLOCK_ROWS", rows)
+        curves = self.layout_curves()
+        names = sorted(self.VIEWS)
+        dirs = [self.GENERIC[0]] + [self.VIEWS[n] for n in names] + self.GENERIC[1:]
+        results = [outcome(r) for r in project_many(curves, dirs)]
+        assert results[1:len(names) + 1] == names
+        for xi, r in zip(self.GENERIC, results[:1] + results[len(names) + 1:]):
+            assert not isinstance(r, str) and r == projected_alone(curves, xi)
+
+    @pytest.mark.parametrize("rows", [1, 10**9])
+    def test_block_size_changes_no_result(self, rows, monkeypatch):
+        curves = [open_trefoil(0.3)] + list(hopf_link())
+        dirs = np.concatenate([sample_directions(60), self.AXES])
+        expected = [outcome(r) for r in project_many(curves, dirs)]
+        assert any(isinstance(r, str) for r in expected)
+        monkeypatch.setattr(geometry, "BLOCK_ROWS", rows)
+        assert [outcome(r) for r in project_many(curves, dirs)] == expected
+
+    def test_many_directions_project_in_small_blocks(self):
+        curves = [open_trefoil(0.3)]
+        dirs = sample_directions(2000)
+        tracemalloc.start()
+        try:
+            count = sum(1 for _ in project_many(curves, dirs))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert count == 2000
+        assert peak < 2e6
+
+    def test_arguments_are_checked_before_any_projection(self):
+        with pytest.raises(PbcJonesError, match="direction must be finite and nonzero"):
+            project_many([trefoil()], [[0, 0, 1], [0, 0, 0]])
+        with pytest.raises(PbcJonesError, match="tolerance"):
+            project_many([trefoil()], [[0, 0, 1]], -1.0)

@@ -1,5 +1,6 @@
 """File format round trips, trajectory parsing, report rendering."""
 
+import copy
 import json
 import warnings
 
@@ -69,6 +70,39 @@ class TestSystemJson:
         obj = system_to_json_obj(chainmail_system())
         obj["chains"][0]["topology"] = "sideways"
         with pytest.raises(PbcJonesError, match=r"chains\[0\]"):
+            system_from_json_obj(obj)
+
+    @pytest.mark.parametrize("basepoint", [["x", 0], [0.5, True], [0, 1.0]])
+    def test_basepoint_must_be_two_integers(self, basepoint):
+        obj = system_to_json_obj(chainmail_system())
+        obj["chains"][0]["basepoint"] = basepoint
+        with pytest.raises(PbcJonesError, match=r"^chains\[0\]: .*basepoint must be two integers"):
+            system_from_json_obj(obj)
+
+    def test_overflowing_cell_volume_is_rejected(self):
+        obj = system_to_json_obj(chainmail_system())
+        obj["cell"]["basis"] = [[1e308, 0, 0], [0, 1e308, 0], [0, 0, 1e308]]
+        with pytest.raises(PbcJonesError, match="^cell: cell basis is too large"):
+            system_from_json_obj(obj)
+
+    def test_cell_basis_beyond_float_range(self):
+        obj = system_to_json_obj(chainmail_system())
+        obj["cell"]["basis"][0][0] = 10**400
+        with pytest.raises(PbcJonesError, match="^cell: cell basis must be a 3x3 matrix of numbers"):
+            system_from_json_obj(obj)
+
+    def test_arc_overflowing_fractional_coordinates_is_out_of_reach(self):
+        obj = system_to_json_obj(chainmail_system())
+        obj["cell"]["origin"] = [-1e308, 0.0, 0.0]
+        obj["chains"][0]["arcs"][0][0][0] = 1e308
+        with pytest.raises(PbcJonesError, match="reaches more than"):
+            system_from_json_obj(obj)
+
+    @pytest.mark.parametrize("value", [True, "1.5", 10**400])
+    def test_coordinates_must_be_numbers_in_range(self, value):
+        obj = system_to_json_obj(chainmail_system())
+        obj["chains"][0]["arcs"][0][0][1] = value
+        with pytest.raises(PbcJonesError, match=r"^chains\[0\]\.arcs\[0\]\[0\]: "):
             system_from_json_obj(obj)
 
     def test_non_numeric_coordinate(self):
@@ -376,3 +410,48 @@ class TestReports:
         assert text.startswith("pbcjones slk\n")
         assert "  values:" in text
         assert "    a: True" in text
+
+
+# any JSON value, including what Python's json module reads as inf and nan,
+# with extra weight on numbers at the edges of float range
+EDGE_NUMBERS = st.sampled_from([10**400, -10**400, 2**63, 1e308, -1e308, 1e-320, 0.5])
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | EDGE_NUMBERS | st.text(max_size=5),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=8), inner,
+                                                                max_size=4),
+    max_leaves=12)
+
+
+@st.composite
+def edited(draw, base):
+    """base with up to three of its subtrees (or itself) replaced by any JSON value."""
+    obj = copy.deepcopy(base)
+    for _ in range(draw(st.integers(1, 3))):
+        parent, key, node = None, None, obj
+        for _ in range(draw(st.integers(0, 5))):
+            if not (isinstance(node, (dict, list)) and node):
+                break
+            parent = node
+            key = draw(st.sampled_from(sorted(node) if isinstance(node, dict)
+                                       else range(len(node))))
+            node = node[key]
+        if parent is None:
+            obj = draw(JSON_VALUES)
+        else:
+            parent[key] = draw(JSON_VALUES)
+    return obj
+
+
+SYSTEM_OBJ = system_to_json_obj(chainmail_system())
+CURVES_OBJ = curves_to_json_obj([trefoil(6)])
+POLY_OBJ = LaurentPoly({-2: -1, 3: 2}).to_json_obj()
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(JSON_VALUES, edited(SYSTEM_OBJ), edited(CURVES_OBJ), edited(POLY_OBJ)))
+def test_json_readers_return_or_raise_pbcjones_error(obj):
+    for reader in (system_from_json_obj, curves_from_json_obj, LaurentPoly.from_json_obj):
+        try:
+            reader(obj)
+        except PbcJonesError:
+            pass

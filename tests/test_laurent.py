@@ -5,9 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pbcjones.errors import PbcJonesError
 from pbcjones.laurent import (LaurentPoly, d_poly, d_power, divide_by_d_power)
 
 coeffs = st.dictionaries(st.integers(-12, 12), st.integers(-9, 9), max_size=6)
+exact = st.one_of(st.integers(-9, 9), st.fractions(min_value=-4, max_value=4, max_denominator=6))
 
 
 def poly(c):
@@ -69,6 +71,22 @@ class TestArithmetic:
         assert p.coefficient(0) == 2
         assert isinstance(p.coefficient(0), int)
 
+    @given(st.dictionaries(st.integers(-12, 12), exact, max_size=6), st.integers(-12, 12),
+           exact.filter(bool), st.booleans(), st.booleans())
+    def test_monomial_product_matches_the_general_path(self, c, e0, v0, left, as_float):
+        p, m = LaurentPoly(c), LaurentPoly({e0: v0}, "float" if as_float else "exact")
+        # the general path: every pair of terms, then normalization
+        a, b = (m, p) if left else (p, m)
+        terms = {}
+        for e1, v1 in a.terms():
+            for e2, v2 in b.terms():
+                terms[e1 + e2] = terms.get(e1 + e2, 0) + v1 * v2
+        reference = LaurentPoly(terms, m.mode)
+        got = a * b
+        assert got == reference and got.mode == reference.mode
+        assert [type(v) for _, v in got.terms()] == [type(v) for _, v in reference.terms()]
+        assert got.to_json_obj() == reference.to_json_obj()
+
     def test_mode_promotion(self):
         e = poly({1: 1})
         f = e.to_float()
@@ -97,6 +115,10 @@ class TestFormatting:
         p = poly({0: 1, 2: -3}).to_float()
         q = LaurentPoly.from_json_obj(p.to_json_obj())
         assert p == q and q.mode == "float"
+
+    def test_json_coefficient_beyond_float_range(self):
+        with pytest.raises(PbcJonesError, match="not a polynomial"):
+            LaurentPoly.from_json_obj({"mode": "float", "coeffs": {"1": 10**400}})
 
 
 class TestLoopValue:

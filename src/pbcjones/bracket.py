@@ -5,10 +5,21 @@ crossings are resolved one at a time in a fixed order, and partial states
 that induce the same pairing of still-unresolved crossing ports are
 merged by adding their polynomials.  Loop closures multiply by the loop
 value -A^2 - A^-2; open strands count through their virtual head-tail
-closures, which the terminal graph has already folded in.  A state's key
-is the tuple of partner ports, one per live port in ascending order, so a
-smoothing rewrites it by position: two slot writes per bond, then one
-itemgetter that drops the resolved crossing's four slots.
+closures, which the terminal graph has already folded in.
+
+A state is keyed by its frontier alone.  The frontier ports are the
+unsolved ports whose strand partner lies in a solved crossing, in
+ascending port order; a state's key holds the port that each of them is
+paired with through the solved crossings.  Every other unsolved port is
+still paired with its static ``strand`` partner in every state, so it
+needs no entry.  A step builds its working list as the key, then the
+solved crossing's ports off the frontier and the ports that the cut
+gains, both at their static partners; two writes per bond smooth it, and
+one itemgetter takes the next frontier.  The key is as long as the cut,
+so ``peak_frontier`` is the peak cut of the order.  Keying by every live
+port instead, four per unsolved crossing, gives the same states in the
+same order, but copies 6.7 times as many entries per jersey pass of the
+benchmark and 7.8 times as many per melt pass.
 
 Each state yields two successor keys per crossing, and each is either a
 new state (counted in ``states_expanded``) or a merge into one already
@@ -22,31 +33,36 @@ into the solved set, ties to the lowest index, starting at crossing 0; a
 heap with lazy deletion makes it O(n log n).  The same pass tracks the
 cut, the strand edges between solved and unsolved crossings after each
 step, and predicts the order's work as ``(peak cut, sum of 2^(cut/2))``.
-When the greedy sum exceeds ``SEARCH_WORK``, the greedy runs again from
-every start crossing, once with its own tie-break and once taking the
-smallest change in the cut first, and the order with the least predicted
-work wins.  The greedy order is the first candidate, so the search never
-picks an order predicted to be worse.  The constant keeps the search off
-diagrams where it cannot pay: searching every diagram costs about 0.9 s
-of order search per melt pass of the benchmark to save 0.08 s of DP,
-and the greedy work peaks at 438 on melt, 147 on chainmail and 51 on the
-open trefoil.  On jersey the 13 diagrams above 300 hold 44,068 of the
-46,544 states of a pass; the search runs on the 7 above 512 and brings
-the pass to 22,262 states.
+No order of a connected diagram does less than 2n - 1, a cut of 2 at
+every step but the last, so the excess of the greedy sum over 2n - 1
+bounds what any order can save.  When that excess exceeds
+``SEARCH_WORK``, the greedy runs again from every start crossing, once
+with its own tie-break and once taking the smallest change in the cut
+first, and the order with the least predicted work wins.  The greedy
+order is the first candidate, so the search never picks an order
+predicted to be worse.  The constant keeps the search off diagrams where
+it cannot pay: searching every diagram costs about 1.1 s of order search
+per melt pass of the benchmark and saves no DP time, and the greedy
+excess peaks at 341 on melt, 32 on chainmail and 34 on the open trefoil.
+On jersey the search runs on 7 of the 27 distinct diagrams of a pass
+(the least excess is 630) and brings the pass from 46,544 states to
+22,262.  A chainmail cutoff of N >= 2 copies along the tests' coherent
+direction has about 12N crossings and a greedy order of peak cut 4 and
+excess 6N + 2, so it is not searched up to N = 85; at N = 64 the search
+would cost more than twice as much as the DP.
 
 A caller that solves many diagrams can pass ``bracket`` a memo dict.  Its
 key is the complete input of the state sum: ``tg.strand`` of the terminal
 graph as it stands (a tuple holding one partner port per global port),
 the crossing signs in crossing-index order, and the count of free loops.
 The crossing order, searched or not, reads only the strand matching, so
-it, the polynomial and ``states_expanded`` are functions of that key
-alone, and a hit returns the stored ``BracketResult`` exact down to the
-counters.
+it, the polynomial and the counters are functions of that key alone, and
+a hit returns the stored ``BracketResult`` exact down to the counters.
 Diagrams that differ only in component ids, or in crossing names that
 sort alike, share an entry.  The caller owns the memo and
 keeps it for one call (one direction chunk, one cutoff check): there is
 no cache across calls.  Past ``MEMO_LIMIT`` entries a memo stops storing,
-which holds it near 8 MB on 25-crossing diagrams.
+which holds it near 10 MB on 25-crossing diagrams.
 """
 
 from __future__ import annotations
@@ -61,10 +77,14 @@ from .errors import StateSumTooLargeError
 from .laurent import LaurentPoly
 
 DEFAULT_CROSSING_CAP = 48
-# entries past which a bracket memo stops storing (about 2 KB each at 25 crossings)
+# entries past which a bracket memo stops storing (about 2.3 KB each at 25 crossings)
 MEMO_LIMIT = 4096
-# predicted work (sum of 2^(cut/2)) above which the crossing order is searched
+# excess of the greedy's predicted work (sum of 2^(cut/2)) over 2n - 1 above which
+# the crossing order is searched
 SEARCH_WORK = 512
+# (power of A, port joins) of the A- and B-smoothing of a crossing of each sign
+_SMOOTHINGS = {sign: ((1, smoothing_joins(sign, "A")), (-1, smoothing_joins(sign, "B")))
+               for sign in (1, -1)}
 
 MemoKey = Tuple[Tuple[int, ...], Tuple[int, ...], int]
 
@@ -73,6 +93,7 @@ MemoKey = Tuple[Tuple[int, ...], Tuple[int, ...], int]
 class BracketResult:
     poly: LaurentPoly
     states_expanded: int
+    peak_frontier: int  # ports in the longest state key, the peak cut of the order
 
     @property
     def cache_hits(self) -> int:
@@ -154,8 +175,8 @@ def _greedy_order(nbrs: List[Dict[int, int]], deg: List[int], start: int, min_de
 def _crossing_order(n: int, strand: Tuple[int, ...]) -> List[int]:
     """Order of ``n >= 1`` crossings: the greedy from crossing 0, searched
     over start crossings and tie-breaks when its predicted work exceeds
-    ``SEARCH_WORK`` (see the module docstring).  Only a strictly smaller
-    ``(peak, sum)`` replaces the greedy order.
+    2n - 1 by more than ``SEARCH_WORK`` (see the module docstring).  Only a
+    strictly smaller ``(peak, sum)`` replaces the greedy order.
     """
     nbrs: List[Dict[int, int]] = [dict() for _ in range(n)]
     for p, q in enumerate(strand):
@@ -164,7 +185,8 @@ def _crossing_order(n: int, strand: Tuple[int, ...]) -> List[int]:
             nbrs[a][b] = nbrs[a].get(b, 0) + 1
     deg = [sum(d.values()) for d in nbrs]
     order, work = _greedy_order(nbrs, deg, 0, False, None)
-    if work[1] <= SEARCH_WORK:
+    # a search can save at most the excess over 2n - 1
+    if work[1] - (2 * n - 1) <= SEARCH_WORK:
         return order
     for start in range(n):
         for min_delta in (False, True):
@@ -183,8 +205,8 @@ def bracket(diagram: Diagram, crossing_cap: int = DEFAULT_CROSSING_CAP,
 
     if n == 0:
         if tg.free_loops == 0:
-            return BracketResult(LaurentPoly.one(), 1)
-        return BracketResult(LaurentPoly(_mul_d({0: 1}, tg.free_loops - 1)), 1)
+            return BracketResult(LaurentPoly.one(), 1, 0)
+        return BracketResult(LaurentPoly(_mul_d({0: 1}, tg.free_loops - 1)), 1, 0)
 
     key = (tg.strand, tuple(diagram.crossings[c] for c in tg.crossing_ids), tg.free_loops)
     if memo is None:
@@ -202,26 +224,34 @@ def _state_sum(strand: Tuple[int, ...], signs: Tuple[int, ...], free_loops: int)
     n = len(signs)
     order = _crossing_order(n, strand)
 
-    live: List[int] = list(range(4 * n))
-    states: Dict[Tuple[int, ...], Dict[int, int]] = {strand: {0: 1}}
+    solved = [False] * n
+    at = [0] * (4 * n)  # index of a port in the step's working list, for its ports only
+    frontier: List[int] = []
+    states: Dict[Tuple[int, ...], Dict[int, int]] = {(): {0: 1}}
     states_expanded = 1
+    peak = 0
 
     for ci in order:
-        sign = signs[ci]
         base = 4 * ci
-        pos = {p: i for i, p in enumerate(live)}
-        choices = []
-        for kind, shift in (("A", 1), ("B", -1)):
-            joins = smoothing_joins(sign, kind)
-            choices.append((shift, tuple((pos[base + x], pos[base + y], base + y)
-                                         for x, y in joins)))
-        keep = [i for i, p in enumerate(live) if p // 4 != ci]
-        # itemgetter needs an index; the last crossing leaves no live port
-        take = operator.itemgetter(*keep) if keep else (lambda m: ())
+        # the working list: the frontier, then the crossing's ports off it and
+        # the ports the cut gains, both at their static strand partners
+        off = [p for p in range(base, base + 4) if not solved[strand[p] // 4]]
+        gained = [strand[p] for p in off if strand[p] // 4 != ci]
+        extra = off + gained
+        ext = tuple(strand[p] for p in extra)
+        for i, p in enumerate(frontier + extra):
+            at[p] = i
+        choices = [(shift, tuple((at[base + x], at[base + y], base + y) for x, y in joins))
+                   for shift, joins in _SMOOTHINGS[signs[ci]]]
+        solved[ci] = True
+        frontier = sorted([p for p in frontier if p // 4 != ci] + gained)
+        peak = max(peak, len(frontier))
+        # itemgetter needs an index; the last crossing leaves an empty frontier
+        take = operator.itemgetter(*[at[p] for p in frontier]) if frontier else (lambda m: ())
         nxt: Dict[Tuple[int, ...], Dict[int, int]] = {}
         for key, poly in states.items():
             for shift, bonds in choices:
-                m = list(key)
+                m = [*key, *ext]
                 loops = 0
                 for ix, iy, y in bonds:
                     px = m[ix]
@@ -229,8 +259,8 @@ def _state_sum(strand: Tuple[int, ...], signs: Tuple[int, ...], free_loops: int)
                         loops += 1
                     else:
                         py = m[iy]
-                        m[pos[px]] = py
-                        m[pos[py]] = px
+                        m[at[px]] = py
+                        m[at[py]] = px
                 contrib = {e + shift: c for e, c in poly.items()}
                 if loops:
                     contrib = _mul_d(contrib, loops)
@@ -247,14 +277,13 @@ def _state_sum(strand: Tuple[int, ...], signs: Tuple[int, ...], free_loops: int)
                         else:
                             del slot[e]
         states = nxt
-        live = [live[i] for i in keep]
 
     total = states.get((), {})
     if free_loops:
         total = _mul_d(total, free_loops - 1)
     else:
         total = _div_d(total)
-    return BracketResult(LaurentPoly(total), states_expanded)
+    return BracketResult(LaurentPoly(total), states_expanded, peak)
 
 
 def writhe_prefactor(writhe: int) -> LaurentPoly:

@@ -78,6 +78,18 @@ class Diagram:
         self.crossings: Dict[str, int] = dict(crossings)
         self._validate()
 
+    @classmethod
+    def trusted(cls, components: Sequence[Component],
+                crossings: Mapping[str, int]) -> "Diagram":
+        """A diagram its builder makes valid by construction, not checked again.
+
+        Input read from files or given by users goes through ``Diagram(...)``.
+        """
+        self = cls.__new__(cls)
+        self.components = tuple(components)
+        self.crossings = dict(crossings)
+        return self
+
     def _validate(self) -> None:
         seen_ids = set()
         for comp in self.components:

@@ -379,7 +379,9 @@ class _Segments:
     def _diagrams(self, fail, live, a, b, s, t, a_over, denom, cross_row) -> list:
         """Outcome of each direction of a block from its surviving crossings.
 
-        Crossings are pairs (a, b) in pair order, grouped by row.
+        Crossings are pairs (a, b) in pair order, grouped by row.  Each is
+        passed once over and once under and ``project_many`` checked the
+        curve ids, so the diagrams skip ``Diagram`` validation.
         """
         out = [NonGenericDirectionError(CHECKS[f - 1]) if f else None for f in fail.tolist()]
         n_cross = a.shape[0]
@@ -406,7 +408,7 @@ class _Segments:
             for e, ci, o in zip(order[2 * lo:2 * hi], curve[2 * lo:2 * hi], over[2 * lo:2 * hi]):
                 passages[ci].append((names[e % n_cross], "o" if o else "u"))
             comps = [Component(c.id, c.closed, tuple(p)) for c, p in zip(self.curves, passages)]
-            out[pos] = Diagram(comps, dict(zip(names[lo:hi], signs[lo:hi])))
+            out[pos] = Diagram.trusted(comps, dict(zip(names[lo:hi], signs[lo:hi])))
         return out
 
 

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from oracles import brute_bracket
 
 from pbcjones.bracket import bracket, jones_of_diagram
+from pbcjones.cutoff import build_cutoff
 from pbcjones.diagram import Component, Diagram, terminal_graph
 from pbcjones.errors import StateSumTooLargeError
 from pbcjones.fixtures import (chainmail_system, figure_eight, hopf_link, jersey_system,
@@ -147,6 +148,10 @@ def jersey_diagram(seed):
     return project(link_curves(minimal_periodic_link(jersey_system())), seed)
 
 
+def chainmail_cutoff_diagram(copies):
+    return project(build_cutoff(chainmail_system(), copies).all_curves(), 0)
+
+
 def strand_of(d):
     tg = terminal_graph(d)
     n = len(tg.crossing_ids)
@@ -163,7 +168,8 @@ def predicted_work(strand, order):
 
 
 class TestCrossingOrder:
-    # jersey seed 23 is above SEARCH_WORK; seeds 3, 5 and 26 stay below it
+    # the greedy work of jersey seed 23 exceeds 2n - 1 by more than
+    # SEARCH_WORK; seeds 3, 5 and 26 stay within it
     @pytest.mark.parametrize("seed", [23, 3, 5, 26])
     def test_order_is_a_permutation_no_worse_than_greedy(self, seed, monkeypatch):
         n, strand = strand_of(jersey_diagram(seed))
@@ -174,7 +180,19 @@ class TestCrossingOrder:
         assert sorted(chosen) == sorted(greedy) == list(range(n))
         work = predicted_work(strand, greedy)
         assert predicted_work(strand, chosen) <= work
-        assert (chosen == greedy) == (work[1] <= limit)
+        assert (chosen == greedy) == (work[1] - (2 * n - 1) <= limit)
+
+    @pytest.mark.parametrize("make,arg", [
+        *[(jersey_diagram, seed) for seed in (23, 3, 5, 26)],
+        (chainmail_cutoff_diagram, 8),
+    ], ids=["jersey23", "jersey3", "jersey5", "jersey26", "chainmail_cutoff8"])
+    def test_peak_frontier_is_the_peak_cut_of_the_order(self, make, arg):
+        # states are keyed by frontier ports alone, so the longest key is
+        # the widest cut that the chosen order passes through
+        d = make(arg)
+        n, strand = strand_of(d)
+        peak, _ = predicted_work(strand, bracket_mod._crossing_order(n, strand))
+        assert bracket(d, crossing_cap=n).peak_frontier == peak
 
     def test_min_delta_runs_are_part_of_the_search(self):
         # a 70-crossing view of jersey: the score tie-break alone reaches
@@ -190,7 +208,7 @@ class TestCrossingOrder:
         d = jersey_diagram(5)
         n, strand = strand_of(d)
         greedy, ref = bracket_mod._crossing_order(n, strand), bracket(d, crossing_cap=64)
-        monkeypatch.setattr(bracket_mod, "SEARCH_WORK", 0)
+        monkeypatch.setattr(bracket_mod, "SEARCH_WORK", float("-inf"))
         assert bracket_mod._crossing_order(n, strand) != greedy
         assert bracket(d, crossing_cap=64).poly == ref.poly
 
@@ -202,7 +220,7 @@ class TestCrossingOrder:
         d = project(curves, seed)
         assume(1 <= len(d.crossings) <= 8)
         old = bracket_mod.SEARCH_WORK
-        bracket_mod.SEARCH_WORK = 0
+        bracket_mod.SEARCH_WORK = float("-inf")  # the excess over 2n - 1 may be <= 0
         try:
             res = bracket(d)
         finally:

@@ -7,12 +7,14 @@ copy-to-copy crossing pair has equal signs), which is where the oriented
 state is the unique disconnecting one.
 """
 
+import json
 from itertools import product
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from pbcjones.bracket import bracket
+from pbcjones.bracket import bracket, writhe_prefactor
 from pbcjones.cutoff import (_shared_states, build_cutoff, split_bracket,
                              verify_cutoff_factorization)
 from pbcjones.diagram import Diagram
@@ -25,6 +27,11 @@ from pbcjones.pbc import GeneratingChain, PBCSystem
 
 COHERENT_XI = np.array([-0.632398, -0.322856, -0.704156])
 COHERENT_XI = COHERENT_XI / np.linalg.norm(COHERENT_XI)
+
+# brackets of large cutoffs along COHERENT_XI, recorded by the DP that keyed
+# its states by every live port rather than by the frontier
+RECORDED = json.loads(Path(__file__).with_name("data")
+                      .joinpath("chainmail_cutoff_brackets.json").read_text())
 
 
 class TestBuildCutoff:
@@ -105,6 +112,27 @@ class TestCoherentDirection:
     def test_oriented_state_unique_when_signs_coherent(self):
         rep = verify_cutoff_factorization(chainmail_system(), 2, xi=COHERENT_XI)
         assert rep.disconnecting_unique_ok
+
+
+class TestLargeCutoffs:
+    """Cutoffs far past the enumeration, bracketed whole by the frontier DP.
+
+    Their greedy crossing order is close to the least possible work, so it
+    is not searched, and the DP expands about 1.25 states per crossing.
+    """
+
+    @pytest.mark.parametrize("n,states", [(32, 480), (64, 960)])
+    def test_bracket_matches_the_recorded_one(self, n, states):
+        curves = build_cutoff(chainmail_system(), n).all_curves()
+        diagram, _, _ = project_generic(curves, COHERENT_XI, 1e-9, 100)
+        recorded = RECORDED[str(n)]
+        assert len(diagram.crossings) == recorded["crossings"]
+        res = bracket(diagram, crossing_cap=len(diagram.crossings))
+        assert res.states_expanded == states
+        assert res.poly == LaurentPoly.from_json_obj(recorded["bracket"])
+        # V(A = 1) = (-2)^(c - 1) for a link of c components, summed exactly
+        jones = writhe_prefactor(diagram.writhe) * res.poly
+        assert sum(c for _, c in jones.terms()) == (-2) ** (len(curves) - 1)
 
 
 class TestObliqueDirection:

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from oracles import brute_segment_crossings, gauss_linking
 
 from pbcjones import geometry
+from pbcjones.diagram import Diagram
 from pbcjones.errors import NonGenericDirectionError, PbcJonesError
 from pbcjones.fixtures import hopf_link, open_trefoil, trefoil, unlinked_circles
 from pbcjones.geometry import (Curve, is_generic, perturbed_direction, project, project_many,
@@ -404,6 +405,18 @@ class TestBatchedKernel:
             flat, segs, _ = flatten(curves, xi)
             assert len(diagram.crossings) == len(brute_segment_crossings(flat, segs))
             assert diagram.writhe == brute_writhe(curves, xi)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.lists(TestSweepKernel.component, min_size=1, max_size=4),
+           st.lists(direction, min_size=1, max_size=12))
+    def test_every_diagram_passes_validation(self, seed, specs, dirs):
+        # the kernel builds its diagrams with Diagram.trusted, which skips this check
+        rng = np.random.default_rng(seed)
+        curves = [Curve(f"k{i}", rng.normal(size=(n, 3)), closed)
+                  for i, (n, closed) in enumerate(specs)]
+        for diagram in project_many(curves, dirs):
+            if isinstance(diagram, Diagram):
+                diagram._validate()
 
     # one layout per check, each turned so that it fails along its own view;
     # the depth layout's strands pass 9e-10 apart instead of meeting, so

@@ -4,8 +4,19 @@ The sum over smoothing states is organized as a frontier dynamic program:
 crossings are resolved one at a time in a fixed order, and partial states
 that induce the same pairing of still-unresolved crossing ports are
 merged by adding their polynomials.  Loop closures multiply by the loop
-value -A^2 - A^-2; open strands count through their virtual head-tail
+value d = -A^2 - A^-2; open strands count through their virtual head-tail
 closures, which the terminal graph has already folded in.
+
+The polynomial arithmetic of the DP is one merge loop.  ``_SMOOTHINGS``
+holds, for each crossing sign and smoothing, the port joins and the terms
+of A^(+-1) * d^k for k = 0, 1 and 2 closed loops, built once at import
+from ``laurent.d_power``.  Each successor adds its state's polynomial
+times the factor for its loop count straight into its slot, so no state
+polynomial is copied.  The last crossing of the order leaves an empty
+frontier, so each of its smoothings closes at least one loop; it counts
+one loop fewer, which divides the sum by d, and the bracket is that sum
+times d to the number of free loops.  A crossingless diagram is
+d^(free loops - 1), or 1 when it has none.
 
 A state is keyed by its frontier alone.  The frontier ports are the
 unsolved ports whose strand partner lies in a solved crossing, in
@@ -35,21 +46,26 @@ cut, the strand edges between solved and unsolved crossings after each
 step, and predicts the order's work as ``(peak cut, sum of 2^(cut/2))``.
 No order of a connected diagram does less than 2n - 1, a cut of 2 at
 every step but the last, so the excess of the greedy sum over 2n - 1
-bounds what any order can save.  When that excess exceeds
-``SEARCH_WORK``, the greedy runs again from every start crossing, once
-with its own tie-break and once taking the smallest change in the cut
-first, and the order with the least predicted work wins.  The greedy
-order is the first candidate, so the search never picks an order
-predicted to be worse.  The constant keeps the search off diagrams where
-it cannot pay: searching every diagram costs about 1.1 s of order search
-per melt pass of the benchmark and saves no DP time, and the greedy
-excess peaks at 341 on melt, 32 on chainmail and 34 on the open trefoil.
-On jersey the search runs on 7 of the 27 distinct diagrams of a pass
-(the least excess is 630) and brings the pass from 46,544 states to
-22,262.  A chainmail cutoff of N >= 2 copies along the tests' coherent
-direction has about 12N crossings and a greedy order of peak cut 4 and
-excess 6N + 2, so it is not searched up to N = 85; at N = 64 the search
-would cost more than twice as much as the DP.
+bounds what any order can save.  The search runs the greedy again from
+every start crossing, once with its own tie-break and once taking the
+smallest change in the cut first, and the order with the least predicted
+work wins.  The greedy order is the first candidate, so the search never
+picks an order predicted to be worse.  The search itself costs 2n greedy
+runs, which grow with n as the least work does, so it runs only when the
+greedy sum exceeds twice the least work, 2(2n - 1), by more than
+``SEARCH_WORK``.  The constant keeps the search off diagrams where it
+cannot pay: searching every diagram costs about 1.1 s of order search per
+melt pass of the benchmark and saves no DP time, and the greedy excess
+over 2n - 1 peaks at 341 on melt, 32 on chainmail and 34 on the open
+trefoil.  On jersey
+the search runs on 7 of the 27 distinct diagrams of a pass (each has at
+most 59 crossings and an excess of at least 630) and brings the pass
+from 46,544 states to 22,262.  A chainmail cutoff of N >= 2 copies along
+the tests' coherent direction has 12N - 2 crossings and a greedy order
+of peak cut 4 and excess 6N + 2, far below 2n - 1 + ``SEARCH_WORK``, so
+it is never searched.  Weighing the excess alone against ``SEARCH_WORK``
+would search it from N = 86 on, where the search takes the bracket from
+about 0.2 s to 0.7 s.
 
 A caller that solves many diagrams can pass ``bracket`` a memo dict.  Its
 key is the complete input of the state sum: ``tg.strand`` of the terminal
@@ -74,16 +90,20 @@ from typing import Dict, List, Optional, Tuple
 
 from .diagram import Diagram, smoothing_joins, terminal_graph
 from .errors import StateSumTooLargeError
-from .laurent import LaurentPoly
+from .laurent import LaurentPoly, d_power
 
 DEFAULT_CROSSING_CAP = 48
 # entries past which a bracket memo stops storing (about 2.3 KB each at 25 crossings)
 MEMO_LIMIT = 4096
-# excess of the greedy's predicted work (sum of 2^(cut/2)) over 2n - 1 above which
-# the crossing order is searched
+# excess of the greedy's predicted work (sum of 2^(cut/2)) over twice the least
+# work, 2 * (2n - 1), above which the crossing order is searched
 SEARCH_WORK = 512
-# (power of A, port joins) of the A- and B-smoothing of a crossing of each sign
-_SMOOTHINGS = {sign: ((1, smoothing_joins(sign, "A")), (-1, smoothing_joins(sign, "B")))
+# (port joins, terms of A^(+-1) * d^k for k = 0, 1, 2 closed loops) of the A- and
+# B-smoothing of a crossing of each sign
+_SMOOTHINGS = {sign: tuple((smoothing_joins(sign, kind),
+                            tuple(tuple((LaurentPoly.monomial(1, shift) * d_power(k)).terms())
+                                  for k in range(3)))
+                           for kind, shift in (("A", 1), ("B", -1)))
                for sign in (1, -1)}
 
 MemoKey = Tuple[Tuple[int, ...], Tuple[int, ...], int]
@@ -99,37 +119,6 @@ class BracketResult:
     def cache_hits(self) -> int:
         """States merged into an existing key: always states_expanded - 1."""
         return self.states_expanded - 1
-
-
-def _mul_d(poly: Dict[int, int], times: int) -> Dict[int, int]:
-    for _ in range(times):
-        out: Dict[int, int] = {}
-        for e, c in poly.items():
-            out[e + 2] = out.get(e + 2, 0) - c
-            out[e - 2] = out.get(e - 2, 0) - c
-        poly = {e: c for e, c in out.items() if c}
-    return poly
-
-
-def _div_d(poly: Dict[int, int]) -> Dict[int, int]:
-    """Exact division by -A^2 - A^-2; raises if the division is not exact."""
-    if not poly:
-        return {}
-    floor = min(poly)
-    q: Dict[int, int] = {}
-    r = dict(poly)
-    while r:
-        e = max(r)
-        if e < floor:
-            raise ArithmeticError("state sum not divisible by the loop value")
-        c = r.pop(e)
-        q[e - 2] = q.get(e - 2, 0) - c
-        low = r.get(e - 4, 0) - c
-        if low:
-            r[e - 4] = low
-        else:
-            r.pop(e - 4, None)
-    return q
 
 
 def _greedy_order(nbrs: List[Dict[int, int]], deg: List[int], start: int, min_delta: bool,
@@ -175,8 +164,9 @@ def _greedy_order(nbrs: List[Dict[int, int]], deg: List[int], start: int, min_de
 def _crossing_order(n: int, strand: Tuple[int, ...]) -> List[int]:
     """Order of ``n >= 1`` crossings: the greedy from crossing 0, searched
     over start crossings and tie-breaks when its predicted work exceeds
-    2n - 1 by more than ``SEARCH_WORK`` (see the module docstring).  Only a
-    strictly smaller ``(peak, sum)`` replaces the greedy order.
+    twice the least work, 2 * (2n - 1), by more than ``SEARCH_WORK`` (see the
+    module docstring).  Only a strictly smaller ``(peak, sum)`` replaces the
+    greedy order.
     """
     nbrs: List[Dict[int, int]] = [dict() for _ in range(n)]
     for p, q in enumerate(strand):
@@ -185,8 +175,8 @@ def _crossing_order(n: int, strand: Tuple[int, ...]) -> List[int]:
             nbrs[a][b] = nbrs[a].get(b, 0) + 1
     deg = [sum(d.values()) for d in nbrs]
     order, work = _greedy_order(nbrs, deg, 0, False, None)
-    # a search can save at most the excess over 2n - 1
-    if work[1] - (2 * n - 1) <= SEARCH_WORK:
+    # a search can save at most the excess over 2n - 1, and costs about 2n greedy runs
+    if work[1] - 2 * (2 * n - 1) <= SEARCH_WORK:
         return order
     for start in range(n):
         for min_delta in (False, True):
@@ -204,9 +194,7 @@ def bracket(diagram: Diagram, crossing_cap: int = DEFAULT_CROSSING_CAP,
         raise StateSumTooLargeError(n, crossing_cap)
 
     if n == 0:
-        if tg.free_loops == 0:
-            return BracketResult(LaurentPoly.one(), 1, 0)
-        return BracketResult(LaurentPoly(_mul_d({0: 1}, tg.free_loops - 1)), 1, 0)
+        return BracketResult(d_power(max(tg.free_loops - 1, 0)), 1, 0)
 
     key = (tg.strand, tuple(diagram.crossings[c] for c in tg.crossing_ids), tg.free_loops)
     if memo is None:
@@ -241,8 +229,11 @@ def _state_sum(strand: Tuple[int, ...], signs: Tuple[int, ...], free_loops: int)
         ext = tuple(strand[p] for p in extra)
         for i, p in enumerate(frontier + extra):
             at[p] = i
-        choices = [(shift, tuple((at[base + x], at[base + y], base + y) for x, y in joins))
-                   for shift, joins in _SMOOTHINGS[signs[ci]]]
+        # the last crossing closes at least one loop; counting one fewer there
+        # divides the sum by the loop value
+        counted = -1 if ci == order[-1] else 0
+        choices = [(tuple((at[base + x], at[base + y], base + y) for x, y in joins), factors)
+                   for joins, factors in _SMOOTHINGS[signs[ci]]]
         solved[ci] = True
         frontier = sorted([p for p in frontier if p // 4 != ci] + gained)
         peak = max(peak, len(frontier))
@@ -250,9 +241,9 @@ def _state_sum(strand: Tuple[int, ...], signs: Tuple[int, ...], free_loops: int)
         take = operator.itemgetter(*[at[p] for p in frontier]) if frontier else (lambda m: ())
         nxt: Dict[Tuple[int, ...], Dict[int, int]] = {}
         for key, poly in states.items():
-            for shift, bonds in choices:
+            for bonds, factors in choices:
                 m = [*key, *ext]
-                loops = 0
+                loops = counted
                 for ix, iy, y in bonds:
                     px = m[ix]
                     if px == y:
@@ -261,29 +252,22 @@ def _state_sum(strand: Tuple[int, ...], signs: Tuple[int, ...], free_loops: int)
                         py = m[iy]
                         m[at[px]] = py
                         m[at[py]] = px
-                contrib = {e + shift: c for e, c in poly.items()}
-                if loops:
-                    contrib = _mul_d(contrib, loops)
                 key2 = take(m)
                 slot = nxt.get(key2)
                 if slot is None:
-                    nxt[key2] = contrib
+                    slot = nxt[key2] = {}
                     states_expanded += 1
-                else:
-                    for e, c in contrib.items():
-                        nc = slot.get(e, 0) + c
+                for fe, fc in factors[loops]:
+                    for e, c in poly.items():
+                        e += fe
+                        nc = slot.get(e, 0) + fc * c
                         if nc:
                             slot[e] = nc
                         else:
                             del slot[e]
         states = nxt
 
-    total = states.get((), {})
-    if free_loops:
-        total = _mul_d(total, free_loops - 1)
-    else:
-        total = _div_d(total)
-    return BracketResult(LaurentPoly(total), states_expanded, peak)
+    return BracketResult(LaurentPoly(states[()]) * d_power(free_loops), states_expanded, peak)
 
 
 def writhe_prefactor(writhe: int) -> LaurentPoly:

@@ -172,6 +172,8 @@ def _cmd_cell_jones(args) -> None:
     cfg = _config(args)
     system = read_system(args.input)
     curves = cell_curves(system, tol=args.tolerance)
+    if not curves:
+        raise PbcJonesError(f"{args.input}: no arc lies inside the base cell")
     res = jones(curves, cfg)
     report = AnalysisReport("cell-jones", _sampling_params(cfg, args.input), {
         **_poly_results(res),

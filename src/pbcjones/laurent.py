@@ -284,8 +284,9 @@ def _divide_class(coeffs: Dict[int, Coeff], k: int) -> Tuple[Dict[int, Coeff], D
     keeps the quotient in ordinary polynomial form and makes the split
     unique.
     """
-    if not coeffs:
-        return {}, {}
+    if not coeffs or max(coeffs) < k:
+        # no quotient term has a nonnegative exponent: skip the k + 1 binomials
+        return {}, dict(coeffs)
     sign = -1 if k & 1 else 1
     # (-B - B^-1)^k == sign * sum_j C(k,j) B^(2j-k), leading term sign * B^k
     divisor = {2 * j - k: sign * math.comb(k, j) for j in range(k + 1)}

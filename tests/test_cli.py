@@ -12,6 +12,7 @@ from pbcjones.fixtures import (chainmail_system, hopf_link, melt_dump_text,
 from pbcjones.geometry import Curve
 from pbcjones.io_formats import write_curves, write_system
 from pbcjones.laurent import LaurentPoly, d_power
+from pbcjones.pbc import Cell, GeneratingChain, PBCSystem
 
 COHERENT = "-0.632398,-0.322856,-0.704156"
 MELT = melt_dump_text()
@@ -119,6 +120,16 @@ class TestCellJones:
         assert res["component_count"] == 1
         assert "normalization" in res
         assert res["normalization"]["components"] == 1
+
+    def test_no_arc_inside_the_cell(self, tmp_path, capsys):
+        path = tmp_path / "outside.json"
+        cell = Cell(np.eye(3), (True, False, False))
+        chain = GeneratingChain("c", [np.array([[2.2, 0.5, 0.5], [3.2, 0.5, 0.5]])], "infinite")
+        write_system(str(path), PBCSystem(cell, [chain]))
+        assert main(["cell-jones", str(path), "--directions", "3"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {path}: no arc lies inside the base cell\n"
 
 
 class TestPeriodicJones:

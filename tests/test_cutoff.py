@@ -7,6 +7,7 @@ copy-to-copy crossing pair has equal signs), which is where the oriented
 state is the unique disconnecting one.
 """
 
+import importlib
 import json
 from itertools import product
 from pathlib import Path
@@ -24,6 +25,9 @@ from pbcjones.geometry import Curve
 from pbcjones.jones3d import project_generic
 from pbcjones.laurent import LaurentPoly, d_power
 from pbcjones.pbc import GeneratingChain, PBCSystem
+
+# the package attribute ``pbcjones.bracket`` is the function, not the module
+bracket_mod = importlib.import_module("pbcjones.bracket")
 
 COHERENT_XI = np.array([-0.632398, -0.322856, -0.704156])
 COHERENT_XI = COHERENT_XI / np.linalg.norm(COHERENT_XI)
@@ -131,6 +135,29 @@ class TestLargeCutoffs:
         assert res.states_expanded == states
         assert res.poly == LaurentPoly.from_json_obj(recorded["bracket"])
         # V(A = 1) = (-2)^(c - 1) for a link of c components, summed exactly
+        jones = writhe_prefactor(diagram.writhe) * res.poly
+        assert sum(c for _, c in jones.terms()) == (-2) ** (len(curves) - 1)
+
+    def test_greedy_order_is_kept_past_search_work(self, monkeypatch):
+        # at N = 86 the greedy's excess over 2n - 1, 6N + 2, passes
+        # SEARCH_WORK, but the search would cost about 2n greedy runs and is
+        # only tried past twice the least work
+        greedy, runs = bracket_mod._greedy_order, []
+
+        def counted(*args):
+            runs.append(greedy(*args))
+            return runs[-1]
+
+        monkeypatch.setattr(bracket_mod, "_greedy_order", counted)
+        curves = build_cutoff(chainmail_system(), 86).all_curves()
+        diagram, _, _ = project_generic(curves, COHERENT_XI, 1e-9, 100)
+        n = len(diagram.crossings)
+        assert n == 1030
+        res = bracket(diagram, crossing_cap=n)
+        assert len(runs) == 1
+        (_, (_, work)), = runs
+        assert work - (2 * n - 1) == 6 * 86 + 2 > bracket_mod.SEARCH_WORK
+        assert res.states_expanded == 1290
         jones = writhe_prefactor(diagram.writhe) * res.poly
         assert sum(c for _, c in jones.terms()) == (-2) ** (len(curves) - 1)
 

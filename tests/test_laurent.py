@@ -1,4 +1,5 @@
 import math
+import time
 from fractions import Fraction
 
 import pytest
@@ -158,6 +159,17 @@ class TestDivision:
         assert res.quotient.is_zero
         assert res.remainder == p
         assert res.remainder_span == 8
+
+    def test_power_past_the_degree_is_all_remainder_at_once(self):
+        # d^k has k + 1 terms of growing size; a polynomial of lower degree
+        # is all remainder and must not build them
+        p = poly({40: 3, 3: -1, -10: 7})
+        start = time.perf_counter()
+        res = divide_by_d_power(p, 20000)
+        assert time.perf_counter() - start < 1.0
+        assert res.quotient.is_zero
+        assert res.remainder == p
+        assert res.remainder_span == 50
 
     @pytest.mark.parametrize("n", range(1, 6))
     def test_unlink_value_divides_exactly(self, n):

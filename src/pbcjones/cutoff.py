@@ -23,9 +23,11 @@ The enumeration walks the shared-crossing states depth first in
 lexicographic order of their A/B words, with A before B at each shared
 crossing in name order.  Each prefix of smoothings is applied once and
 shared by every state that extends it, so s shared crossings cost
-2^(s+1) - 2 smoothings rather than s * 2^s.  The N copies and many states
-split into pieces with the same terminal graph; one bracket memo per
-check solves each such piece once.
+2^(s+1) - 2 smoothings rather than s * 2^s.  Each state is split into
+pieces once, and the same pieces give its bracket and decide whether it
+disconnects the copies.  The N copies and many states split into pieces
+with the same terminal graph; one bracket memo per check solves each
+such piece once.
 """
 
 from __future__ import annotations
@@ -34,16 +36,14 @@ from dataclasses import dataclass, fields
 from fractions import Fraction
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
-import numpy as np
-
 from .bracket import DEFAULT_CROSSING_CAP, bracket, writhe_prefactor
 from .diagram import Diagram
 from .errors import PbcJonesError
 from .geometry import Curve, sample_directions
 from .jones3d import GENERICITY_RETRIES, project_generic
 from .laurent import LaurentPoly, d_power
-from .pbc import (MinimalPeriodicLink, PBCSystem, PlacedImage, UnfoldingBox, box_presence,
-                  minimal_periodic_link, single_periodic_axis, slk_p)
+from .pbc import (MinimalPeriodicLink, PBCSystem, PlacedImage, UnfoldingBox,
+                  minimal_periodic_link, present_translates, single_periodic_axis, slk_p)
 
 
 @dataclass(frozen=True)
@@ -101,18 +101,9 @@ def build_cutoff(system: PBCSystem, n_copies: int,
     dims = list(link.mcu.dims)
     dims[axis] += (n_copies - 1) * period
     window = UnfoldingBox(link.mcu.anchor, tuple(dims))
-    lo, hi = window.lo, window.hi
     base_img = link.base_images[system.chains[0].id]
-    frac = system.cell.to_fractional(base_img.polyline)
-    expected = set()
-    vmin = int(np.floor(lo[axis] - frac[:, axis].max())) - 1
-    vmax = int(np.ceil(hi[axis] - frac[:, axis].min())) + 1
-    for v_ax in range(vmin, vmax + 1):
-        v = [0, 0, 0]
-        v[axis] = v_ax
-        shifted = frac + np.asarray(v, dtype=float)
-        if box_presence(shifted, base_img.closed, lo, hi) > 1e-9:
-            expected.add(tuple(v))
+    expected = set(present_translates(system.cell, system.cell.to_fractional(base_img.polyline),
+                                      base_img.closed, window))
     got = set().union(*sets)
     if got != expected:
         raise PbcJonesError(
@@ -122,14 +113,13 @@ def build_cutoff(system: PBCSystem, n_copies: int,
     return CutoffLink(n_copies, axis, period, window.cell_count, tuple(copies), link)
 
 
-def split_bracket(diagram: Diagram, crossing_cap: int = DEFAULT_CROSSING_CAP,
+def split_bracket(pieces: Sequence[Diagram], crossing_cap: int = DEFAULT_CROSSING_CAP,
                   memo=None) -> LaurentPoly:
-    """Bracket of a diagram that may split into independent pieces.
+    """Bracket of a diagram given as its independent pieces (``Diagram.pieces``).
 
-    Each of ``diagram.pieces()`` is evaluated on its own, through ``memo``
-    when given, and one loop factor is charged per extra piece.
+    Each piece is evaluated on its own, through ``memo`` when given, and
+    one loop factor is charged per extra piece.
     """
-    pieces = diagram.pieces()
     if not pieces:
         return LaurentPoly.one()
     total = LaurentPoly.one()
@@ -230,7 +220,7 @@ def verify_cutoff_factorization(system: PBCSystem, n_copies: int, xi=None,
     for cid in shared:
         s_diag = s_diag.oriented_smooth(cid)
     target = d_power(n - 1) * bracket_base ** n
-    state_oracle_ok = split_bracket(s_diag, crossing_cap, memo=memo) == target
+    state_oracle_ok = split_bracket(s_diag.pieces(), crossing_cap, memo=memo) == target
 
     # enumerate every shared-crossing state
     states_sum = LaurentPoly.zero()
@@ -238,11 +228,12 @@ def verify_cutoff_factorization(system: PBCSystem, n_copies: int, xi=None,
     disconnecting: List[Tuple[str, ...]] = []
     oriented_kinds = tuple("A" if diagram.crossings[c] > 0 else "B" for c in shared)
     for kinds, exp, d_state in _shared_states(diagram, shared):
-        value = LaurentPoly.monomial(1, exp) * split_bracket(d_state, crossing_cap, memo=memo)
+        pieces = d_state.pieces()
+        value = LaurentPoly.monomial(1, exp) * split_bracket(pieces, crossing_cap, memo=memo)
         states_sum = states_sum + value
         if kinds != oriented_kinds:
             lambda_bracket = lambda_bracket + value
-        if _is_disconnecting(d_state, cut, copy_of, owner):
+        if _is_disconnecting(pieces, cut, copy_of, owner):
             disconnecting.append(kinds)
     sum_ok = states_sum == bracket_total
     unique_ok = disconnecting == [oriented_kinds]
@@ -288,11 +279,11 @@ def _shared_states(diagram: Diagram,
             yield (kind,) + kinds, exp + shift, d_state
 
 
-def _is_disconnecting(d_state: Diagram, cut: CutoffLink, copy_of, owner_orig) -> bool:
-    """True when every piece of the smoothed diagram carries crossings of
+def _is_disconnecting(pieces: Sequence[Diagram], cut: CutoffLink, copy_of, owner_orig) -> bool:
+    """True when every piece of a smoothed diagram carries crossings of
     at most one copy and the pieces realize all copies separately."""
     seen: set = set()
-    for piece in d_state.pieces():
+    for piece in pieces:
         copies = {copy_of[owner_orig[(cid, role)]] for cid in piece.crossings for role in "ou"}
         if len(copies) > 1:
             return False

@@ -6,15 +6,20 @@ separated from each other, and with distinct depths.  Any violation
 raises NonGenericDirectionError naming the failed check; callers retry
 with a deterministically perturbed direction.
 
-``project_many`` projects a collection along many directions.  The
-segment tables that do not depend on the direction are built once; the
-directions then go through in blocks of at most ``BLOCK_ROWS``
-(direction, segment) rows, and every check of a block runs as one array
-operation over all its rows.  The block bound keeps the arrays, and so
-the memory, small; larger blocks are no faster.  ``project`` is the
-one-direction call of the same kernel.  Frames use only elementwise
-array operations, so a direction gives the same result alone or in any
-block.
+One kernel, ``_Segments``, projects blocks of rows.  Every row of a
+block shares one segment table; a row is a direction, or a translate.
+``project_many`` projects one collection along many directions: all its
+rows share the vertex coordinates.  ``project_translates`` projects a
+collection with some of its curves moved by each of many lattice
+offsets, along one direction: each row has its own coordinates.  Curves
+that meet end to end touch rather than cross, and where ends meet
+depends on the coordinates, so each row carries its own exempt segment
+pairs.  Rows go through in blocks of at most ``BLOCK_ROWS`` (row,
+segment) pairs, and every check of a block runs as one array operation
+over all its rows.  The block bound keeps the arrays, and so the memory,
+small; larger blocks are no faster.  ``project`` is the one-direction
+call of the same kernel.  Frames and coordinates use only elementwise
+array operations, so a row gives the same result alone or in any block.
 
 Candidate segment pairs come from a sort-and-sweep: the ends of the
 tol-padded x-intervals are sorted together by (row, value), low ends
@@ -25,9 +30,9 @@ could round a pair that is within tol apart.  Pairs are then filtered on
 y overlap, same-curve neighbors and end-to-end contacts, and the
 crossing tests run on all pairs of the block at once.  Checks run in a
 fixed order, and pairs are taken in lexicographic (a < b) order: when
-several pairs of a direction fail, its error names the check of the
-first failing pair.  A direction that fails a check leaves the block
-before the next check, so no later check divides by its zero lengths.
+several pairs of a row fail, its error names the check of the first
+failing pair.  A row that fails a check leaves the block before the
+next check, so no later check divides by its zero lengths.
 The separation and near-vertex checks sweep crossings and vertices on x
 with a 2 tol window, in the same way.  A direction that is not finite
 and nonzero, or a tolerance that is not finite and at least 0, raises
@@ -37,7 +42,7 @@ PbcJonesError before anything is projected: no nudge can repair it.
 from __future__ import annotations
 
 import math
-from typing import Dict, Iterator, List, Sequence, Set, Tuple, Union
+from typing import Dict, Iterator, List, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -45,7 +50,7 @@ from .diagram import Component, Diagram
 from .errors import NonGenericDirectionError, PbcJonesError, require_nonnegative
 
 GOLDEN_ANGLE = math.pi * (3.0 - math.sqrt(5.0))
-BLOCK_ROWS = 1024  # directions x segments projected in one array pass
+BLOCK_ROWS = 1024  # rows (directions or translates) x segments projected in one array pass
 
 
 class Curve:
@@ -148,29 +153,6 @@ def perturbed_direction(xi, attempt: int) -> np.ndarray:
     return out / np.linalg.norm(out)
 
 
-def _touching_terminal_pairs(curves: Sequence[Curve], seg_first) -> Set[Tuple[int, int]]:
-    """Terminal segment pairs (a < b) of open curves whose endpoints coincide in 3D.
-
-    Components that continue each other (periodic images of one thread)
-    meet end to end; the contact is structural, not a crossing, so those
-    segment pairs are exempt from intersection checks.  Segments are
-    numbered globally, curve ``ci`` starting at ``seg_first[ci]``.
-    """
-    slots, ends = [], []
-    for ci, c in enumerate(curves):
-        if not c.closed:
-            first = int(seg_first[ci])
-            slots += [first, first + c.segment_count - 1]
-            ends += [c.vertices[0], c.vertices[-1]]
-    if not slots:
-        return set()
-    by_pos: Dict[Tuple[int, ...], List[int]] = {}
-    for key, k in zip(np.round(np.array(ends) / 1e-6).astype(np.int64).tolist(), slots):
-        by_pos.setdefault(tuple(key), []).append(k)
-    return {(min(a, b), max(a, b)) for ks in by_pos.values()
-            for i, a in enumerate(ks) for b in ks[i + 1:]}
-
-
 def _overlaps(lo: np.ndarray, hi: np.ndarray, group: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """Index pairs (i, j) of the closed intervals [lo, hi] of one group that overlap.
 
@@ -225,14 +207,16 @@ DEGENERATE, FOLD_BACK, TANGENCY, NEAR_VERTEX, DEPTH, SEPARATION = range(1, 7)
 
 
 class _Segments:
-    """Direction-independent segment tables of a curve collection.
+    """Segment tables of a curve collection, shared by every row of a block.
 
     Segment k of the concatenated curves runs from vertex v0[k] to v1[k].
+    ``coords`` holds the vertices as given, with shape (3, 1, vertices),
+    and ``excluded`` the end-to-end contacts among them (``touching``).
     """
 
     def __init__(self, curves: Sequence[Curve]):
         self.curves = curves
-        self.coords = np.concatenate([c.vertices for c in curves]).T.copy()  # (3, vertices)
+        self.coords = np.concatenate([c.vertices for c in curves]).T[:, None].copy()
         closed = np.array([c.closed for c in curves])
         n_vert = np.array([c.vertices.shape[0] for c in curves])
         n_seg = np.where(closed, n_vert, n_vert - 1)
@@ -242,22 +226,55 @@ class _Segments:
         self.count = n_seg[seg_curve]
         self.closed = seg_closed = closed[seg_curve]
         last = seg_index == self.count - 1
-        self.v0 = (n_vert.cumsum() - n_vert)[seg_curve] + seg_index
+        vert_first = n_vert.cumsum() - n_vert
+        self.v0 = vert_first[seg_curve] + seg_index
         self.v1 = np.where(last & seg_closed, self.v0 - seg_index, self.v0 + 1)
         # consecutive segment pairs (k, nxt), checked for folding back
         self.k = (~last | seg_closed).nonzero()[0]
         self.nxt = np.where(last[self.k], self.k - seg_index[self.k], self.k + 1)
-        n = self.n = seg_curve.shape[0]
-        self.excluded = np.array([a * n + b for a, b in
-                                  _touching_terminal_pairs(curves, seg_first)], dtype=np.int64)
+        self.n = seg_curve.shape[0]
+        # the terminal segments of open curves, each with the vertex at its free end
+        opened = (~closed).nonzero()[0]
+        self.end_segment = np.stack([seg_first[opened],
+                                     seg_first[opened] + n_seg[opened] - 1], axis=1).ravel().tolist()
+        self.end_vertex = np.stack([vert_first[opened],
+                                    vert_first[opened] + n_vert[opened] - 1], axis=1).ravel()
+        self.excluded = self.touching(self.coords)
 
-    def project(self, frames: np.ndarray, tol: float) -> list:
-        """The Diagram or NonGenericDirectionError of each direction of a block.
+    def touching(self, coords: np.ndarray) -> np.ndarray:
+        """Keys (r * n + a) * n + b of the terminal segments a < b of open
+        curves whose free ends coincide in coordinate row r.
 
-        Coordinate arrays are indexed [axis, row, vertex or segment], axis
-        being u, v and the depth along xi.
+        Components that continue each other (periodic images of one thread)
+        meet end to end; the contact is structural, not a crossing, so those
+        segment pairs are exempt from intersection checks.  Where ends meet
+        depends on the row's coordinates, so each row has its own pairs.
         """
-        n, v0, v1, vc = self.n, self.v0, self.v1, self.coords
+        n = self.n
+        keys: List[int] = []
+        if not self.end_segment:
+            return np.array(keys, dtype=np.int64)
+        ends = np.round(coords.take(self.end_vertex, axis=2) / 1e-6).astype(np.int64)
+        for r, row in enumerate(ends.transpose(1, 2, 0).tolist()):
+            by_pos: Dict[Tuple[int, ...], List[int]] = {}
+            for pos, k in zip(row, self.end_segment):
+                by_pos.setdefault(tuple(pos), []).append(k)
+            keys += [(r * n + min(a, b)) * n + max(a, b) for ks in by_pos.values()
+                     for i, a in enumerate(ks) for b in ks[i + 1:]]
+        return np.array(keys, dtype=np.int64)
+
+    def project(self, frames: np.ndarray, coords: np.ndarray, excluded: np.ndarray,
+                tol: float) -> list:
+        """The Diagram or NonGenericDirectionError of each row of a block.
+
+        Row r projects the vertices ``coords[:, r]`` along ``frames[r]``,
+        with the end-to-end contacts ``excluded`` gives for coordinate row
+        r (``touching``).  A single frame, or a single coordinate row,
+        serves every row: rows are directions or translates.  Coordinate
+        arrays are indexed [axis, row, vertex or segment], axis being u, v
+        and the depth along xi.
+        """
+        n, v0, v1, vc = self.n, self.v0, self.v1, coords
         f = frames.transpose(2, 1, 0)[..., None]
         pos = vc[0] * f[0] + vc[1] * f[1] + vc[2] * f[2]
         p0, p1 = pos.take(v0, axis=2), pos.take(v1, axis=2)
@@ -278,8 +295,10 @@ class _Segments:
             pos, p0, p1, delta = (w.take(live, axis=1) for w in (pos, p0, p1, delta))
             lens = lens.take(live, axis=0)
         rows = live.shape[0]
+        own = live if coords.shape[1] > 1 else np.zeros_like(live)  # coordinate row of each row
         a, b = self._candidate_pairs((np.minimum(p0[:2], p1[:2]) - tol).reshape(2, -1),
-                                     (np.maximum(p0[:2], p1[:2]) + tol).reshape(2, -1))
+                                     (np.maximum(p0[:2], p1[:2]) + tol).reshape(2, -1),
+                                     own, excluded)
         x0, y0, z0 = p0.reshape(3, -1)
         dx, dy = delta.reshape(2, -1)
         lens, z1 = lens.ravel(), p1[2].ravel()
@@ -332,13 +351,15 @@ class _Segments:
         fail[live] = code
         return self._diagrams(fail, live, qa, qb, s, t, za > zb, denom, cross_row)
 
-    def _candidate_pairs(self, lo: np.ndarray, hi: np.ndarray):
+    def _candidate_pairs(self, lo: np.ndarray, hi: np.ndarray, own: np.ndarray,
+                         excluded: np.ndarray):
         """Segment pairs (a < b) of each row whose padded boxes [lo, hi] overlap.
 
         Boxes are (x, y) by flat index; pairs come in (row, a, b) order.
-        Neighbors on one curve and the touching terminal pairs are
-        dropped.  Segments that cross or come within tol of each other
-        always have overlapping tol-padded boxes.
+        Neighbors on one curve and the touching terminal pairs of the
+        row's coordinate row ``own[row]`` are dropped.  Segments that cross
+        or come within tol of each other always have overlapping
+        tol-padded boxes.
         """
         n = self.n
         i, j = _overlaps(lo[0], hi[0], np.arange(lo.shape[1]) // n)
@@ -351,9 +372,9 @@ class _Segments:
         # neighbors share a vertex, not a crossing
         keep = ~((self.curve[sa] == self.curve[sb])
                  & ((d <= 1) | (self.closed[sa] & (d == self.count[sa] - 1))))
-        if self.excluded.shape[0]:
+        if excluded.shape[0]:
             # curves meeting end to end touch, not cross
-            keep &= ~np.isin(sa * n + sb, self.excluded)
+            keep &= ~np.isin((own[a // n] * n + sa) * n + sb, excluded)
         a, b = a[keep], b[keep]
         order = np.lexsort([b, a])
         return a[order], b[order]
@@ -425,7 +446,38 @@ def project_many(curves: Sequence[Curve], xis, tol: float = 1e-9
     segments = _Segments(curves)
     step = max(1, BLOCK_ROWS // segments.n)
     return (out for lo in range(0, frames.shape[0], step)
-            for out in segments.project(frames[lo:lo + step], tol))
+            for out in segments.project(frames[lo:lo + step], segments.coords,
+                                        segments.excluded, tol))
+
+
+def project_translates(fixed: Sequence[Curve], moving: Sequence[Curve], offsets, xi,
+                       tol: float = 1e-9) -> Iterator[Union[Diagram, NonGenericDirectionError]]:
+    """Project fixed + moving along xi once per offset, the moving curves shifted by it.
+
+    Yields, per row of the (k, 3) array ``offsets``, the Diagram or the
+    NonGenericDirectionError that ``project(fixed + [c.translated(offset)
+    for c in moving], xi, tol)`` gives.  The offsets go through in blocks of
+    at most ``BLOCK_ROWS`` (offset, segment) rows, as the directions of
+    ``project_many`` do; each row finds its own end-to-end contacts.
+    """
+    require_nonnegative("tolerance", tol)
+    curves = list(fixed) + list(moving)
+    check_unique_ids(curves)
+    frames = projection_frames([xi])
+    offsets = np.asarray(offsets, dtype=float)
+    if offsets.ndim != 2 or offsets.shape[1] != 3 or not np.all(np.isfinite(offsets)):
+        raise PbcJonesError(f"offsets must be finite with shape (k, 3), got {offsets.shape}")
+    segments = _Segments(curves)
+    moved = sum(c.vertices.shape[0] for c in fixed)  # first vertex of the moving curves
+    step = max(1, BLOCK_ROWS // segments.n)
+
+    def block(shift: np.ndarray) -> list:
+        coords = segments.coords.repeat(shift.shape[0], axis=1)
+        coords[:, :, moved:] += shift.T[:, :, None]
+        return segments.project(frames, coords, segments.touching(coords), tol)
+
+    return (out for lo in range(0, offsets.shape[0], step)
+            for out in block(offsets[lo:lo + step]))
 
 
 def project(curves: Sequence[Curve], xi, tol: float = 1e-9) -> Diagram:

@@ -28,9 +28,9 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .errors import (AmbiguousMatchError, ChainConnectivityError, PbcJonesError,
-                     require_nonnegative)
-from .geometry import Curve
+from .errors import (AmbiguousMatchError, ChainConnectivityError, NonGenericDirectionError,
+                     PbcJonesError, require_nonnegative)
+from .geometry import BLOCK_ROWS, Curve, project_translates
 from .jones3d import GENERICITY_RETRIES, JonesResult, SamplingConfig, jones, project_generic
 from .laurent import DivisionResult, LaurentPoly, divide_by_d_power
 
@@ -299,36 +299,55 @@ def polyline_cells(frac_poly: np.ndarray, closed: bool) -> Dict[Vec3, float]:
     return {c: l for c, l in out.items() if l > PRESENCE_TOL}
 
 
-def _box_interval(a: np.ndarray, b: np.ndarray, lo, hi) -> Tuple[float, float]:
-    """Liang-Barsky parameter interval of segment a->b inside box [lo, hi]."""
-    t0, t1 = 0.0, 1.0
+def _box_intervals(a: np.ndarray, b: np.ndarray, lo, hi) -> Tuple[np.ndarray, np.ndarray]:
+    """Liang-Barsky parameter intervals (t0, t1) of the segments a -> b inside box [lo, hi].
+
+    a and b have shape (..., 3).  An axis along which a segment moves less
+    than 1e-15 clips it by its start alone; a segment that misses the box
+    gets the empty interval (1, 0).
+    """
     d = b - a
-    for ax in range(3):
-        if abs(d[ax]) < 1e-15:
-            if a[ax] < lo[ax] or a[ax] > hi[ax]:
-                return 1.0, 0.0
-            continue
-        ta = (lo[ax] - a[ax]) / d[ax]
-        tb = (hi[ax] - a[ax]) / d[ax]
-        if ta > tb:
-            ta, tb = tb, ta
-        t0 = max(t0, ta)
-        t1 = min(t1, tb)
-        if t0 >= t1:
-            return 1.0, 0.0
-    return t0, t1
+    flat = np.abs(d) < 1e-15
+    step = np.where(flat, 1.0, d)
+    ta, tb = (lo - a) / step, (hi - a) / step
+    t0 = np.where(flat, 0.0, np.minimum(ta, tb)).max(axis=-1, initial=0.0)
+    t1 = np.where(flat, 1.0, np.maximum(ta, tb)).min(axis=-1, initial=1.0)
+    miss = (flat & ((a < lo) | (a > hi))).any(axis=-1) | (t0 >= t1)
+    return np.where(miss, 1.0, t0), np.where(miss, 0.0, t1)
 
 
-def box_presence(frac_poly: np.ndarray, closed: bool, lo, hi) -> float:
-    """Fractional length of the polyline inside the box [lo, hi]."""
-    lo = np.asarray(lo, dtype=float)
-    hi = np.asarray(hi, dtype=float)
-    total = 0.0
-    for a, b in _segment_iter(frac_poly, closed):
-        t0, t1 = _box_interval(a, b, lo, hi)
-        if t1 > t0:
-            total += float(np.linalg.norm(b - a)) * (t1 - t0)
-    return total
+def box_presence(frac_poly: np.ndarray, closed: bool, lo, hi) -> np.ndarray:
+    """Fractional length of the polyline inside the box [lo, hi].
+
+    ``frac_poly`` has shape (..., vertices, 3): a stack of polylines with
+    one vertex layout gives one length per polyline.
+    """
+    m = frac_poly.shape[-2]
+    start = np.arange(m if closed else m - 1)
+    a, b = frac_poly[..., start, :], frac_poly[..., (start + 1) % m, :]
+    t0, t1 = _box_intervals(a, b, np.asarray(lo, dtype=float), np.asarray(hi, dtype=float))
+    return (np.linalg.norm(b - a, axis=-1) * np.maximum(t1 - t0, 0.0)).sum(axis=-1)
+
+
+def present_translates(cell: Cell, frac_poly: np.ndarray, closed: bool,
+                       box: UnfoldingBox) -> List[Vec3]:
+    """Lattice translates that give the polyline positive presence in the box.
+
+    Presence is more than ``PRESENCE_TOL`` fractional length.  Candidates
+    come from ``_translate_range`` and keep its order; they are measured
+    in blocks of at most ``BLOCK_ROWS`` (translate, vertex) rows, one
+    array pass each.
+    """
+    lo, hi = box.lo, box.hi
+    candidates = _translate_range(cell, frac_poly, lo, hi)
+    step = max(1, BLOCK_ROWS // frac_poly.shape[0])
+    out: List[Vec3] = []
+    for first in range(0, len(candidates), step):
+        block = candidates[first:first + step]
+        shifted = frac_poly + np.asarray(block, dtype=float)[:, None]
+        presence = box_presence(shifted, closed, lo, hi).tolist()
+        out += [v for v, p in zip(block, presence) if p > PRESENCE_TOL]
+    return out
 
 
 # -- minimal unfoldings -------------------------------------------------
@@ -453,14 +472,8 @@ def _place_images(system: PBCSystem, translates) -> MinimalPeriodicLink:
 def minimal_periodic_link(system: PBCSystem) -> MinimalPeriodicLink:
     """All image translates with positive presence in the collective box."""
     cell = system.cell
-
-    def present(img: Image, box: UnfoldingBox) -> List[Vec3]:
-        frac = cell.to_fractional(img.polyline)
-        return [v for v in _translate_range(cell, frac, box.lo, box.hi)
-                if box_presence(frac + np.asarray(v, dtype=float), img.closed,
-                                box.lo, box.hi) > PRESENCE_TOL]
-
-    return _place_images(system, present)
+    return _place_images(system, lambda img, box: present_translates(
+        cell, cell.to_fractional(img.polyline), img.closed, box))
 
 
 def search_basepoint(system: PBCSystem, chain_id: str) -> Tuple[int, int]:
@@ -571,13 +584,11 @@ def _clip_pieces(cart: np.ndarray, frac: np.ndarray, lo, hi, tol: float,
         s = outside[0]
         cart = np.vstack([cart[s:], cart[:s + 1]])
         frac = np.vstack([frac[s:], frac[:s + 1]])
-        m = frac.shape[0]
     pieces: List[List[np.ndarray]] = []
     current: List[np.ndarray] = []
-    for i in range(m - 1):
-        a, b = frac[i], frac[i + 1]
+    t0s, t1s = (t.tolist() for t in _box_intervals(frac[:-1], frac[1:], lo, hi))
+    for i, (t0, t1) in enumerate(zip(t0s, t1s)):
         ca, cb = cart[i], cart[i + 1]
-        t0, t1 = _box_interval(a, b, lo, hi)
         if t1 <= t0:
             if current:
                 pieces.append(current)
@@ -650,7 +661,10 @@ def slk_p(system: PBCSystem, xi, link: Optional[MinimalPeriodicLink] = None,
 
     The copy period along each axis is the link box's ``copy_period``.
     Translates run over every periodic axis unless ``axis`` restricts
-    them to one.
+    them to one.  Each translate is projected together with the link,
+    all translates in one ``project_translates`` call along xi; only a
+    translate whose projection fails a genericity check is projected
+    again, with the nudges of ``project_generic``.
     """
     if link is None:
         link = minimal_periodic_link(system)
@@ -665,9 +679,8 @@ def slk_p(system: PBCSystem, xi, link: Optional[MinimalPeriodicLink] = None,
             raise PbcJonesError(f"axis {axis} is not periodic")
         axes = [axis]
 
-    base: List[Curve] = []
-    for im in link.images:
-        base.append(Curve(f"L|{im.curve_id}", im.polyline, im.closed))
+    base = [Curve(f"L|{im.curve_id}", im.polyline, im.closed) for im in link.images]
+    moving = [Curve(f"T|{im.curve_id}", im.polyline, im.closed) for im in link.images]
     frac_all = np.concatenate([system.cell.to_fractional(im.polyline) for im in link.images])
 
     period = {}
@@ -678,16 +691,20 @@ def slk_p(system: PBCSystem, xi, link: Optional[MinimalPeriodicLink] = None,
         vmax = int(math.ceil(span / period[ax])) + 1
         ranges.append(range(-vmax, vmax + 1))
 
-    total = Fraction(0)
+    offsets = []
     for combo in product(*ranges):
         if not any(combo):
             continue
         cells = np.zeros(3)
         for ax, v in zip(axes, combo):
             cells[ax] = v * period[ax]
-        offset = system.cell.translation(cells)
-        shifted = [Curve(f"T|{im.curve_id}", im.polyline + offset, im.closed)
-                   for im in link.images]
-        diagram, _, _ = project_generic(base + shifted, xi, tol, GENERICITY_RETRIES)
-        total += diagram.inter_linking([c.id for c in base], [c.id for c in shifted])
+        offsets.append(system.cell.translation(cells))
+
+    base_ids, moving_ids = [c.id for c in base], [c.id for c in moving]
+    total = Fraction(0)
+    for offset, diagram in zip(offsets, project_translates(base, moving, offsets, xi, tol)):
+        if isinstance(diagram, NonGenericDirectionError):
+            shifted = [c.translated(offset) for c in moving]
+            diagram, _, _ = project_generic(base + shifted, xi, tol, GENERICITY_RETRIES, diagram)
+        total += diagram.inter_linking(base_ids, moving_ids)
     return total

@@ -9,12 +9,15 @@ crossing counts.  None of it imports the production bracket evaluator.
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 from itertools import product
 from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
 from pbcjones.diagram import Diagram
+from pbcjones.errors import NonGenericDirectionError
+from pbcjones.geometry import Curve, project
 from pbcjones.laurent import LaurentPoly, d_power
 
 
@@ -134,3 +137,67 @@ def _pair_solid_angle(p1, p2, q1, q2) -> float:
             + asin_clip(np.dot(n3, n4)) + asin_clip(np.dot(n4, n1)))
     sign = np.dot(np.cross(q2 - q1, p2 - p1), r13)
     return star if sign > 0 else -star
+
+
+def outcome(result):
+    """A projection result as plain data: the failed check, or the diagram's parts."""
+    if isinstance(result, NonGenericDirectionError):
+        return result.feature
+    return result.components, list(result.crossings.items())
+
+
+def projected_alone(curves, xi):
+    """``outcome`` of projecting curves along xi in a call of their own."""
+    try:
+        return outcome(project(curves, xi))
+    except NonGenericDirectionError as err:
+        return err.feature
+
+
+def slk_by_translate(system, link, xi, axes, project) -> Fraction:
+    """Periodic self-linking with one projection per translate.
+
+    Every nonzero combination of copy periods (2 * dims - 1 cells) along
+    ``axes``, up to the link's span plus one period each way, moves a
+    copy of the link.  ``project(curves, xi)`` draws the link and that
+    copy together, and half the signed crossings between them count.
+    """
+    frac = np.concatenate([system.cell.to_fractional(im.polyline) for im in link.images])
+    periods = [2 * link.mcu.dims[ax] - 1 for ax in axes]
+    reach = [math.ceil((frac[:, ax].max() - frac[:, ax].min()) / p) + 1
+             for ax, p in zip(axes, periods)]
+    base = [Curve(f"L|{im.curve_id}", im.polyline, im.closed) for im in link.images]
+    total = Fraction(0)
+    for combo in product(*(range(-r, r + 1) for r in reach)):
+        if not any(combo):
+            continue
+        cells = np.zeros(3)
+        for ax, p, k in zip(axes, periods, combo):
+            cells[ax] = k * p
+        offset = cells @ system.cell.basis
+        moved = [Curve(f"T|{im.curve_id}", im.polyline + offset, im.closed)
+                 for im in link.images]
+        diagram = project(base + moved, xi)
+        total += diagram.inter_linking([c.id for c in base], [c.id for c in moved])
+    return total
+
+
+def scalar_box_presence(frac_poly: np.ndarray, closed: bool, lo, hi) -> float:
+    """Fractional length of a polyline inside the box [lo, hi], clipping
+    one segment at a time with the Liang-Barsky parameter interval."""
+    m = frac_poly.shape[0]
+    total = 0.0
+    for i in range(m if closed else m - 1):
+        a, b = frac_poly[i], frac_poly[(i + 1) % m]
+        d = b - a
+        t0, t1 = 0.0, 1.0
+        for ax in range(3):
+            if abs(d[ax]) < 1e-15:
+                if a[ax] < lo[ax] or a[ax] > hi[ax]:
+                    t0, t1 = 1.0, 0.0
+                continue
+            ta, tb = sorted(((lo[ax] - a[ax]) / d[ax], (hi[ax] - a[ax]) / d[ax]))
+            t0, t1 = max(t0, ta), min(t1, tb)
+        if t1 > t0:
+            total += float(np.linalg.norm(d)) * (t1 - t0)
+    return total

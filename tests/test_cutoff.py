@@ -77,11 +77,11 @@ class TestSplitBracket:
         both, xi_used, _ = project_generic([a, b], COHERENT_XI, 1e-9, 100)
         one, _, _ = project_generic([a], xi_used, 1e-9, 100)
         expected = bracket(one).poly ** 2 * d_power(1)
-        assert split_bracket(both) == expected
+        assert split_bracket(both.pieces()) == expected
 
     def test_connected_diagram_matches_plain_bracket(self):
         diagram, _, _ = project_generic([trefoil()], COHERENT_XI, 1e-9, 100)
-        assert split_bracket(diagram) == bracket(diagram).poly
+        assert split_bracket(diagram.pieces()) == bracket(diagram).poly
 
 
 class TestCoherentDirection:
@@ -204,6 +204,22 @@ class TestStateEnumeration:
         assert s == 4 and rep.states_enumerated == 2 ** s
         # the walk's tree, plus the oriented state's own smoothings
         assert len(calls) == 2 ** (s + 1) - 2 + s
+
+    def test_each_state_is_split_once_into_valid_pieces(self, monkeypatch):
+        split = []
+        pieces = Diagram.pieces
+
+        def counted(d):
+            out = pieces(d)
+            split.append(out)
+            return out
+
+        monkeypatch.setattr(Diagram, "pieces", counted)
+        rep = verify_cutoff_factorization(chainmail_system(), 3, xi=COHERENT_XI)
+        # every enumerated state, plus the oriented state
+        assert len(split) == rep.states_enumerated + 1 == 17
+        for piece in (p for out in split for p in out):
+            piece._validate()  # pieces are built with Diagram.trusted
 
 
 class TestLimits:

@@ -217,7 +217,10 @@ class TestInvariance:
 class TestPieces:
     @staticmethod
     def shape(diagram):
-        return [([c.id for c in p.components], p.crossings) for p in diagram.pieces()]
+        pieces = diagram.pieces()
+        for p in pieces:
+            p._validate()  # pieces are built with Diagram.trusted
+        return [([c.id for c in p.components], p.crossings) for p in pieces]
 
     def test_shared_crossings_tie_components(self):
         d = Diagram([closed("a", ("c1", "o"), ("c2", "o")),

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import brute_segment_crossings, gauss_linking
+from oracles import brute_segment_crossings, gauss_linking, outcome, projected_alone
 
 from pbcjones import geometry
 from pbcjones.diagram import Diagram
@@ -363,20 +363,6 @@ class TestSweepKernel:
         dense = len(diagram.crossings) * walk.vertices.shape[0] * 2 * 8
         assert len(diagram.crossings) > 1000
         assert peak < dense / 20
-
-
-def outcome(result):
-    """A projection result as plain data: the failed check, or the diagram's parts."""
-    if isinstance(result, NonGenericDirectionError):
-        return result.feature
-    return result.components, list(result.crossings.items())
-
-
-def projected_alone(curves, xi):
-    try:
-        return outcome(project(curves, xi))
-    except NonGenericDirectionError as err:
-        return err.feature
 
 
 class TestBatchedKernel:

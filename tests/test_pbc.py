@@ -1,17 +1,23 @@
+from itertools import product
+
 import numpy as np
 import pytest
-from oracles import gauss_linking
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from oracles import (gauss_linking, outcome, projected_alone, scalar_box_presence,
+                     slk_by_translate)
 
+from pbcjones import pbc
 from pbcjones.errors import PbcJonesError
 from pbcjones.fixtures import (_CHAINMAIL_RING, chainmail_system, jersey_system,
                                melt_system, twill_system)
-from pbcjones.geometry import sample_directions
+from pbcjones.geometry import Curve, project, project_translates, sample_directions
 from pbcjones.io_formats import system_from_json_obj, system_to_json_obj
-from pbcjones.jones3d import SamplingConfig
-from pbcjones.pbc import (Cell, GeneratingChain, PBCSystem, box_presence,
+from pbcjones.jones3d import GENERICITY_RETRIES, SamplingConfig, project_generic
+from pbcjones.pbc import (Cell, GeneratingChain, PBCSystem, UnfoldingBox, box_presence,
                           cell_curves, cell_jones, minimal_periodic_link,
-                          periodic_jones, rebuild_link, search_basepoint,
-                          slk_p, unfold_image, with_basepoint)
+                          periodic_jones, present_translates, rebuild_link,
+                          search_basepoint, slk_p, unfold_image, with_basepoint)
 
 
 def json_round_trip(cell, chain):
@@ -294,3 +300,108 @@ class TestBoxPresence:
         frac = np.array([[0.5, 0.5, 0.5], [1.5, 0.5, 0.5]])
         inside = box_presence(frac, False, (0, 0, 0), (1, 1, 1))
         assert 0 < inside < 1
+
+
+def link_and_copy(system):
+    """The link's curves as slk_p names them, and an unmoved copy of them."""
+    link = minimal_periodic_link(system)
+    base = [Curve(f"L|{im.curve_id}", im.polyline, im.closed) for im in link.images]
+    moving = [Curve(f"T|{im.curve_id}", im.polyline, im.closed) for im in link.images]
+    return link, base, moving
+
+
+class TestTranslateKernel:
+    """project_translates and slk_p against one projection per translate."""
+
+    SYSTEMS = {"twill": twill_system, "jersey": jersey_system, "chainmail": chainmail_system}
+
+    @pytest.mark.parametrize("name", sorted(SYSTEMS))
+    def test_each_row_is_the_translate_projected_alone(self, name):
+        system = self.SYSTEMS[name]()
+        link, base, moving = link_and_copy(system)
+        axes = [ax for ax in range(3) if system.cell.periodic[ax]]
+        periods = [link.mcu.copy_period(ax) for ax in axes]
+        # up to two copy periods each way, the zero translate included; open
+        # images meet the link end to end at some translates
+        offsets = []
+        for combo in product(range(-2, 3), repeat=len(axes)):
+            cells = np.zeros(3)
+            cells[axes] = np.multiply(combo, periods)
+            offsets.append(system.cell.translation(cells))
+        dirs = list(sample_directions(4, "random", seed=11)) + [[0.3, 0.2, 1.0], [1.0, 0.1, 0.2]]
+        seen = set()
+        for xi in dirs:
+            rows = [outcome(r) for r in project_translates(base, moving, offsets, xi)]
+            alone = [projected_alone(base + [c.translated(o) for c in moving], xi)
+                     for o in offsets]
+            assert rows == alone
+            seen.update(type(r) for r in rows)
+        assert tuple in seen  # some rows give diagrams, not only errors
+
+    def test_nudged_translates_match_the_per_translate_path(self, monkeypatch):
+        # along the periodic axis every translate hides behind the link, so
+        # each row fails its check and goes through the nudges
+        system = chainmail_system()
+        link = minimal_periodic_link(system)
+        xi = [1.0, 0.0, 0.0]
+        expected_tries = []
+
+        def per_translate(curves, xi):
+            diagram, _, tries = project_generic(curves, xi, 1e-9, GENERICITY_RETRIES)
+            expected_tries.append(tries)
+            return diagram
+
+        expected = slk_by_translate(system, link, xi, [0], per_translate)
+        tries = []
+
+        def recorded(*args):
+            out = project_generic(*args)
+            tries.append(out[2])
+            return out
+
+        monkeypatch.setattr(pbc, "project_generic", recorded)
+        assert slk_p(system, xi, link) == expected == 2
+        assert tries == expected_tries and len(tries) == 6 and all(tries)
+
+    @pytest.mark.parametrize("name", ["twill", "jersey"])
+    @pytest.mark.parametrize("axis", [None, 0, 1])
+    def test_slk_of_open_images_matches_one_projection_per_translate(self, name, axis,
+                                                                     monkeypatch):
+        system = self.SYSTEMS[name]()
+        link = minimal_periodic_link(system)
+        axes = [0, 1] if axis is None else [axis]
+        nudged = []
+        monkeypatch.setattr(pbc, "project_generic", lambda *args: nudged.append(args))
+        values = []
+        for xi in sample_directions(6, "random", seed=5):
+            expected = slk_by_translate(system, link, xi, axes, project)
+            assert slk_p(system, xi, link, axis=axis) == expected
+            values.append(expected)
+        # plain projections were generic, so no translate needed a nudge
+        assert not nudged
+        assert len(set(values)) > 1 or values[0] != 0
+
+    def test_offsets_are_checked(self):
+        _, base, moving = link_and_copy(chainmail_system())
+        for bad in ([[0.0, 0.0]], [[np.inf, 0.0, 0.0]]):
+            with pytest.raises(PbcJonesError, match="offsets"):
+                project_translates(base, moving, bad, [0.0, 0.0, 1.0])
+        assert list(project_translates(base, moving, np.zeros((0, 3)), [0.0, 0.0, 1.0])) == []
+
+    GRID = st.one_of(st.integers(-12, 20).map(lambda k: k / 8),
+                     st.floats(-1.5, 2.5, allow_nan=False, allow_infinity=False))
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(st.tuples(GRID, GRID, GRID), min_size=3, max_size=8), st.booleans(),
+           st.tuples(st.booleans(), st.booleans(), st.booleans()),
+           st.tuples(*[st.integers(-1, 1)] * 3), st.tuples(*[st.integers(1, 3)] * 3))
+    def test_translate_sets_match_scalar_clipping(self, points, closed, periodic, anchor, dims):
+        frac = np.array(points, dtype=float)
+        box = UnfoldingBox(anchor, dims)
+        ranges = [range(int(np.floor(box.lo[ax] - frac[:, ax].max())) - 3,
+                        int(np.ceil(box.hi[ax] - frac[:, ax].min())) + 4)
+                  if periodic[ax] else range(1) for ax in range(3)]
+        expected = [v for v in product(*ranges)
+                    if scalar_box_presence(frac + np.array(v, dtype=float), closed,
+                                           box.lo, box.hi) > pbc.PRESENCE_TOL]
+        assert present_translates(Cell(np.eye(3), periodic), frac, closed, box) == expected

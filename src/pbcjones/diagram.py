@@ -253,8 +253,9 @@ class Diagram:
             taken.add(f"s{counter}")
             ends = None if start is None else (start, far)
             new_comps.append(Component(f"s{counter}", start is None, tuple(passages), ends))
-        return Diagram(new_comps, {c: -s if backwards[c] == 1 else s
-                                   for c, s in self.crossings.items() if c != cid})
+        # a smoothing of a valid diagram is valid by construction
+        return Diagram.trusted(new_comps, {c: -s if backwards[c] == 1 else s
+                                           for c, s in self.crossings.items() if c != cid})
 
     def oriented_smooth(self, cid: str) -> "Diagram":
         """Smooth a crossing the way that respects both strand orientations."""

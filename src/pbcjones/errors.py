@@ -16,10 +16,15 @@ class NonGenericDirectionError(PbcJonesError):
 
     def __init__(self, feature: str, detail: str = ""):
         self.feature = feature
+        self.detail = detail
         msg = f"projection is not generic: {feature}"
         if detail:
             msg += f" ({detail})"
         super().__init__(msg)
+
+    def __reduce__(self):
+        # rebuilt from the constructor's arguments, so a worker process can return it
+        return type(self), (self.feature, self.detail)
 
 
 class StateSumTooLargeError(PbcJonesError):
@@ -32,6 +37,9 @@ class StateSumTooLargeError(PbcJonesError):
             f"diagram has {count} crossings, exceeding the cap of {cap}; "
             f"raise the cap explicitly to proceed"
         )
+
+    def __reduce__(self):
+        return type(self), (self.count, self.cap)
 
 
 class ChainConnectivityError(PbcJonesError):

@@ -153,6 +153,16 @@ def perturbed_direction(xi, attempt: int) -> np.ndarray:
     return out / np.linalg.norm(out)
 
 
+def _end_distance(px, py, x0, y0, x1, y1) -> np.ndarray:
+    """Elementwise distance in the plane from the points (px, py) to the
+    segments (x0, y0)-(x1, y1); a segment of zero length is its start."""
+    dx, dy = x1 - x0, y1 - y0
+    l2 = dx * dx + dy * dy
+    t = np.divide((px - x0) * dx + (py - y0) * dy, l2, out=np.zeros_like(l2), where=l2 > 0.0)
+    t = np.minimum(np.maximum(t, 0.0), 1.0)
+    return np.hypot(px - (x0 + t * dx), py - (y0 + t * dy))
+
+
 def _overlaps(lo: np.ndarray, hi: np.ndarray, group: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """Index pairs (i, j) of the closed intervals [lo, hi] of one group that overlap.
 
@@ -318,8 +328,8 @@ class _Segments:
         zb = z0[qb] * (1.0 - t) + z1[qb] * t
         failed = (near & (~inside | (np.abs(za - zb) <= tol))).nonzero()[0]
 
-        # the first failing pair of a row in pair order names its error;
-        # parallel pairs before it are tested one by one
+        # the first failing pair of a row in pair order names its error,
+        # unless a parallel pair before it is tangent
         code = np.zeros(rows, dtype=np.int64)
         par = parallel.nonzero()[0]
         if failed.shape[0]:
@@ -330,14 +340,14 @@ class _Segments:
             stop[bad_rows] = q[failed]
             par = par[par < stop[a[par] // n]]
         if par.shape[0]:
-            ax, ay, bx, by = x0.tolist(), y0.tolist(), dx.tolist(), dy.tolist()
-            tangent = set()
-            for i, j in zip(a[par].tolist(), b[par].tolist()):
-                if i // n not in tangent and _segments_too_close(
-                        (ax[i], ay[i]), (ax[i] + bx[i], ay[i] + by[i]),
-                        (ax[j], ay[j]), (ax[j] + bx[j], ay[j] + by[j]), tol):
-                    tangent.add(i // n)
-            code[list(tangent)] = TANGENCY
+            # a parallel pair is tangent when an end of one segment lies
+            # within tol of the other; rows 0-3 are the ends a0, a1, b0, b1
+            i, j = a[par], b[par]
+            ex = np.stack([x0[i], x0[i] + dx[i], x0[j], x0[j] + dx[j]])
+            ey = np.stack([y0[i], y0[i] + dy[i], y0[j], y0[j] + dy[j]])
+            start, end = [2, 2, 0, 0], [3, 3, 1, 1]  # the other segment of each end
+            dist = _end_distance(ex, ey, ex[start], ey[start], ex[end], ey[end])
+            code[i[dist.min(axis=0) <= tol] // n] = TANGENCY
 
         keep = near & (code[qa // n] == 0)
         qa, qb, s, t, za, zb, denom = (w[keep] for w in (qa, qb, s, t, za, zb, denom))
@@ -489,29 +499,6 @@ def project(curves: Sequence[Curve], xi, tol: float = 1e-9) -> Diagram:
     if isinstance(out, NonGenericDirectionError):
         raise out
     return out
-
-
-def _segments_too_close(a0, a1, b0, b1, tol: float) -> bool:
-    return _seg_dist(a0, a1, b0, b1) <= tol
-
-
-def _point_seg_dist(p, s0, s1) -> float:
-    """Distance from p to the segment s0-s1; points are (x, y) floats."""
-    dx, dy = s1[0] - s0[0], s1[1] - s0[1]
-    L2 = dx * dx + dy * dy
-    if L2 == 0.0:
-        return math.hypot(p[0] - s0[0], p[1] - s0[1])
-    t = min(max(((p[0] - s0[0]) * dx + (p[1] - s0[1]) * dy) / L2, 0.0), 1.0)
-    return math.hypot(p[0] - (s0[0] + t * dx), p[1] - (s0[1] + t * dy))
-
-
-def _seg_dist(a0, a1, b0, b1) -> float:
-    return min(
-        _point_seg_dist(a0, b0, b1),
-        _point_seg_dist(a1, b0, b1),
-        _point_seg_dist(b0, a0, a1),
-        _point_seg_dist(b1, a0, a1),
-    )
 
 
 def is_generic(curves: Sequence[Curve], xi, tol: float = 1e-9) -> bool:

@@ -7,14 +7,17 @@ arcs inside one cell; its physical component is the union of all lattice
 translates of those arcs.  Unfolding walks arc translates end to end to
 recover one connected image per chain.
 
-Cell membership of a polyline is by positive clipped length: grazing a
-box at isolated points does not count as presence.
+Presence in a box is by positive clipped length: grazing a box at
+isolated points does not count.  Cells are closed boxes, so a segment
+lying in a shared face counts in both cells.  One array clip,
+``box_presence``, decides every presence: the cells of an unfolding box
+and the image translates of a periodic link.
 
 Every arc vertex must lie within ``ARC_REACH`` cells of the cell, in
-fractional coordinates on every axis.  The cell walk, the unfolding box
-and the translate search all grow with the cells an arc spans, so an
-unbounded coordinate such as 1e300 would otherwise walk about as many
-lattice planes; ``PBCSystem`` rejects it instead.
+fractional coordinates on every axis.  The unfolding box and the
+translate search both grow with the cells an arc spans, so an unbounded
+coordinate such as 1e300 would otherwise make about as many candidate
+cells; ``PBCSystem`` rejects it instead.
 """
 
 from __future__ import annotations
@@ -160,12 +163,24 @@ class PBCSystem:
 
 
 @dataclass(frozen=True)
-class Image:
-    """One connected unfolded copy of a chain, each arc placed once."""
+class PlacedImage:
+    """One connected unfolded copy of a chain, each arc placed once, moved
+    by a lattice translate."""
 
     chain_id: str
+    translate: Vec3
     closed: bool
     polyline: np.ndarray
+
+    @property
+    def curve_id(self) -> str:
+        v = self.translate
+        return f"{self.chain_id}@{v[0]},{v[1]},{v[2]}"
+
+    def shifted(self, cell: Cell, shift: Sequence[int]) -> "PlacedImage":
+        """The same image moved by a further lattice translate."""
+        v = tuple(a + b for a, b in zip(self.translate, shift))
+        return PlacedImage(self.chain_id, v, self.closed, self.polyline + cell.translation(shift))
 
 
 def _lattice_match(cell: Cell, target_frac, point_frac) -> Optional[Vec3]:
@@ -183,7 +198,8 @@ def _lattice_match(cell: Cell, target_frac, point_frac) -> Optional[Vec3]:
     return None
 
 
-def unfold_image(system: PBCSystem, chain: GeneratingChain) -> Image:
+def unfold_image(system: PBCSystem, chain: GeneratingChain) -> PlacedImage:
+    """The chain's image at translate (0, 0, 0), its basepoint arc as given."""
     cell = system.cell
     frac_arcs = [cell.to_fractional(a) for a in chain.arcs]
     n = len(chain.arcs)
@@ -258,45 +274,10 @@ def unfold_image(system: PBCSystem, chain: GeneratingChain) -> Image:
     closed = chain.topology == "closed"
     if closed and np.linalg.norm(poly[0] - poly[-1]) <= MATCH_TOL * 10:
         poly = poly[:-1]
-    return Image(chain.id, closed, poly)
+    return PlacedImage(chain.id, (0, 0, 0), closed, poly)
 
 
-# -- cell decomposition of a polyline ----------------------------------
-
-
-def _segment_iter(poly: np.ndarray, closed: bool):
-    m = poly.shape[0]
-    last = m if closed else m - 1
-    for i in range(last):
-        yield poly[i], poly[(i + 1) % m]
-
-
-def polyline_cells(frac_poly: np.ndarray, closed: bool) -> Dict[Vec3, float]:
-    """Fractional length of a polyline inside each unit lattice cell."""
-    out: Dict[Vec3, float] = {}
-    for a, b in _segment_iter(frac_poly, closed):
-        d = b - a
-        L = float(np.linalg.norm(d))
-        if L == 0.0:
-            continue
-        cuts = {0.0, 1.0}
-        for ax in range(3):
-            if abs(d[ax]) < 1e-15:
-                continue
-            lo = math.floor(min(a[ax], b[ax]))
-            hi = math.ceil(max(a[ax], b[ax]))
-            for plane in range(lo, hi + 1):
-                t = (plane - a[ax]) / d[ax]
-                if 1e-12 < t < 1.0 - 1e-12:
-                    cuts.add(t)
-        ts = sorted(cuts)
-        for t0, t1 in zip(ts, ts[1:]):
-            if t1 - t0 <= 1e-12:
-                continue
-            mid = a + ((t0 + t1) / 2.0) * d
-            cellv = (int(math.floor(mid[0])), int(math.floor(mid[1])), int(math.floor(mid[2])))
-            out[cellv] = out.get(cellv, 0.0) + L * (t1 - t0)
-    return {c: l for c, l in out.items() if l > PRESENCE_TOL}
+# -- box presence of a polyline ------------------------------------------
 
 
 def _box_intervals(a: np.ndarray, b: np.ndarray, lo, hi) -> Tuple[np.ndarray, np.ndarray]:
@@ -317,10 +298,12 @@ def _box_intervals(a: np.ndarray, b: np.ndarray, lo, hi) -> Tuple[np.ndarray, np
 
 
 def box_presence(frac_poly: np.ndarray, closed: bool, lo, hi) -> np.ndarray:
-    """Fractional length of the polyline inside the box [lo, hi].
+    """Fractional length of the polyline inside the closed box [lo, hi].
 
     ``frac_poly`` has shape (..., vertices, 3): a stack of polylines with
-    one vertex layout gives one length per polyline.
+    one vertex layout gives one length per polyline.  ``lo`` and ``hi``
+    broadcast against it, so boxes of shape (k, 1, 3) measure one
+    polyline in k boxes.
     """
     m = frac_poly.shape[-2]
     start = np.arange(m if closed else m - 1)
@@ -333,20 +316,26 @@ def present_translates(cell: Cell, frac_poly: np.ndarray, closed: bool,
                        box: UnfoldingBox) -> List[Vec3]:
     """Lattice translates that give the polyline positive presence in the box.
 
-    Presence is more than ``PRESENCE_TOL`` fractional length.  Candidates
-    come from ``_translate_range`` and keep its order; they are measured
-    in blocks of at most ``BLOCK_ROWS`` (translate, vertex) rows, one
-    array pass each.
+    Candidates come from ``_translate_range`` and keep its order.
     """
     lo, hi = box.lo, box.hi
-    candidates = _translate_range(cell, frac_poly, lo, hi)
-    step = max(1, BLOCK_ROWS // frac_poly.shape[0])
+    return _present(_translate_range(cell, frac_poly, lo, hi), frac_poly.shape[0],
+                    lambda v: box_presence(frac_poly + v, closed, lo, hi))
+
+
+def _present(candidates: List[Vec3], vertices: int, presence) -> List[Vec3]:
+    """The candidates with more than ``PRESENCE_TOL`` presence, in their order.
+
+    ``presence`` maps a block of candidates, a float array of shape
+    (k, 1, 3), to their k lengths.  Blocks hold at most ``BLOCK_ROWS``
+    (candidate, vertex) rows and take one array pass each.
+    """
+    step = max(1, BLOCK_ROWS // vertices)
     out: List[Vec3] = []
     for first in range(0, len(candidates), step):
         block = candidates[first:first + step]
-        shifted = frac_poly + np.asarray(block, dtype=float)[:, None]
-        presence = box_presence(shifted, closed, lo, hi).tolist()
-        out += [v for v, p in zip(block, presence) if p > PRESENCE_TOL]
+        lengths = presence(np.asarray(block, dtype=float)[:, None]).tolist()
+        out += [v for v, p in zip(block, lengths) if p > PRESENCE_TOL]
     return out
 
 
@@ -378,10 +367,17 @@ class UnfoldingBox:
         return 2 * self.dims[axis] - 1
 
 
-def minimal_unfolding(system: PBCSystem, image: Image) -> UnfoldingBox:
-    """Box of the cells in which the image has positive length."""
+def minimal_unfolding(system: PBCSystem, image: PlacedImage) -> UnfoldingBox:
+    """Box of the unit cells in which the image has positive length.
+
+    Cells ceil(min) - 1 to floor(max) of the image, per axis, are tried,
+    so a segment in a face at an integer min or max reaches both cells.
+    """
     frac = system.cell.to_fractional(image.polyline)
-    cells = sorted(polyline_cells(frac, image.closed))
+    ranges = (range(math.ceil(lo) - 1, math.floor(hi) + 1)
+              for lo, hi in zip(frac.min(axis=0).tolist(), frac.max(axis=0).tolist()))
+    cells = _present(list(product(*ranges)), frac.shape[0],
+                     lambda c: box_presence(frac, image.closed, c, c + 1.0))
     if not cells:
         raise PbcJonesError(f"image of chain {image.chain_id!r} has no cell presence")
     arr = np.asarray(cells)
@@ -390,10 +386,11 @@ def minimal_unfolding(system: PBCSystem, image: Image) -> UnfoldingBox:
     return UnfoldingBox(anchor, dims)
 
 
-def minimal_collective_unfolding(system: PBCSystem) -> Tuple[Dict[str, Image], UnfoldingBox]:
+def minimal_collective_unfolding(system: PBCSystem
+                                 ) -> Tuple[Dict[str, PlacedImage], UnfoldingBox]:
     """Per-chain images plus the collective box: the lowest anchor and the
     largest extent of the chains' boxes, per axis."""
-    images: Dict[str, Image] = {}
+    images: Dict[str, PlacedImage] = {}
     boxes: List[UnfoldingBox] = []
     for chain in system.chains:
         img = images[chain.id] = unfold_image(system, chain)
@@ -407,28 +404,10 @@ def minimal_collective_unfolding(system: PBCSystem) -> Tuple[Dict[str, Image], U
 
 
 @dataclass(frozen=True)
-class PlacedImage:
-    chain_id: str
-    translate: Vec3
-    closed: bool
-    polyline: np.ndarray
-
-    @property
-    def curve_id(self) -> str:
-        v = self.translate
-        return f"{self.chain_id}@{v[0]},{v[1]},{v[2]}"
-
-    def shifted(self, cell: Cell, shift: Sequence[int]) -> "PlacedImage":
-        """The same image moved by a further lattice translate."""
-        v = tuple(a + b for a, b in zip(self.translate, shift))
-        return PlacedImage(self.chain_id, v, self.closed, self.polyline + cell.translation(shift))
-
-
-@dataclass(frozen=True)
 class MinimalPeriodicLink:
     images: Tuple[PlacedImage, ...]
     mcu: UnfoldingBox
-    base_images: Mapping[str, Image]
+    base_images: Mapping[str, PlacedImage]
 
     @property
     def component_count(self) -> int:
@@ -464,8 +443,7 @@ def _place_images(system: PBCSystem, translates) -> MinimalPeriodicLink:
     placed: List[PlacedImage] = []
     for chain in system.chains:
         img = images[chain.id]
-        at_base = PlacedImage(chain.id, (0, 0, 0), img.closed, img.polyline)
-        placed.extend(at_base.shifted(system.cell, v) for v in translates(img, box))
+        placed.extend(img.shifted(system.cell, v) for v in translates(img, box))
     return MinimalPeriodicLink(tuple(placed), box, images)
 
 
@@ -526,6 +504,11 @@ def _frozen_translate(cell: Cell, chain_id: str, t) -> Vec3:
     for ax in range(3):
         if v[ax] and not cell.periodic[ax]:
             raise PbcJonesError(f"translate {v} moves along a non-periodic axis")
+    try:
+        cell.translation(v)
+    except OverflowError:
+        raise PbcJonesError(
+            f"frozen chain {chain_id!r}: a translate is too large to place") from None
     return v
 
 

@@ -53,7 +53,11 @@ def count_loops(diagram: Diagram) -> int:
 
 
 def brute_bracket(diagram: Diagram) -> LaurentPoly:
-    """Bracket by expanding all 2^k smoothing states one crossing at a time."""
+    """Bracket by expanding all 2^k smoothing states one crossing at a time.
+
+    ``Diagram.smooth`` skips validation, so every smoothed diagram is
+    rebuilt through ``Diagram(...)``, which checks it.
+    """
     cids = sorted(diagram.crossings)
     total = LaurentPoly.zero()
     for kinds in product("AB", repeat=len(cids)):
@@ -61,6 +65,7 @@ def brute_bracket(diagram: Diagram) -> LaurentPoly:
         exp = 0
         for cid, kind in zip(cids, kinds):
             d = d.smooth(cid, kind)
+            d = Diagram(d.components, d.crossings)
             exp += 1 if kind == "A" else -1
         term = LaurentPoly.monomial(1, exp) * d_power(count_loops(d) - 1)
         total = total + term
@@ -201,3 +206,20 @@ def scalar_box_presence(frac_poly: np.ndarray, closed: bool, lo, hi) -> float:
         if t1 > t0:
             total += float(np.linalg.norm(d)) * (t1 - t0)
     return total
+
+
+def point_segment_distance(p, s0, s1) -> float:
+    """Distance from p to the segment s0-s1 in the plane; points are (x, y) floats."""
+    dx, dy = s1[0] - s0[0], s1[1] - s0[1]
+    L2 = dx * dx + dy * dy
+    if L2 == 0.0:
+        return math.hypot(p[0] - s0[0], p[1] - s0[1])
+    t = min(max(((p[0] - s0[0]) * dx + (p[1] - s0[1]) * dy) / L2, 0.0), 1.0)
+    return math.hypot(p[0] - (s0[0] + t * dx), p[1] - (s0[1] + t * dy))
+
+
+def segment_distance(a0, a1, b0, b1) -> float:
+    """Distance between two plane segments that do not cross: the least
+    distance from an end of one to the other."""
+    return min(point_segment_distance(a0, b0, b1), point_segment_distance(a1, b0, b1),
+               point_segment_distance(b0, a0, a1), point_segment_distance(b1, a0, a1))

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from pbcjones.cli import main
-from pbcjones.fixtures import (chainmail_system, hopf_link, melt_dump_text,
+from pbcjones.fixtures import (chainmail_system, hopf_link, jersey_system, melt_dump_text,
                                open_trefoil)
 from pbcjones.geometry import Curve
 from pbcjones.io_formats import write_curves, write_system
@@ -86,6 +86,20 @@ class TestJones:
                                              if k != "workers"}))
         assert reports[0] == reports[1]
         assert reports[0][0]["retries"] >= 1
+
+    def test_worker_error_exits_as_in_process(self, tmp_path, capsys):
+        # a jersey direction exceeds the default crossing cap in a worker process
+        path = tmp_path / "jersey.json"
+        write_system(str(path), jersey_system())
+        errors = []
+        for workers in ("1", "2"):
+            assert main(["periodic-jones", str(path), "--directions", "200",
+                         "--workers", workers]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            errors.append(captured.err)
+        assert errors[0] == errors[1]
+        assert errors[0].startswith("error: diagram has 59 crossings, exceeding the cap of 48")
 
     def test_runs_are_reproducible(self, tmp_path, capsys):
         path = tmp_path / "open.json"
@@ -287,6 +301,7 @@ class TestMalformedInput:
         ({"ring": [[0, 0, 0]], "knot": [[0, 0, 0]]}, "chains not in the system: ['knot']"),
         ({}, "places no image"),
         ({"ring": []}, "places no image"),
+        ({"ring": [[10**400, 0, 0]]}, "frozen chain 'ring': a translate is too large"),
     ])
     def test_malformed_frozen_composition(self, composition, message, chainmail_file,
                                           tmp_path, capsys):

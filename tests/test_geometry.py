@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import brute_segment_crossings, gauss_linking, outcome, projected_alone
+from oracles import (brute_segment_crossings, gauss_linking, outcome, point_segment_distance,
+                     projected_alone, segment_distance)
 
 from pbcjones import geometry
 from pbcjones.diagram import Diagram
@@ -267,6 +268,28 @@ class TestParallelSegments:
         a = Curve("a", [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]], False)
         b = Curve("b", [[1.0 + 1e-6, 0.0, 1.0], [2.0, 0.0, 1.0]], False)
         assert project([a, b], [0.0, 0.0, 1.0]).crossings == {}
+
+    COORD = st.one_of(st.integers(-2, 2).map(float),
+                      st.floats(-4.0, 4.0, allow_nan=False, allow_infinity=False))
+    SEGMENT_PAIR = st.tuples(*[st.tuples(COORD, COORD)] * 4)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(SEGMENT_PAIR, min_size=1, max_size=12))
+    def test_array_end_distance_matches_scalar(self, pairs):
+        # ends a0, a1, b0, b1 of each pair, each against the other segment,
+        # laid out as the tangency test lays them out; np.hypot and
+        # math.hypot may differ in the last bit
+        ends = np.array(pairs, dtype=float).transpose(1, 2, 0)  # (end, axis, pair)
+        start, end = [2, 2, 0, 0], [3, 3, 1, 1]
+        x, y = ends[:, 0], ends[:, 1]
+        dist = geometry._end_distance(x, y, x[start], y[start], x[end], y[end])
+        for k, (a0, a1, b0, b1) in enumerate(pairs):
+            scalar = [point_segment_distance(a0, b0, b1), point_segment_distance(a1, b0, b1),
+                      point_segment_distance(b0, a0, a1), point_segment_distance(b1, a0, a1)]
+            for got, want in zip(dist[:, k].tolist(), scalar):
+                assert math.isclose(got, want, rel_tol=1e-15, abs_tol=1e-300)
+            assert math.isclose(dist[:, k].min(), segment_distance(a0, a1, b0, b1),
+                                rel_tol=1e-15, abs_tol=1e-300)
 
 
 class TestEndpointContact:

@@ -1,12 +1,13 @@
 import importlib
 import math
+import pickle
 
 import numpy as np
 import pytest
 
 from pbcjones import jones3d
 from pbcjones.diagram import terminal_graph
-from pbcjones.errors import PbcJonesError, StateSumTooLargeError
+from pbcjones.errors import NonGenericDirectionError, PbcJonesError, StateSumTooLargeError
 from pbcjones.fixtures import (figure_eight, hopf_link, jersey_system, open_trefoil,
                                trefoil, unlinked_circles)
 from pbcjones.jones3d import (SamplingConfig, jones, jones_single_direction,
@@ -111,6 +112,19 @@ class TestCapHandling:
         cfg = SamplingConfig(directions=5, crossing_cap=1, on_cap="skip")
         with pytest.raises(StateSumTooLargeError):
             jones([open_trefoil(0.3)], cfg)
+
+    @pytest.mark.parametrize("err, attrs", [
+        (StateSumTooLargeError(59, 48), {"count": 59, "cap": 48}),
+        (NonGenericDirectionError("tangency"), {"feature": "tangency", "detail": ""}),
+        (NonGenericDirectionError("fold_back", "after 3 nudges"),
+         {"feature": "fold_back", "detail": "after 3 nudges"}),
+    ])
+    def test_errors_survive_pickling(self, err, attrs):
+        # a process pool returns a worker's error pickled
+        back = pickle.loads(pickle.dumps(err))
+        assert type(back) is type(err)
+        assert str(back) == str(err)
+        assert {k: getattr(back, k) for k in attrs} == attrs
 
     def test_single_direction_ignores_skip_policy(self):
         cfg = SamplingConfig(crossing_cap=2, on_cap="skip")

@@ -14,10 +14,11 @@ from pbcjones.fixtures import (_CHAINMAIL_RING, chainmail_system, jersey_system,
 from pbcjones.geometry import Curve, project, project_translates, sample_directions
 from pbcjones.io_formats import system_from_json_obj, system_to_json_obj
 from pbcjones.jones3d import GENERICITY_RETRIES, SamplingConfig, project_generic
-from pbcjones.pbc import (Cell, GeneratingChain, PBCSystem, UnfoldingBox, box_presence,
-                          cell_curves, cell_jones, minimal_periodic_link,
-                          periodic_jones, present_translates, rebuild_link,
-                          search_basepoint, slk_p, unfold_image, with_basepoint)
+from pbcjones.pbc import (Cell, GeneratingChain, PBCSystem, PlacedImage, UnfoldingBox,
+                          box_presence, cell_curves, cell_jones, minimal_periodic_link,
+                          minimal_unfolding, periodic_jones, present_translates,
+                          rebuild_link, search_basepoint, slk_p, unfold_image,
+                          with_basepoint)
 
 
 def json_round_trip(cell, chain):
@@ -115,6 +116,7 @@ class TestUnfolding:
     def test_closed_ring_unfolds_to_itself(self):
         system = chainmail_system()
         img = unfold_image(system, system.chains[0])
+        assert isinstance(img, PlacedImage) and img.translate == (0, 0, 0)
         assert img.closed
         assert np.allclose(img.polyline, np.asarray(_CHAINMAIL_RING)[:-1])
 
@@ -300,6 +302,47 @@ class TestBoxPresence:
         frac = np.array([[0.5, 0.5, 0.5], [1.5, 0.5, 0.5]])
         inside = box_presence(frac, False, (0, 0, 0), (1, 1, 1))
         assert 0 < inside < 1
+
+
+class TestUnfoldingBox:
+    """minimal_unfolding takes the cells where box_presence finds the image."""
+
+    COORD = st.one_of(st.integers(-1, 2).map(float),
+                      st.floats(-1.5, 2.5, allow_nan=False, allow_infinity=False))
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(st.tuples(COORD, COORD, COORD), min_size=2, max_size=8), st.booleans())
+    def test_box_spans_the_cells_with_scalar_presence(self, points, closed):
+        # integer coordinates put vertices, and so whole segments, in cell faces
+        frac = np.array(points, dtype=float)
+        system = PBCSystem(Cell(np.eye(3), (True, True, True)), [])
+        ranges = [range(int(np.floor(frac[:, ax].min())) - 2, int(np.ceil(frac[:, ax].max())) + 2)
+                  for ax in range(3)]
+        cells = np.array([c for c in product(*ranges)
+                          if scalar_box_presence(frac, closed, np.array(c, dtype=float),
+                                                 np.array(c, dtype=float) + 1.0)
+                          > pbc.PRESENCE_TOL]).reshape(-1, 3)
+        image = PlacedImage("c", (0, 0, 0), closed, frac)
+        if not cells.shape[0]:
+            with pytest.raises(PbcJonesError, match="no cell presence"):
+                minimal_unfolding(system, image)
+            return
+        lo, hi = cells.min(axis=0), cells.max(axis=0)
+        assert minimal_unfolding(system, image) == UnfoldingBox(
+            tuple(lo.tolist()), tuple((hi - lo + 1).tolist()))
+
+    def test_thread_in_a_face_takes_both_cells(self):
+        # a zigzag in the face y = 0, advancing one cell along x: the face
+        # belongs to the cells below and above it, so the link's images at
+        # y = -1, 0 and 1 lie in the box, and copies 3 cells apart never meet
+        thread = GeneratingChain("t", [[[0.0, 0.0, 0.3], [0.5, 0.0, 0.7], [1.0, 0.0, 0.3]]],
+                                 "infinite")
+        system = PBCSystem(Cell(np.eye(3), (True, True, False)), [thread])
+        link = minimal_periodic_link(system)
+        assert link.mcu == UnfoldingBox((0, -1, 0), (1, 2, 1))
+        assert link.composition == {"t": [(0, -1, 0), (0, 0, 0), (0, 1, 0)]}
+        for xi in sample_directions(3, "random", seed=1):
+            assert slk_p(system, xi, link) == 0
 
 
 def link_and_copy(system):

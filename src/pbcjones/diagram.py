@@ -148,23 +148,24 @@ class Diagram:
             return x
 
         owner = self.passage_owner()
-        ties = [(owner[(cid, "o")], owner[(cid, "u")]) for cid in self.crossings]
+        # each distinct (over owner, under owner) pair is tied once; the
+        # pieces, and their order, do not depend on the order of the ties
+        ties = {(owner[(cid, "o")], owner[(cid, "u")]) for cid in self.crossings}
         first_with_owner: Dict[str, str] = {}
         for comp in self.components:
             if not comp.closed:
-                ties.extend((first_with_owner.setdefault(o, comp.id), comp.id)
-                            for o, _ in comp.ends)
+                for o, _ in comp.ends:
+                    ties.add((first_with_owner.setdefault(o, comp.id), comp.id))
         for a, b in ties:
             root[find(b)] = find(a)
-        groups: Dict[str, List[Component]] = {}
+        groups: Dict[str, Tuple[List[Component], Dict[str, int]]] = {}
+        piece_of: Dict[str, Tuple[List[Component], Dict[str, int]]] = {}
         for comp in self.components:
-            groups.setdefault(find(comp.id), []).append(comp)
-        out = []
-        for comps in groups.values():
-            present = {p[0] for comp in comps for p in comp.passages}
-            out.append(Diagram.trusted(comps, {c: s for c, s in self.crossings.items()
-                                               if c in present}))
-        return out
+            piece = piece_of[comp.id] = groups.setdefault(find(comp.id), ([], {}))
+            piece[0].append(comp)
+        for cid, s in self.crossings.items():
+            piece_of[owner[(cid, "o")]][1][cid] = s
+        return [Diagram.trusted(comps, signs) for comps, signs in groups.values()]
 
     def inter_linking(self, group_a: Iterable[str], group_b: Iterable[str]) -> Fraction:
         """Half the signed count of crossings between two disjoint component groups."""
@@ -254,7 +255,7 @@ class Diagram:
             ends = None if start is None else (start, far)
             new_comps.append(Component(f"s{counter}", start is None, tuple(passages), ends))
         # a smoothing of a valid diagram is valid by construction
-        return Diagram.trusted(new_comps, {c: -s if backwards[c] == 1 else s
+        return Diagram.trusted(new_comps, {c: -s if backwards.get(c) == 1 else s
                                            for c, s in self.crossings.items() if c != cid})
 
     def oriented_smooth(self, cid: str) -> "Diagram":

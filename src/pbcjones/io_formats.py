@@ -203,7 +203,8 @@ class TrajectoryFrame:
         out: Dict[int, np.ndarray] = {}
         order = np.argsort(self.ids, kind="stable")
         mols, pos = self.mols[order], self.positions[order]
-        for m in np.unique(mols):
+        # return_index keeps np.unique from importing numpy.ma on its first call
+        for m in np.unique(mols, return_index=True)[0]:
             out[int(m)] = pos[mols == m]
         return out
 
@@ -225,7 +226,7 @@ def _finish_frame(timestep, bounds, rows, path, lineno) -> TrajectoryFrame:
     if not rows:
         raise PbcJonesError(f"{path}:{lineno}: frame {timestep} has no atoms")
     ids = np.array([r[0] for r in rows], dtype=np.int64)
-    if len(np.unique(ids)) != len(ids):
+    if len(np.unique(ids, return_index=True)[0]) != len(ids):
         raise PbcJonesError(f"{path}:{lineno}: duplicate atom ids in frame {timestep}")
     mols = np.array([r[1] for r in rows], dtype=np.int64)
     pos = np.array([r[2] for r in rows], dtype=float)

@@ -4,10 +4,17 @@ A polynomial is a map from integer exponents to coefficients.  Two modes
 exist: ``"exact"`` keeps int/Fraction coefficients and is used wherever a
 single diagram is evaluated, ``"float"`` appears once sphere averaging is
 involved.  Mixing modes in arithmetic promotes the result to float.
+
+The constructor normalizes every coefficient: it checks the type, turns
+whole Fractions into ints and drops zeros.  Exact sums and products whose
+coefficients are all ints skip it and only drop zero terms; one holding a
+Fraction still goes through it.  ``d_power`` is cached per k, which is
+safe because polynomials are never mutated after construction.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -110,41 +117,53 @@ class LaurentPoly:
     def __add__(self, other: "LaurentPoly") -> "LaurentPoly":
         if not isinstance(other, LaurentPoly):
             return NotImplemented
-        mode = self._join_mode(other)
         c = dict(self._c)
         for e, v in other._c.items():
             c[e] = c.get(e, 0) + v
-        return LaurentPoly(c, mode)
+        return self._result(other, c)
 
     def __sub__(self, other: "LaurentPoly") -> "LaurentPoly":
         if not isinstance(other, LaurentPoly):
             return NotImplemented
-        mode = self._join_mode(other)
         c = dict(self._c)
         for e, v in other._c.items():
             c[e] = c.get(e, 0) - v
-        return LaurentPoly(c, mode)
+        return self._result(other, c)
 
     def __neg__(self) -> "LaurentPoly":
         return LaurentPoly({e: -v for e, v in self._c.items()}, self.mode)
 
     def __mul__(self, other):
         if isinstance(other, LaurentPoly):
-            mode = self._join_mode(other)
-            if mode == EXACT and (len(self._c) == 1 or len(other._c) == 1):
+            if EXACT == self.mode == other.mode and (len(self._c) == 1 or len(other._c) == 1):
                 return self._shifted(other) if len(other._c) == 1 else other._shifted(self)
             c: Dict[int, Coeff] = {}
             for e1, v1 in self._c.items():
                 for e2, v2 in other._c.items():
                     e = e1 + e2
                     c[e] = c.get(e, 0) + v1 * v2
-            return LaurentPoly(c, mode)
+            return self._result(other, c)
         if isinstance(other, (int, Fraction, float)) and not isinstance(other, bool):
             mode = FLOAT if (self.mode == FLOAT or isinstance(other, float)) else EXACT
             return LaurentPoly({e: v * other for e, v in self._c.items()}, mode)
         return NotImplemented
 
     __rmul__ = __mul__
+
+    def _result(self, other: "LaurentPoly", c: Dict[int, Coeff]) -> "LaurentPoly":
+        """The sum or product ``c`` of two polynomials, in their joined mode.
+
+        Exact coefficients that are all ints need no normalizing, so only
+        their zero sums are dropped; a Fraction anywhere, or float mode,
+        sends ``c`` through the constructor.
+        """
+        mode = self._join_mode(other)
+        if mode == FLOAT or any(type(v) is not int for v in c.values()):
+            return LaurentPoly(c, mode)
+        out = LaurentPoly.__new__(LaurentPoly)
+        out.mode = EXACT
+        out._c = {e: v for e, v in c.items() if v}
+        return out
 
     def _shifted(self, monomial: "LaurentPoly") -> "LaurentPoly":
         """Exact product with a one-term polynomial: shift exponents, scale coefficients.
@@ -154,11 +173,7 @@ class LaurentPoly:
         constructor, which turns whole ones into ints.
         """
         (e0, v0), = monomial._c.items()
-        c = {e + e0: v * v0 for e, v in self._c.items()}
-        out = LaurentPoly.__new__(LaurentPoly)
-        out.mode = EXACT
-        out._c = c if all(type(v) is int for v in c.values()) else LaurentPoly(c)._c
-        return out
+        return self._result(monomial, {e + e0: v * v0 for e, v in self._c.items()})
 
     def __pow__(self, n: int) -> "LaurentPoly":
         if not isinstance(n, int) or n < 0:
@@ -261,7 +276,9 @@ def d_poly() -> LaurentPoly:
     return LaurentPoly({2: -1, -2: -1})
 
 
+@functools.lru_cache(maxsize=None, typed=True)
 def d_power(k: int) -> LaurentPoly:
+    """d^k, cached per k: polynomials are never mutated after construction."""
     if k < 0:
         raise ValueError("negative powers of the loop value are not polynomials")
     return d_poly() ** k

@@ -25,6 +25,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
+from decimal import Decimal
 from fractions import Fraction
 from itertools import product
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
@@ -480,7 +481,13 @@ def with_basepoint(system: PBCSystem, chain_id: str, basepoint: Tuple[int, int])
 
 
 def rebuild_link(system: PBCSystem, composition: Mapping[str, Sequence[Sequence[int]]]) -> MinimalPeriodicLink:
-    """Place images at previously captured translates (frozen components)."""
+    """Place images at previously captured translates (frozen components).
+
+    Each placed image, moved back by its translate, must give back the
+    chain's own fractional coordinates within ``MATCH_TOL``, the tolerance
+    that matches arc ends; a translate so large that rounding loses them
+    is rejected.
+    """
     unknown = sorted(set(composition) - {c.id for c in system.chains})
     if unknown:
         raise PbcJonesError(f"frozen composition names chains not in the system: {unknown}")
@@ -491,7 +498,29 @@ def rebuild_link(system: PBCSystem, composition: Mapping[str, Sequence[Sequence[
         frozen[chain_id] = [_frozen_translate(system.cell, chain_id, t) for t in translates]
     if not any(frozen.values()):
         raise PbcJonesError("frozen composition places no image")
-    return _place_images(system, lambda img, box: frozen.get(img.chain_id, ()))
+
+    def placeable(img: PlacedImage, box) -> List[Vec3]:
+        translates = frozen.get(img.chain_id, [])
+        for v in translates:
+            if not _keeps_coordinates(system.cell, img.polyline, v):
+                shown = ", ".join(str(x) if abs(x) < 10**12 else f"{Decimal(x):.3e}" for x in v)
+                raise PbcJonesError(
+                    f"frozen chain {img.chain_id!r}: a translate is too large to place: "
+                    f"({shown}) rounds its coordinates off by more than {MATCH_TOL:g} cells")
+        return translates
+
+    return _place_images(system, placeable)
+
+
+def _keeps_coordinates(cell: Cell, polyline: np.ndarray, v: Vec3) -> bool:
+    """Whether ``polyline`` placed at translate ``v`` and moved back gives
+    back its fractional coordinates within ``MATCH_TOL``."""
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            back = cell.to_fractional(polyline + cell.translation(v)) - np.asarray(v, float)
+            return bool(np.all(np.abs(back - cell.to_fractional(polyline)) <= MATCH_TOL))
+    except OverflowError:
+        return False
 
 
 def _frozen_translate(cell: Cell, chain_id: str, t) -> Vec3:
@@ -504,11 +533,6 @@ def _frozen_translate(cell: Cell, chain_id: str, t) -> Vec3:
     for ax in range(3):
         if v[ax] and not cell.periodic[ax]:
             raise PbcJonesError(f"translate {v} moves along a non-periodic axis")
-    try:
-        cell.translation(v)
-    except OverflowError:
-        raise PbcJonesError(
-            f"frozen chain {chain_id!r}: a translate is too large to place") from None
     return v
 
 

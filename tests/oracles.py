@@ -72,6 +72,48 @@ def brute_bracket(diagram: Diagram) -> LaurentPoly:
     return total
 
 
+def reference_pieces(diagram: Diagram) -> List[Tuple[List[str], List[Tuple[str, int]]]]:
+    """``Diagram.pieces`` as (component ids, crossing items) per piece.
+
+    Unions the two owners of every crossing, repeats included, and the
+    components that carry ends of one owner, then scans every crossing
+    once per piece.
+    """
+    root = {c.id: c.id for c in diagram.components}
+
+    def find(x):
+        while root[x] != x:
+            x = root[x]
+        return x
+
+    def union(a, b):
+        root[find(b)] = find(a)
+
+    owner = {}
+    for comp in diagram.components:
+        for cid, role in comp.passages:
+            owner[(cid, role)] = comp.id
+    for cid in diagram.crossings:
+        union(owner[(cid, "o")], owner[(cid, "u")])
+    carriers: Dict[str, List[str]] = {}
+    for comp in diagram.components:
+        if not comp.closed:
+            for o, _ in comp.ends:
+                carriers.setdefault(o, []).append(comp.id)
+    for ids in carriers.values():
+        for other in ids[1:]:
+            union(ids[0], other)
+    groups: Dict[str, List[str]] = {}
+    for comp in diagram.components:
+        groups.setdefault(find(comp.id), []).append(comp.id)
+    out = []
+    for ids in groups.values():
+        members = set(ids)
+        out.append((ids, [(cid, s) for cid, s in diagram.crossings.items()
+                          if owner[(cid, "o")] in members]))
+    return out
+
+
 def brute_segment_crossings(flat: np.ndarray, segments: Sequence[Tuple[int, int]],
                             skip_pairs=()) -> List[Tuple[int, int]]:
     """All transversally intersecting segment pairs in the plane, by direct scan.

@@ -272,7 +272,97 @@ def renamed(d):
                    d.crossings)
 
 
+def tg_key(d):
+    tg = terminal_graph(d)
+    return (tg.strand, tuple(d.crossings[c] for c in tg.crossing_ids), tg.free_loops)
+
+
+def given_key(d):
+    return (d.components, tuple(d.crossings.items()))
+
+
+def memo_pool():
+    """Diagrams of up to 7 crossings, repeats of one another under new
+    names, new objects or flipped signs, one crossingless diagram and two
+    that a cap of 7 refuses."""
+    base = [project([trefoil()], 1), project(hopf_link(), 0), project([figure_eight()], 0),
+            project(random_open_tangle(0), 0)]
+    assert all(0 < len(d.crossings) <= 7 for d in base)
+    first = sorted(base[0].crossings)[0]
+    return base + [
+        Diagram(base[0].components, base[0].crossings),  # equal, a new object
+        renamed(base[0]),
+        renamed(base[1]),
+        Diagram(base[0].components, {c: -s if c == first else s
+                                     for c, s in base[0].crossings.items()}),
+        Diagram([Component("loop", True, ())], {}),
+        project([figure_eight()], 3),  # 14 crossings
+        chainmail_cutoff_diagram(1),  # 17 crossings
+    ]
+
+
 class TestMemo:
+    CAP = 7
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_mixed_sequence_matches_memo_less_bracket(self, seed, monkeypatch):
+        pool = memo_pool()
+        rng = np.random.default_rng(seed)
+        sequence = [pool[i] for i in rng.integers(0, len(pool), 40)] + pool + pool
+        fresh = {id(d): None if len(d.crossings) > self.CAP else fields(bracket(d))
+                 for d in pool}
+        keys = {id(d): tg_key(d) for d in pool if d.crossings}
+        calls = []
+        graph = bracket_mod.terminal_graph
+        monkeypatch.setattr(bracket_mod, "terminal_graph", lambda d: calls.append(d) or graph(d))
+        memo, seen, stored = {}, set(), set()
+        for d in sequence:
+            before = len(calls)
+            if fresh[id(d)] is None:
+                with pytest.raises(StateSumTooLargeError):
+                    bracket(d, self.CAP, memo=memo)
+                assert len(calls) == before  # the cap is checked first
+                continue
+            assert fields(bracket(d, self.CAP, memo=memo)) == fresh[id(d)]
+            if given_key(d) in stored:
+                assert len(calls) == before
+                continue
+            assert len(calls) == before + 1
+            if d.crossings:
+                if keys[id(d)] in seen:
+                    stored.add(given_key(d))
+                seen.add(keys[id(d)])
+        assert set(memo) == {keys[id(d)] for d in pool if id(d) in keys
+                             and fresh[id(d)] is not None} | stored
+
+    def test_second_as_given_repeat_builds_no_terminal_graph(self, monkeypatch):
+        d = project([trefoil()], 1)
+        calls = []
+        graph = bracket_mod.terminal_graph
+        monkeypatch.setattr(bracket_mod, "terminal_graph", lambda d: calls.append(d) or graph(d))
+        memo = {}
+        results = [bracket(d, memo=memo) for _ in range(4)]
+        assert len(calls) == 2
+        assert all(r is results[0] for r in results)
+        assert memo == {tg_key(d): results[0], given_key(d): results[0]}
+
+    def test_distinct_diagrams_store_only_terminal_graph_keys(self):
+        pool = memo_pool()[:4]
+        memo = {}
+        for d in pool:
+            bracket(d, memo=memo)
+        assert set(memo) == {tg_key(d) for d in pool}
+
+    def test_both_kinds_of_key_count_toward_the_limit(self, monkeypatch):
+        monkeypatch.setattr(bracket_mod, "MEMO_LIMIT", 3)
+        pool = memo_pool()[:4]
+        memo = {}
+        for d in pool[:2] + pool[:2] + pool + pool:
+            assert fields(bracket(d, memo=memo)) == fields(bracket(d))
+            assert len(memo) <= 3
+        # two terminal-graph keys, then the first repeat's as-given key
+        assert set(memo) == {tg_key(pool[0]), tg_key(pool[1]), given_key(pool[0])}
+
     @pytest.mark.parametrize("make,seed", [
         (lambda: [trefoil()], 1),
         (lambda: link_curves(minimal_periodic_link(jersey_system())), 5),
@@ -281,8 +371,11 @@ class TestMemo:
         d = project(make(), seed)
         memo = {}
         first = bracket(d, crossing_cap=64, memo=memo)
-        hit = bracket(renamed(d), crossing_cap=64, memo=memo)
-        assert len(memo) == 1
+        r = renamed(d)
+        hit = bracket(r, crossing_cap=64, memo=memo)
+        # the renamed repeat hits the terminal-graph key and stores its own
+        # as-given key beside it
+        assert memo == {tg_key(d): first, given_key(r): first}
         assert hit is first
         assert fields(hit) == fields(bracket(d, crossing_cap=64))
 

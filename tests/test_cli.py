@@ -302,6 +302,10 @@ class TestMalformedInput:
         ({}, "places no image"),
         ({"ring": []}, "places no image"),
         ({"ring": [[10**400, 0, 0]]}, "frozen chain 'ring': a translate is too large"),
+        ({"ring": [[0, 0, 0], [10**300, 0, 0]]},
+         "frozen chain 'ring': a translate is too large to place: (1.000e+300, 0, 0) rounds"),
+        ({"ring": [[10**308, 0, 0]]},
+         "frozen chain 'ring': a translate is too large to place: (1.000e+308, 0, 0)"),
     ])
     def test_malformed_frozen_composition(self, composition, message, chainmail_file,
                                           tmp_path, capsys):

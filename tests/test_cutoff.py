@@ -14,6 +14,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from oracles import reference_pieces
 
 from pbcjones.bracket import bracket, writhe_prefactor
 from pbcjones.cutoff import (_shared_states, build_cutoff, split_bracket,
@@ -220,6 +221,16 @@ class TestStateEnumeration:
         assert len(split) == rep.states_enumerated + 1 == 17
         for piece in (p for out in split for p in out):
             piece._validate()  # pieces are built with Diagram.trusted
+
+    def test_every_state_splits_as_the_per_piece_scan(self, monkeypatch):
+        states = []
+        pieces = Diagram.pieces
+        monkeypatch.setattr(Diagram, "pieces", lambda d: states.append(d) or pieces(d))
+        verify_cutoff_factorization(chainmail_system(), 3, xi=COHERENT_XI)
+        assert len(states) == 17
+        for d in states:
+            assert [([c.id for c in p.components], list(p.crossings.items()))
+                    for p in pieces(d)] == reference_pieces(d)
 
 
 class TestLimits:

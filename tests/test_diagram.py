@@ -1,4 +1,7 @@
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from oracles import reference_pieces
 
 from pbcjones.bracket import bracket, jones_of_diagram
 from pbcjones.diagram import (OI, OO, UI, UO, Component, Diagram,
@@ -241,6 +244,38 @@ class TestPieces:
         d = Diagram([closed("a"), closed("b")], {})
         assert self.shape(d) == [(["a"], {}), (["b"], {})]
         assert Diagram([], {}).pieces() == []
+
+    @given(st.integers(0, 12), st.integers(0, 4), st.integers(0, 5),
+           st.randoms(use_true_random=False))
+    def test_matches_the_per_piece_scan(self, n_crossings, n_closed, n_open, rnd):
+        d = random_diagram(n_crossings, n_closed, n_open, rnd)
+        pieces = d.pieces()
+        for p in pieces:
+            p._validate()
+        assert [([c.id for c in p.components], list(p.crossings.items()))
+                for p in pieces] == reference_pieces(d)
+
+
+def random_diagram(n_crossings, n_closed, n_open, rnd):
+    """A valid diagram: passages dealt to components at random, open strand
+    j running from the tail of owner j to the head of a random owner, so
+    that strands share owners, and crossings and components in random order."""
+    if n_crossings and not n_closed + n_open:
+        n_closed = 1
+    cids = [f"c{i}" for i in range(n_crossings)]
+    rnd.shuffle(cids)
+    passages = [(c, r) for c in cids for r in "ou"]
+    rnd.shuffle(passages)
+    held = [[] for _ in range(n_closed + n_open)]
+    for p in passages:
+        held[rnd.randrange(len(held))].append(p)
+    heads = list(range(n_open))
+    rnd.shuffle(heads)
+    comps = [closed(f"k{i}", *held[i]) for i in range(n_closed)]
+    comps += [Component(f"w{j}", False, tuple(held[n_closed + j]),
+                        ((f"o{j}", "tail"), (f"o{heads[j]}", "head"))) for j in range(n_open)]
+    rnd.shuffle(comps)
+    return Diagram(comps, {c: rnd.choice((1, -1)) for c in cids})
 
 
 class TestTerminalGraph:

@@ -2,7 +2,11 @@
 
 import copy
 import json
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -161,6 +165,22 @@ class TestLammpsDump:
         assert sorted(chains) == list(range(1, 8))
         assert all(len(p) == 14 for p in chains.values())
         assert np.allclose(frame.bounds, [[0.0, 12.0]] * 3)
+
+    def test_reading_does_not_import_numpy_ma(self, tmp_path):
+        # a first np.unique call without return_index imports numpy.ma
+        path = tmp_path / "melt.dump"
+        path.write_text(melt_dump_text())
+        code = ("import sys\n"
+                "from pbcjones.io_formats import read_trajectory\n"
+                f"frame, = read_trajectory({str(path)!r})\n"
+                "assert len(frame.chains()) == 7\n"
+                "assert 'numpy.ma' not in sys.modules, 'numpy.ma was imported'\n")
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        paths = [src, os.environ.get("PYTHONPATH", "")]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in paths if p)}
+        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
 
     def test_scaled_coordinates_match_unscaled(self, tmp_path):
         plain = tmp_path / "plain.dump"

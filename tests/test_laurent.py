@@ -1,4 +1,5 @@
 import math
+import operator
 import time
 from fractions import Fraction
 
@@ -88,6 +89,30 @@ class TestArithmetic:
         assert [type(v) for _, v in got.terms()] == [type(v) for _, v in reference.terms()]
         assert got.to_json_obj() == reference.to_json_obj()
 
+    @given(st.dictionaries(st.integers(-4, 4), exact, max_size=5),
+           st.dictionaries(st.integers(-4, 4), exact, max_size=5), st.booleans())
+    def test_exact_arithmetic_matches_the_normalizing_constructor(self, c1, c2, cancel):
+        a = LaurentPoly(c1)
+        # with cancel, b repeats a's terms, so a - b and, in part, a + -b vanish
+        b = LaurentPoly({**c2, **c1} if cancel else c2)
+        for op in (operator.add, operator.sub, operator.mul):
+            if op is operator.mul:
+                raw = {}
+                for e1, v1 in a.terms():
+                    for e2, v2 in b.terms():
+                        raw[e1 + e2] = raw.get(e1 + e2, 0) + v1 * v2
+            else:
+                raw = dict(a.terms())
+                for e, v in b.terms():
+                    raw[e] = op(raw.get(e, 0), v)
+            reference = LaurentPoly(raw)
+            got = op(a, b)
+            assert got.mode == "exact"
+            assert [(e, v, type(v)) for e, v in got.terms()] == \
+                [(e, v, type(v)) for e, v in reference.terms()]
+            assert all(v != 0 and type(v) in (int, Fraction) for _, v in got.terms())
+            assert all(type(v) is int for _, v in got.terms() if v.denominator == 1)
+
     def test_mode_promotion(self):
         e = poly({1: 1})
         f = e.to_float()
@@ -132,6 +157,24 @@ class TestLoopValue:
     @given(st.integers(0, 5))
     def test_d_power_matches_pow(self, k):
         assert d_power(k) == d_poly() ** k
+
+    def test_d_power_matches_pow_up_to_40(self):
+        for k in range(41):
+            assert d_power(k) == d_poly() ** k
+
+    def test_d_power_is_cached_per_k_and_survives_arithmetic(self):
+        p = d_power(6)
+        assert d_power(6) is p
+        for q in (p * p, p + p, p - p, -p, p * 3, p * d_poly(), p.scale_exponents(2)):
+            assert q is not p  # arithmetic builds new polynomials
+        assert list(d_power(6).terms()) == list((d_poly() ** 6).terms())
+        assert d_power(7) == d_poly() ** 7
+
+    def test_d_power_rejects_what_pow_rejects(self):
+        d_power(2)
+        for bad in (-1, 2.0):
+            with pytest.raises(ValueError):
+                d_power(bad)
 
     def test_d_at_one_is_minus_two(self):
         assert d_poly().evaluate(1.0) == -2.0

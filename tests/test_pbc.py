@@ -210,6 +210,18 @@ class TestMinimalPeriodicLink:
         with pytest.raises(PbcJonesError, match="non-periodic"):
             rebuild_link(system, {"ring": [(0, 1, 0)]})
 
+    @pytest.mark.parametrize("x, kept", [(10**9, True), (10**13, False), (-10**13, False)])
+    def test_rebuild_keeps_translates_that_round_within_match_tol(self, x, kept):
+        # in the chainmail's unit cell a vertex 1e9 cells away rounds by
+        # about 1e-7 cells, below MATCH_TOL; 1e13 cells away by about 1e-3
+        system = chainmail_system()
+        if kept:
+            link = rebuild_link(system, {"ring": [(x, 0, 0)]})
+            assert [im.translate for im in link.images] == [(x, 0, 0)]
+        else:
+            with pytest.raises(PbcJonesError, match="too large to place"):
+                rebuild_link(system, {"ring": [(x, 0, 0)]})
+
     def test_frozen_subset_keeps_only_requested_images(self):
         system = chainmail_system()
         partial = rebuild_link(system, {"ring": [(0, 0, 0), (1, 0, 0)]})

@@ -22,19 +22,21 @@ the only one that separates the copies; it does not predict failure.
 The enumeration walks the shared-crossing states depth first in
 lexicographic order of their A/B words, with A before B at each shared
 crossing in name order.  Each prefix of smoothings is applied once and
-shared by every state that extends it, so s shared crossings cost
-2^(s+1) - 2 smoothings rather than s * 2^s.  Each state is split into
-pieces once, and the same pieces give its bracket and decide whether it
-disconnects the copies.  The N copies and many states split into pieces
-with the same terminal graph; one bracket memo per check solves each
-such piece once.
+shared by every state that extends it.  The oriented state is one of the
+enumerated states, the one whose word smooths each shared crossing along
+its sign, so a check with s shared crossings makes exactly 2^(s+1) - 2
+smoothings and splits 2^s states.  Each state is split into pieces once,
+and the same pieces give its bracket and decide whether it disconnects
+the copies.  The N copies and many states split into pieces with the
+same terminal graph; one bracket memo per check solves each such piece
+once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
 from fractions import Fraction
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Sequence, Tuple
 
 from .bracket import DEFAULT_CROSSING_CAP, bracket, writhe_prefactor
 from .diagram import Diagram
@@ -48,29 +50,19 @@ from .pbc import (MinimalPeriodicLink, PBCSystem, PlacedImage, UnfoldingBox,
 
 @dataclass(frozen=True)
 class CutoffLink:
-    n_copies: int
     axis: int
     period_cells: int  # copy spacing along the axis, in cells
     cell_count: int  # cells in the cutoff window
     copies: Tuple[Tuple[PlacedImage, ...], ...]
     link: MinimalPeriodicLink
 
-    def copy_curves(self, k: int) -> List[Curve]:
-        return [Curve(f"k{k}|{im.curve_id}", im.polyline, im.closed)
-                for im in self.copies[k]]
-
     def all_curves(self) -> List[Curve]:
-        out: List[Curve] = []
-        for k in range(self.n_copies):
-            out.extend(self.copy_curves(k))
-        return out
-
-    def copy_of_curve(self) -> Dict[str, int]:
-        return {c.id: k for k in range(self.n_copies) for c in self.copy_curves(k)}
+        """Every copy's curves, copy by copy, each copy in link image order."""
+        return [Curve(f"k{k}|{im.curve_id}", im.polyline, im.closed)
+                for k, copy in enumerate(self.copies) for im in copy]
 
 
-def build_cutoff(system: PBCSystem, n_copies: int,
-                 link: Optional[MinimalPeriodicLink] = None) -> CutoffLink:
+def build_cutoff(system: PBCSystem, n_copies: int) -> CutoffLink:
     """N copies of the periodic link spaced one disjointness period apart.
 
     Requires a single closed chain and exactly one periodic axis.  The
@@ -78,12 +70,11 @@ def build_cutoff(system: PBCSystem, n_copies: int,
     translates present in the cutoff window.
     """
     if n_copies < 1:
-        raise ValueError("need at least one copy")
+        raise PbcJonesError(f"need at least one copy, got {n_copies}")
     if len(system.chains) != 1 or system.chains[0].topology != "closed":
         raise PbcJonesError("cutoffs are defined here for a single closed chain")
     axis = single_periodic_axis(system.cell)
-    if link is None:
-        link = minimal_periodic_link(system)
+    link = minimal_periodic_link(system)
     period = link.mcu.copy_period(axis)
     copies: List[Tuple[PlacedImage, ...]] = []
     for k in range(n_copies):
@@ -91,11 +82,9 @@ def build_cutoff(system: PBCSystem, n_copies: int,
         shift[axis] = k * period
         copies.append(tuple(im.shifted(system.cell, shift) for im in link.images))
 
-    sets = [frozenset(im.translate for im in c) for c in copies]
-    for i in range(len(sets)):
-        for j in range(i + 1, len(sets)):
-            if sets[i] & sets[j]:
-                raise PbcJonesError("cutoff copies overlap; period too small for this system")
+    got = {im.translate for c in copies for im in c}
+    if len(got) != sum(len(c) for c in copies):
+        raise PbcJonesError("cutoff copies overlap; period too small for this system")
 
     # independent membership enumeration over the whole window
     dims = list(link.mcu.dims)
@@ -104,13 +93,12 @@ def build_cutoff(system: PBCSystem, n_copies: int,
     base_img = link.base_images[system.chains[0].id]
     expected = set(present_translates(system.cell, system.cell.to_fractional(base_img.polyline),
                                       base_img.closed, window))
-    got = set().union(*sets)
     if got != expected:
         raise PbcJonesError(
             f"cutoff window membership mismatch: copies give {sorted(got)}, "
             f"window enumeration gives {sorted(expected)}"
         )
-    return CutoffLink(n_copies, axis, period, window.cell_count, tuple(copies), link)
+    return CutoffLink(axis, period, window.cell_count, tuple(copies), link)
 
 
 def split_bracket(pieces: Sequence[Diagram], crossing_cap: int = DEFAULT_CROSSING_CAP,
@@ -181,22 +169,20 @@ def verify_cutoff_factorization(system: PBCSystem, n_copies: int, xi=None,
     cut = build_cutoff(system, n_copies)
     curves = cut.all_curves()
     diagram, xi_used, _ = project_generic(curves, xi, tol, GENERICITY_RETRIES)
-    copy_of = cut.copy_of_curve()
+    per_copy = len(cut.link.images)
+    copy_of = {c.id: i // per_copy for i, c in enumerate(curves)}
     owner = diagram.passage_owner()
-
-    def crossing_copies(cid: str) -> Tuple[int, int]:
-        a = copy_of[owner[(cid, "o")]]
-        b = copy_of[owner[(cid, "u")]]
-        return (a, b) if a <= b else (b, a)
-
-    shared = sorted(c for c in diagram.crossings if len(set(crossing_copies(c))) > 1)
+    # each crossing's copy is its over strand's; a shared crossing's under
+    # strand lies in another copy
+    crossing_copy = {cid: copy_of[owner[(cid, "o")]] for cid in diagram.crossings}
+    shared = sorted(cid for cid, k in crossing_copy.items() if copy_of[owner[(cid, "u")]] != k)
     if len(shared) > enumerate_cap:
         raise PbcJonesError(
             f"{len(shared)} copy-to-copy crossings exceed the enumeration cap {enumerate_cap}"
         )
 
     memo: dict = {}  # copies and smoothed states repeat the same pieces
-    base_diagram, _, _ = project_generic(cut.copy_curves(0), xi_used, tol, GENERICITY_RETRIES)
+    base_diagram, _, _ = project_generic(curves[:per_copy], xi_used, tol, GENERICITY_RETRIES)
     bracket_base = bracket(base_diagram, crossing_cap, memo=memo).poly
     v_base = writhe_prefactor(base_diagram.writhe) * bracket_base
 
@@ -215,29 +201,24 @@ def verify_cutoff_factorization(system: PBCSystem, n_copies: int, xi=None,
     bracket_total = bracket(diagram, crossing_cap, memo=memo).poly
     v_cutoff = writhe_prefactor(diagram.writhe) * bracket_total
 
-    # oriented smoothing of every shared crossing disconnects the copies
-    s_diag = diagram
-    for cid in shared:
-        s_diag = s_diag.oriented_smooth(cid)
-    target = d_power(n - 1) * bracket_base ** n
-    state_oracle_ok = split_bracket(s_diag.pieces(), crossing_cap, memo=memo) == target
-
-    # enumerate every shared-crossing state
-    states_sum = LaurentPoly.zero()
-    lambda_bracket = LaurentPoly.zero()
-    disconnecting: List[Tuple[str, ...]] = []
+    # enumerate every shared-crossing state; the oriented one, which smooths
+    # each shared crossing along its sign, disconnects the copies
     oriented_kinds = tuple("A" if diagram.crossings[c] > 0 else "B" for c in shared)
+    states_sum = LaurentPoly.zero()
+    disconnecting: List[Tuple[str, ...]] = []
     for kinds, exp, d_state in _shared_states(diagram, shared):
         pieces = d_state.pieces()
-        value = LaurentPoly.monomial(1, exp) * split_bracket(pieces, crossing_cap, memo=memo)
+        state_bracket = split_bracket(pieces, crossing_cap, memo=memo)
+        value = LaurentPoly.monomial(1, exp) * state_bracket
         states_sum = states_sum + value
-        if kinds != oriented_kinds:
-            lambda_bracket = lambda_bracket + value
-        if _is_disconnecting(pieces, cut, copy_of, owner):
+        if kinds == oriented_kinds:
+            state_oracle_ok = state_bracket == d_power(n - 1) * bracket_base ** n
+            oriented_value = value
+        if _is_disconnecting(pieces, crossing_copy, n):
             disconnecting.append(kinds)
     sum_ok = states_sum == bracket_total
     unique_ok = disconnecting == [oriented_kinds]
-    lambda_tilde = writhe_prefactor(diagram.writhe) * lambda_bracket
+    lambda_tilde = writhe_prefactor(diagram.writhe) * (states_sum - oriented_value)
     factorization_ok = (state_term + lambda_tilde) == v_cutoff
 
     return CutoffReport(
@@ -245,7 +226,7 @@ def verify_cutoff_factorization(system: PBCSystem, n_copies: int, xi=None,
         axis=cut.axis,
         period_cells=cut.period_cells,
         cell_count=cut.cell_count,
-        component_count=sum(len(c) for c in cut.copies),
+        component_count=len(curves),
         shared_crossings=len(shared),
         slk=slk,
         shared_sign_total=shared_sign_total,
@@ -279,13 +260,19 @@ def _shared_states(diagram: Diagram,
             yield (kind,) + kinds, exp + shift, d_state
 
 
-def _is_disconnecting(pieces: Sequence[Diagram], cut: CutoffLink, copy_of, owner_orig) -> bool:
+def _is_disconnecting(pieces: Sequence[Diagram], crossing_copy: Dict[str, int],
+                      n_copies: int) -> bool:
     """True when every piece of a smoothed diagram carries crossings of
-    at most one copy and the pieces realize all copies separately."""
+    at most one copy and the pieces realize all copies separately.
+
+    Only crossings inside one copy survive the shared smoothings, so
+    ``crossing_copy`` (the copy of each crossing's over strand) gives the
+    copy of both strands.
+    """
     seen: set = set()
     for piece in pieces:
-        copies = {copy_of[owner_orig[(cid, role)]] for cid in piece.crossings for role in "ou"}
+        copies = {crossing_copy[cid] for cid in piece.crossings}
         if len(copies) > 1:
             return False
         seen |= copies
-    return seen == set(range(cut.n_copies))
+    return len(seen) == n_copies

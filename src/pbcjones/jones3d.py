@@ -48,9 +48,9 @@ class SamplingConfig:
 
     def __post_init__(self):
         if self.mode not in ("fibonacci", "random"):
-            raise ValueError(f"unknown sampling mode {self.mode!r}")
+            raise PbcJonesError(f"unknown sampling mode {self.mode!r}")
         if self.on_cap not in ("error", "skip"):
-            raise ValueError(f"on_cap must be 'error' or 'skip', got {self.on_cap!r}")
+            raise PbcJonesError(f"on_cap must be 'error' or 'skip', got {self.on_cap!r}")
         for name, least in (("directions", 1), ("workers", 1), ("seed", 0)):
             value = getattr(self, name)
             if value < least:

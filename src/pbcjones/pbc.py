@@ -632,7 +632,10 @@ def _clip_pieces(cart: np.ndarray, frac: np.ndarray, lo, hi, tol: float,
 
 def cell_jones(system: PBCSystem, cfg: Optional[SamplingConfig] = None) -> JonesResult:
     cfg = cfg or SamplingConfig()
-    return jones(cell_curves(system, cfg.tolerance), cfg)
+    curves = cell_curves(system, cfg.tolerance)
+    if not curves:
+        raise PbcJonesError("no arc lies inside the base cell")
+    return jones(curves, cfg)
 
 
 def periodic_jones(system: PBCSystem, cfg: Optional[SamplingConfig] = None,
@@ -645,7 +648,7 @@ def periodic_jones(system: PBCSystem, cfg: Optional[SamplingConfig] = None,
 def normalized(poly: LaurentPoly, component_count: int, zero_tol: float = 1e-9) -> DivisionResult:
     """Divide by the loop value to the (component count - 1) power."""
     if component_count < 1:
-        raise ValueError("component count must be positive")
+        raise PbcJonesError(f"component count must be at least 1, got {component_count}")
     require_nonnegative("tolerance", zero_tol)
     return divide_by_d_power(poly, component_count - 1, zero_tol)
 

@@ -22,7 +22,7 @@ from pbcjones.cutoff import (_shared_states, build_cutoff, split_bracket,
 from pbcjones.diagram import Diagram
 from pbcjones.errors import PbcJonesError
 from pbcjones.fixtures import chainmail_system, melt_system, trefoil
-from pbcjones.geometry import Curve
+from pbcjones.geometry import Curve, sample_directions
 from pbcjones.jones3d import project_generic
 from pbcjones.laurent import LaurentPoly, d_power
 from pbcjones.pbc import GeneratingChain, PBCSystem
@@ -57,8 +57,10 @@ class TestBuildCutoff:
             assert cut.cell_count == (2 * n - 1) * m - (n - 1)
 
     def test_rejects_bad_copy_count(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(PbcJonesError, match="need at least one copy, got 0"):
             build_cutoff(chainmail_system(), 0)
+        with pytest.raises(PbcJonesError, match="need at least one copy, got -1"):
+            verify_cutoff_factorization(chainmail_system(), -1)
 
     def test_requires_single_closed_chain(self):
         with pytest.raises(PbcJonesError, match="single closed chain"):
@@ -195,6 +197,29 @@ class TestStateEnumeration:
             assert d_state.components == expected.components
             assert d_state.crossings == expected.crossings
 
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_oriented_word_is_the_sequential_oriented_smoothing(self, n):
+        # the check reads the oriented state off the enumeration; smoothing
+        # each shared crossing in turn along its current sign is the reference
+        curves = build_cutoff(chainmail_system(), n).all_curves()
+        checked = 0
+        for xi in sample_directions(100, "fibonacci"):
+            diagram, _, _ = project_generic(curves, xi, 1e-9, 100)
+            owner = diagram.passage_owner()
+            shared = sorted(c for c in diagram.crossings
+                            if owner[(c, "o")].split("|")[0] != owner[(c, "u")].split("|")[0])
+            if len(shared) > 10:
+                continue
+            expected = diagram
+            for cid in shared:
+                expected = expected.oriented_smooth(cid)
+            word = tuple("A" if diagram.crossings[c] > 0 else "B" for c in shared)
+            (d_state,) = [d for kinds, _, d in _shared_states(diagram, shared) if kinds == word]
+            assert d_state.components == expected.components
+            assert d_state.crossings == expected.crossings
+            checked += 1
+        assert checked > 50
+
     def test_each_prefix_is_smoothed_once(self, monkeypatch):
         calls = []
         smooth = Diagram.smooth
@@ -203,8 +228,8 @@ class TestStateEnumeration:
         rep = verify_cutoff_factorization(chainmail_system(), 3, xi=COHERENT_XI)
         s = rep.shared_crossings
         assert s == 4 and rep.states_enumerated == 2 ** s
-        # the walk's tree, plus the oriented state's own smoothings
-        assert len(calls) == 2 ** (s + 1) - 2 + s
+        # the walk's tree, which holds the oriented state
+        assert len(calls) == 2 ** (s + 1) - 2
 
     def test_each_state_is_split_once_into_valid_pieces(self, monkeypatch):
         split = []
@@ -217,8 +242,8 @@ class TestStateEnumeration:
 
         monkeypatch.setattr(Diagram, "pieces", counted)
         rep = verify_cutoff_factorization(chainmail_system(), 3, xi=COHERENT_XI)
-        # every enumerated state, plus the oriented state
-        assert len(split) == rep.states_enumerated + 1 == 17
+        # every enumerated state, the oriented one among them
+        assert len(split) == rep.states_enumerated == 16
         for piece in (p for out in split for p in out):
             piece._validate()  # pieces are built with Diagram.trusted
 
@@ -226,8 +251,8 @@ class TestStateEnumeration:
         states = []
         pieces = Diagram.pieces
         monkeypatch.setattr(Diagram, "pieces", lambda d: states.append(d) or pieces(d))
-        verify_cutoff_factorization(chainmail_system(), 3, xi=COHERENT_XI)
-        assert len(states) == 17
+        rep = verify_cutoff_factorization(chainmail_system(), 3, xi=COHERENT_XI)
+        assert len(states) == rep.states_enumerated == 16
         for d in states:
             assert [([c.id for c in p.components], list(p.crossings.items()))
                     for p in pieces(d)] == reference_pieces(d)

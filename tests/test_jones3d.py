@@ -134,11 +134,11 @@ class TestCapHandling:
 
 class TestConfig:
     def test_bad_mode_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(PbcJonesError, match="unknown sampling mode 'radial'"):
             SamplingConfig(mode="radial")
 
     def test_bad_cap_policy_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(PbcJonesError, match="on_cap must be 'error' or 'skip', got 'ignore'"):
             SamplingConfig(on_cap="ignore")
 
     @pytest.mark.parametrize("field,value", [("directions", 0), ("directions", -3),

@@ -14,9 +14,10 @@ from pbcjones.fixtures import (_CHAINMAIL_RING, chainmail_system, jersey_system,
 from pbcjones.geometry import Curve, project, project_translates, sample_directions
 from pbcjones.io_formats import system_from_json_obj, system_to_json_obj
 from pbcjones.jones3d import GENERICITY_RETRIES, SamplingConfig, project_generic
+from pbcjones.laurent import LaurentPoly
 from pbcjones.pbc import (Cell, GeneratingChain, PBCSystem, PlacedImage, UnfoldingBox,
                           box_presence, cell_curves, cell_jones, minimal_periodic_link,
-                          minimal_unfolding, periodic_jones, present_translates,
+                          minimal_unfolding, normalized, periodic_jones, present_translates,
                           rebuild_link, search_basepoint, slk_p, unfold_image,
                           with_basepoint)
 
@@ -294,6 +295,17 @@ class TestCellLink:
         curves = cell_curves(PBCSystem(cell, [ring]))
         assert len(curves) == 1
         assert curves[0].closed
+
+    def test_cell_jones_needs_an_arc_inside_the_cell(self):
+        cell = Cell(np.eye(3), (True, False, False))
+        chain = GeneratingChain("c", [np.array([[2.2, 0.5, 0.5], [3.2, 0.5, 0.5]])], "infinite")
+        with pytest.raises(PbcJonesError, match="no arc lies inside the base cell"):
+            cell_jones(PBCSystem(cell, [chain]), SamplingConfig(directions=3))
+
+    @pytest.mark.parametrize("count", [0, -2])
+    def test_normalized_needs_a_component(self, count):
+        with pytest.raises(PbcJonesError, match=f"component count must be at least 1, got {count}"):
+            normalized(LaurentPoly.one(), count)
 
     def test_melt_cell_equals_periodic(self):
         system = melt_system()

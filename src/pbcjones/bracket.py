@@ -81,7 +81,7 @@ share an entry.  The as-given key is the diagram itself,
 up first: a hit skips ``terminal_graph``, which the terminal-graph key
 needs.  The as-given key is stored only when the terminal-graph key is
 already there, so only for a diagram that repeats.  The cutoff check
-meets the same smoothed pieces state after state (993 bracket calls on
+meets the same smoothed pieces state after state (978 bracket calls on
 85 distinct diagrams per chainmail pass of the benchmark), but a melt
 pass meets each of its 400 diagrams once: storing every as-given key
 would keep those diagrams alive for no hit.  The caller owns the memo

@@ -11,15 +11,16 @@ block shares one segment table; a row is a direction, or a translate.
 ``project_many`` projects one collection along many directions: all its
 rows share the vertex coordinates.  ``project_translates`` projects a
 collection with some of its curves moved by each of many lattice
-offsets, along one direction: each row has its own coordinates.  Curves
-that meet end to end touch rather than cross, and where ends meet
-depends on the coordinates, so each row carries its own exempt segment
-pairs.  Rows go through in blocks of at most ``BLOCK_ROWS`` (row,
-segment) pairs, and every check of a block runs as one array operation
-over all its rows.  The block bound keeps the arrays, and so the memory,
-small; larger blocks are no faster.  ``project`` is the one-direction
-call of the same kernel.  Frames and coordinates use only elementwise
-array operations, so a row gives the same result alone or in any block.
+offsets, along one direction: each row has its own coordinates.  Open
+curves that meet end to end touch rather than cross: two terminal
+segments whose free ends lie within ``CONTACT_TOL`` on every axis of the
+row's own coordinates are never tested as a pair.  Rows go through in
+blocks of at most ``BLOCK_ROWS`` (row, segment) pairs, and every check
+of a block runs as one array operation over all its rows.  The block
+bound keeps the arrays, and so the memory, small; larger blocks are no
+faster.  ``project`` is the one-direction call of the same kernel.
+Frames and coordinates use only elementwise array operations, so a row
+gives the same result alone or in any block.
 
 Candidate segment pairs come from a sort-and-sweep: the ends of the
 tol-padded x-intervals are sorted together by (row, value), low ends
@@ -42,7 +43,7 @@ PbcJonesError before anything is projected: no nudge can repair it.
 from __future__ import annotations
 
 import math
-from typing import Dict, Iterator, List, Sequence, Tuple, Union
+from typing import Iterator, List, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -51,6 +52,7 @@ from .errors import NonGenericDirectionError, PbcJonesError, require_nonnegative
 
 GOLDEN_ANGLE = math.pi * (3.0 - math.sqrt(5.0))
 BLOCK_ROWS = 1024  # rows (directions or translates) x segments projected in one array pass
+CONTACT_TOL = 1e-6  # free ends of open curves this close on every axis meet end to end
 
 
 class Curve:
@@ -220,8 +222,11 @@ class _Segments:
     """Segment tables of a curve collection, shared by every row of a block.
 
     Segment k of the concatenated curves runs from vertex v0[k] to v1[k].
-    ``coords`` holds the vertices as given, with shape (3, 1, vertices),
-    and ``excluded`` the end-to-end contacts among them (``touching``).
+    ``coords`` holds the vertices as given, with shape (3, 1, vertices).
+    Open curves that continue each other (periodic images of one thread)
+    meet end to end, which is not a crossing: two terminal segments whose
+    free ends lie within ``CONTACT_TOL`` on every axis are never tested as
+    a pair.
     """
 
     def __init__(self, curves: Sequence[Curve]):
@@ -243,46 +248,20 @@ class _Segments:
         self.k = (~last | seg_closed).nonzero()[0]
         self.nxt = np.where(last[self.k], self.k - seg_index[self.k], self.k + 1)
         self.n = seg_curve.shape[0]
-        # the terminal segments of open curves, each with the vertex at its free end
-        opened = (~closed).nonzero()[0]
-        self.end_segment = np.stack([seg_first[opened],
-                                     seg_first[opened] + n_seg[opened] - 1], axis=1).ravel().tolist()
-        self.end_vertex = np.stack([vert_first[opened],
-                                    vert_first[opened] + n_vert[opened] - 1], axis=1).ravel()
-        self.excluded = self.touching(self.coords)
+        # the vertices at the free tail and head of each segment, the one free
+        # end twice where it has one; only the end segments of open curves have any
+        tail = np.where(~seg_closed & (seg_index == 0), self.v0, -1)
+        head = np.where(~seg_closed & last, self.v1, -1)
+        self.terminal = (tail >= 0) | (head >= 0)
+        self.free_end = np.stack([np.where(tail >= 0, tail, head), np.where(head >= 0, head, tail)])
 
-    def touching(self, coords: np.ndarray) -> np.ndarray:
-        """Keys (r * n + a) * n + b of the terminal segments a < b of open
-        curves whose free ends coincide in coordinate row r.
-
-        Components that continue each other (periodic images of one thread)
-        meet end to end; the contact is structural, not a crossing, so those
-        segment pairs are exempt from intersection checks.  Where ends meet
-        depends on the row's coordinates, so each row has its own pairs.
-        """
-        n = self.n
-        keys: List[int] = []
-        if not self.end_segment:
-            return np.array(keys, dtype=np.int64)
-        ends = np.round(coords.take(self.end_vertex, axis=2) / 1e-6).astype(np.int64)
-        for r, row in enumerate(ends.transpose(1, 2, 0).tolist()):
-            by_pos: Dict[Tuple[int, ...], List[int]] = {}
-            for pos, k in zip(row, self.end_segment):
-                by_pos.setdefault(tuple(pos), []).append(k)
-            keys += [(r * n + min(a, b)) * n + max(a, b) for ks in by_pos.values()
-                     for i, a in enumerate(ks) for b in ks[i + 1:]]
-        return np.array(keys, dtype=np.int64)
-
-    def project(self, frames: np.ndarray, coords: np.ndarray, excluded: np.ndarray,
-                tol: float) -> list:
+    def project(self, frames: np.ndarray, coords: np.ndarray, tol: float) -> list:
         """The Diagram or NonGenericDirectionError of each row of a block.
 
-        Row r projects the vertices ``coords[:, r]`` along ``frames[r]``,
-        with the end-to-end contacts ``excluded`` gives for coordinate row
-        r (``touching``).  A single frame, or a single coordinate row,
-        serves every row: rows are directions or translates.  Coordinate
-        arrays are indexed [axis, row, vertex or segment], axis being u, v
-        and the depth along xi.
+        Row r projects the vertices ``coords[:, r]`` along ``frames[r]``.
+        A single frame, or a single coordinate row, serves every row: rows
+        are directions or translates.  Coordinate arrays are indexed [axis,
+        row, vertex or segment], axis being u, v and the depth along xi.
         """
         n, v0, v1, vc = self.n, self.v0, self.v1, coords
         f = frames.transpose(2, 1, 0)[..., None]
@@ -308,7 +287,7 @@ class _Segments:
         own = live if coords.shape[1] > 1 else np.zeros_like(live)  # coordinate row of each row
         a, b = self._candidate_pairs((np.minimum(p0[:2], p1[:2]) - tol).reshape(2, -1),
                                      (np.maximum(p0[:2], p1[:2]) + tol).reshape(2, -1),
-                                     own, excluded)
+                                     own, coords)
         x0, y0, z0 = p0.reshape(3, -1)
         dx, dy = delta.reshape(2, -1)
         lens, z1 = lens.ravel(), p1[2].ravel()
@@ -362,14 +341,15 @@ class _Segments:
         return self._diagrams(fail, live, qa, qb, s, t, za > zb, denom, cross_row)
 
     def _candidate_pairs(self, lo: np.ndarray, hi: np.ndarray, own: np.ndarray,
-                         excluded: np.ndarray):
+                         coords: np.ndarray):
         """Segment pairs (a < b) of each row whose padded boxes [lo, hi] overlap.
 
         Boxes are (x, y) by flat index; pairs come in (row, a, b) order.
-        Neighbors on one curve and the touching terminal pairs of the
-        row's coordinate row ``own[row]`` are dropped.  Segments that cross
-        or come within tol of each other always have overlapping
-        tol-padded boxes.
+        Neighbors on one curve are dropped, and so are terminal segments
+        of open curves with a free end of each within ``CONTACT_TOL`` on
+        every axis of the row's own coordinates ``coords[:, own[row]]``.
+        Segments that cross or come within tol of each other always have
+        overlapping tol-padded boxes.
         """
         n = self.n
         i, j = _overlaps(lo[0], hi[0], np.arange(lo.shape[1]) // n)
@@ -382,9 +362,15 @@ class _Segments:
         # neighbors share a vertex, not a crossing
         keep = ~((self.curve[sa] == self.curve[sb])
                  & ((d <= 1) | (self.closed[sa] & (d == self.count[sa] - 1))))
-        if excluded.shape[0]:
+        ends = self.terminal[sa].nonzero()[0]
+        ends = ends[self.terminal[sb[ends]]]
+        if ends.shape[0]:
             # curves meeting end to end touch, not cross
-            keep &= ~np.isin((own[a // n] * n + sa) * n + sb, excluded)
+            r = own[a[ends] // n]
+            pa = coords[:, r, self.free_end[:, sa[ends]]]  # [axis, end, pair]
+            pb = coords[:, r, self.free_end[:, sb[ends]]]
+            gap = np.abs(pa[:, :, None] - pb[:, None]).max(axis=0)
+            keep[ends[(gap <= CONTACT_TOL).any(axis=(0, 1))]] = False
         a, b = a[keep], b[keep]
         order = np.lexsort([b, a])
         return a[order], b[order]
@@ -456,8 +442,7 @@ def project_many(curves: Sequence[Curve], xis, tol: float = 1e-9
     segments = _Segments(curves)
     step = max(1, BLOCK_ROWS // segments.n)
     return (out for lo in range(0, frames.shape[0], step)
-            for out in segments.project(frames[lo:lo + step], segments.coords,
-                                        segments.excluded, tol))
+            for out in segments.project(frames[lo:lo + step], segments.coords, tol))
 
 
 def project_translates(fixed: Sequence[Curve], moving: Sequence[Curve], offsets, xi,
@@ -484,7 +469,7 @@ def project_translates(fixed: Sequence[Curve], moving: Sequence[Curve], offsets,
     def block(shift: np.ndarray) -> list:
         coords = segments.coords.repeat(shift.shape[0], axis=1)
         coords[:, :, moved:] += shift.T[:, :, None]
-        return segments.project(frames, coords, segments.touching(coords), tol)
+        return segments.project(frames, coords, tol)
 
     return (out for lo in range(0, offsets.shape[0], step)
             for out in block(offsets[lo:lo + step]))

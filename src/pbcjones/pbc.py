@@ -38,7 +38,7 @@ from .geometry import BLOCK_ROWS, Curve, project_translates
 from .jones3d import GENERICITY_RETRIES, JonesResult, SamplingConfig, jones, project_generic
 from .laurent import DivisionResult, LaurentPoly, divide_by_d_power
 
-MATCH_TOL = 1e-6  # fractional-coordinate tolerance for arc end matching
+MATCH_TOL = 1e-6  # fractional distance, per axis, within which arc ends join (_lattice_match)
 PRESENCE_TOL = 1e-9  # fractional length below which box presence is ignored
 ARC_REACH = 4  # cells an arc vertex may lie beyond the cell, per axis
 
@@ -190,10 +190,7 @@ def _lattice_match(cell: Cell, target_frac, point_frac) -> Optional[Vec3]:
     Non-periodic axes admit only v = 0.
     """
     diff = target_frac - point_frac
-    v = np.rint(diff)
-    for ax in range(3):
-        if not cell.periodic[ax]:
-            v[ax] = 0.0
+    v = np.where(cell.periodic, np.rint(diff), 0.0)
     if np.max(np.abs(diff - v)) <= MATCH_TOL:
         return (int(v[0]), int(v[1]), int(v[2]))
     return None
@@ -265,17 +262,12 @@ def unfold_image(system: PBCSystem, chain: GeneratingChain) -> PlacedImage:
             f"chain {chain.id!r}: infinite chain must advance by a nonzero translate"
         )
 
-    pts: List[np.ndarray] = []
-    for j, v in placements:
-        seg = chain.arcs[j] + cell.translation(v)
-        if pts and np.linalg.norm(pts[-1][-1] - seg[0]) <= MATCH_TOL * 10:
-            seg = seg[1:]  # shared junction vertex
-        pts.append(seg)
-    poly = np.concatenate(pts)
+    # the walk matched each arc's first vertex to the vertex before it, and
+    # a closed chain's last vertex to its first: keep one of each pair
+    poly = np.concatenate([chain.arcs[j][k > 0:] + cell.translation(v)
+                           for k, (j, v) in enumerate(placements)])
     closed = chain.topology == "closed"
-    if closed and np.linalg.norm(poly[0] - poly[-1]) <= MATCH_TOL * 10:
-        poly = poly[:-1]
-    return PlacedImage(chain.id, (0, 0, 0), closed, poly)
+    return PlacedImage(chain.id, (0, 0, 0), closed, poly[:-1] if closed else poly)
 
 
 # -- box presence of a polyline ------------------------------------------
@@ -544,11 +536,14 @@ def link_curves(link: MinimalPeriodicLink) -> List[Curve]:
 
 
 def cell_curves(system: PBCSystem, tol: float = 1e-9) -> List[Curve]:
-    """Arc pieces inside the base cell, with whole interior loops kept closed.
+    """Arc pieces inside the base cell, with whole interior rings kept closed.
 
     Each chain's arcs are clipped against the cell box (inflated by tol so
-    grazing contact does not split pieces).  A closed chain entirely inside
-    the cell stays one closed curve.
+    grazing contact does not split pieces) into open pieces.  The one arc
+    of a closed chain is a ring when the unfolding walk matches its last
+    vertex to its first at translate (0, 0, 0).  A ring with no vertex
+    outside the box stays one closed curve; any other ring is clipped as
+    an open walk from its first vertex outside the box.
     """
     cell = system.cell
     lo = np.full(3, -tol)
@@ -557,40 +552,24 @@ def cell_curves(system: PBCSystem, tol: float = 1e-9) -> List[Curve]:
     for chain in system.chains:
         for ai, arc in enumerate(chain.arcs):
             frac = cell.to_fractional(arc)
-            closed_arc = False
-            if chain.topology == "closed" and len(chain.arcs) == 1:
-                closed_arc = np.linalg.norm(frac[0] - frac[-1]) <= MATCH_TOL
-                if closed_arc:
-                    # clip on the open representative; the closing segment
-                    # is re-added by the clipper
-                    arc = arc[:-1]
-                    frac = frac[:-1]
-            pieces = _clip_pieces(arc, frac, lo, hi, tol, closed_arc)
-            if closed_arc and len(pieces) == 1:
-                piece = pieces[0]
-                if np.linalg.norm(piece[0] - piece[-1]) <= MATCH_TOL:
-                    curves.append(Curve(f"{chain.id}/a{ai}", piece[:-1], True))
+            if (chain.topology == "closed" and len(chain.arcs) == 1
+                    and _lattice_match(cell, frac[-1], frac[0]) == (0, 0, 0)):
+                outside = ((frac[:-1] < lo) | (frac[:-1] > hi)).any(axis=1).nonzero()[0]
+                if not outside.shape[0]:
+                    curves.append(Curve(f"{chain.id}/a{ai}", arc[:-1], True))
                     continue
+                s = outside[0]
+                arc = np.vstack([arc[s:-1], arc[:s + 1]])
+                frac = np.vstack([frac[s:-1], frac[:s + 1]])
+            pieces = _clip_pieces(arc, frac, lo, hi, tol)
             for k, piece in enumerate(pieces):
                 name = f"{chain.id}/a{ai}" if len(pieces) == 1 else f"{chain.id}/a{ai}/p{k}"
                 curves.append(Curve(name, piece, False))
     return curves
 
 
-def _clip_pieces(cart: np.ndarray, frac: np.ndarray, lo, hi, tol: float,
-                 closed: bool) -> List[np.ndarray]:
+def _clip_pieces(cart: np.ndarray, frac: np.ndarray, lo, hi, tol: float) -> List[np.ndarray]:
     """Split a polyline into maximal pieces inside the box [lo, hi]."""
-    m = frac.shape[0]
-    if closed:
-        # start the walk at a vertex outside the box, if there is one, so
-        # no piece is split across the wrap
-        outside = [i for i in range(m) if np.any(frac[i] < lo) or np.any(frac[i] > hi)]
-        if not outside:
-            ring = np.vstack([cart, cart[:1]])
-            return [ring]
-        s = outside[0]
-        cart = np.vstack([cart[s:], cart[:s + 1]])
-        frac = np.vstack([frac[s:], frac[:s + 1]])
     pieces: List[List[np.ndarray]] = []
     current: List[np.ndarray] = []
     t0s, t1s = (t.tolist() for t in _box_intervals(frac[:-1], frac[1:], lo, hi))

@@ -13,7 +13,8 @@ from pbcjones.diagram import Diagram
 from pbcjones.errors import NonGenericDirectionError, PbcJonesError
 from pbcjones.fixtures import hopf_link, open_trefoil, trefoil, unlinked_circles
 from pbcjones.geometry import (Curve, is_generic, perturbed_direction, project, project_many,
-                               projection_frame, rotate_about, sample_directions)
+                               project_translates, projection_frame, rotate_about,
+                               sample_directions)
 from pbcjones.jones3d import project_generic
 
 
@@ -313,6 +314,45 @@ class TestEndpointContact:
         c = Curve("c", [[0.5, -1, 1], [0.5, 1, 1]], False)
         d = project([a, b, c], [0.0, 0.0, 1.0])
         assert len(d.crossings) == 1
+
+    @pytest.mark.parametrize("x", [3e-7, 5e-7, 1.5e-6])
+    def test_ends_apart_by_far_less_than_contact_tol_meet_anywhere(self, x):
+        # the free ends lie 1e-12 apart wherever x puts them, also where
+        # rounding both to a 1e-6 grid would part them
+        a = Curve("a", [[x - 1, 0, 0], [x, 0, 0.2]], False)
+        b = Curve("b", [[x + 1e-12, 0, 0.2], [x + 0.4, 1, 0.1]], False)
+        assert len(project([a, b], [0.0, 0.0, 1.0]).crossings) == 0
+        b0 = Curve("b", [[1e-12, 0, 0.2], [0.4, 1, 0.1]], False)
+        row, = project_translates([a], [b0], [[x, 0, 0]], [0.0, 0.0, 1.0])
+        assert isinstance(row, Diagram) and len(row.crossings) == 0
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(2, 4),
+           st.tuples(*[st.integers(-2 * 10**7, 2 * 10**7)] * 3), st.integers(0, 2**32 - 1))
+    def test_cut_polyline_projects_as_the_whole(self, seed, pieces, shift, dir_seed):
+        # vertices and shift on a 5e-7 lattice put about half the shared
+        # vertices' coordinates where rounding to a 1e-6 grid tips either way
+        rng = np.random.default_rng(seed)
+        verts = rng.integers(-4 * 10**6, 4 * 10**6, size=(rng.integers(pieces + 2, 13), 3)) * 5e-7
+        verts += np.multiply(shift, 5e-7)
+        cuts = np.sort(rng.choice(np.arange(1, verts.shape[0] - 1), pieces - 1, replace=False))
+        bounds = [0, *cuts.tolist(), verts.shape[0] - 1]
+        cut = []
+        for k in range(pieces):
+            piece = verts[bounds[k]:bounds[k + 1] + 1].copy()
+            if k:
+                piece[0] += rng.uniform(-1e-12, 1e-12, 3)  # the shared vertex, moved apart
+            cut.append(Curve(f"p{k}", piece, False))
+        whole = Curve("w", verts, False)
+        for xi in sample_directions(8, "random", dir_seed):
+            try:
+                expected = project([whole], xi)
+            except NonGenericDirectionError:
+                continue
+            # the pieces have the whole's segment pairs, so they are generic too
+            d = project(cut, xi)
+            assert len(d.crossings) == len(expected.crossings)
+            assert d.writhe == expected.writhe
 
 
 class TestSweepKernel:

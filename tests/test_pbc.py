@@ -148,6 +148,20 @@ class TestUnfolding:
         p2, _ = exact_periodic(sys_w)
         assert p1 == p2
 
+    def test_junctions_join_where_the_walk_matched_them(self):
+        # in a cell of side 100, ends 3e-5 apart are 3e-7 cells apart,
+        # within MATCH_TOL: the image keeps one vertex of each matched pair
+        ring = np.asarray(_CHAINMAIL_RING) * 100.0
+        a0, a1 = ring[:5], ring[4:].copy()
+        a1[0] += [3e-5, 0.0, 0.0]
+        a1[-1] += [0.0, 3e-5, 0.0]
+        chain = GeneratingChain("ring", [a0, a1], "closed")
+        system = PBCSystem(Cell(np.diag([100.0] * 3), (True, False, False)), [chain])
+        img = unfold_image(system, chain)
+        assert img.closed and img.polyline.shape == (11, 3)
+        ends = np.vstack([img.polyline, img.polyline[:1]])
+        assert np.linalg.norm(np.diff(ends, axis=0), axis=1).min() == pytest.approx(5.0)
+
     def test_infinite_chain_progresses_by_one_cell(self):
         system = jersey_system()
         for chain in system.chains:

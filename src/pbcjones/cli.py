@@ -14,7 +14,7 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
-from .errors import PbcJonesError
+from .errors import PbcJonesError, require_count
 from .io_formats import (
     AnalysisReport,
     TRAJECTORY_FORMATS,
@@ -66,13 +66,13 @@ def _add_output_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _require_at_least(flag: str, value: int, least: int = 1) -> None:
-    if value < least:
-        raise PbcJonesError(f"{flag} must be at least {least}, got {value}")
+    require_count(flag, value, least)
 
 
 def _config(args) -> SamplingConfig:
     _require_at_least("--directions", args.directions)
     _require_at_least("--workers", args.workers)
+    _require_at_least("--crossing-cap", args.crossing_cap, 0)
     return SamplingConfig(
         directions=args.directions, mode=args.mode, seed=args.seed,
         tolerance=args.tolerance, crossing_cap=args.crossing_cap,
@@ -98,15 +98,12 @@ def _poly_results(res: JonesResult) -> Dict[str, object]:
 def _normalization_results(poly: LaurentPoly, n_components: int,
                            tol: float = 1e-9) -> Dict[str, object]:
     div = normalized(poly, n_components, zero_tol=tol)
-    # float-mode division leaves sub-tolerance dust; report the cleaned form
-    quot = div.quotient.pruned(tol) if poly.mode == "float" else div.quotient
-    rem = div.remainder.pruned(tol) if poly.mode == "float" else div.remainder
     return {
         "components": n_components,
-        "quotient": quot.to_json_obj(),
-        "quotient_str": str(quot),
-        "remainder": rem.to_json_obj(),
-        "remainder_str": str(rem),
+        "quotient": div.quotient.to_json_obj(),
+        "quotient_str": str(div.quotient),
+        "remainder": div.remainder.to_json_obj(),
+        "remainder_str": str(div.remainder),
         "remainder_span": div.remainder_span,
         "remainder_is_zero": div.remainder_is_zero,
     }
@@ -270,6 +267,8 @@ def _cmd_slk(args) -> None:
 def _cmd_cutoff_verify(args) -> int:
     """Exit code 1 when any identity of the report fails."""
     _require_at_least("--copies", args.copies)
+    _require_at_least("--enumerate-cap", args.enumerate_cap, 0)
+    _require_at_least("--crossing-cap", args.crossing_cap, 0)
     system = read_system(args.input)
     xi = _parse_direction(args.direction) if args.direction else None
     rep = verify_cutoff_factorization(

@@ -40,7 +40,7 @@ from typing import Dict, Iterator, List, Sequence, Tuple
 
 from .bracket import DEFAULT_CROSSING_CAP, bracket, writhe_prefactor
 from .diagram import Diagram
-from .errors import PbcJonesError
+from .errors import PbcJonesError, require_count
 from .geometry import Curve, sample_directions
 from .jones3d import GENERICITY_RETRIES, project_generic
 from .laurent import LaurentPoly, d_power
@@ -164,6 +164,8 @@ def verify_cutoff_factorization(system: PBCSystem, n_copies: int, xi=None,
       - V(cutoff) = (-A^2)^(-(N-1)*slk_p) * d^(N-1) * V(base)^N plus the
         remainder enumerated over every other shared-crossing state
     """
+    require_count("enumerate_cap", enumerate_cap, 0)
+    require_count("crossing_cap", crossing_cap, 0)
     if xi is None:
         xi = sample_directions(1, "random", seed=0)[0]
     cut = build_cutoff(system, n_copies)

@@ -1,6 +1,7 @@
-"""Exception types and the number check shared across the package."""
+"""Exception types and the number checks shared across the package."""
 
 import math
+import numbers
 
 
 class PbcJonesError(Exception):
@@ -54,3 +55,11 @@ def require_nonnegative(name: str, value: float) -> None:
     """Reject a tolerance-like number that is not finite or is below 0."""
     if not (math.isfinite(value) and value >= 0):
         raise PbcJonesError(f"{name} must be finite and at least 0, got {value}")
+
+
+def require_count(name: str, value, least: int) -> None:
+    """Reject a count that is not an integer (bool is not one) or is below ``least``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise PbcJonesError(f"{name} must be an integer, got {value!r}")
+    if value < least:
+        raise PbcJonesError(f"{name} must be at least {least}, got {value}")

@@ -3,10 +3,9 @@
 Collections that are entirely closed have a projection-independent
 polynomial, computed exactly from one generic direction.  Collections
 with open curves depend on the direction, and the result is the average
-over a deterministic direction sample; the average of exact integer
-polynomials is formed with rational arithmetic and converted to float
-once at the end, so results do not depend on worker count or summation
-order.
+over a deterministic direction sample; the exact integer polynomials
+are summed exactly and divided by the number of directions used once at
+the end, so results do not depend on worker count or summation order.
 
 Each worker's chunk of directions is projected with one
 ``project_many`` call.  A direction that fails a genericity check there
@@ -20,17 +19,16 @@ from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
-from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .bracket import DEFAULT_CROSSING_CAP, bracket, writhe_prefactor
 from .errors import (NonGenericDirectionError, PbcJonesError, StateSumTooLargeError,
-                     require_nonnegative)
+                     require_count, require_nonnegative)
 from .geometry import (Curve, perturbed_direction, project, project_many,
                        sample_directions)
-from .laurent import EXACT, LaurentPoly
+from .laurent import FLOAT, LaurentPoly
 
 GENERICITY_RETRIES = 100  # direction nudges before a projection counts as non-generic
 
@@ -51,10 +49,8 @@ class SamplingConfig:
             raise PbcJonesError(f"unknown sampling mode {self.mode!r}")
         if self.on_cap not in ("error", "skip"):
             raise PbcJonesError(f"on_cap must be 'error' or 'skip', got {self.on_cap!r}")
-        for name, least in (("directions", 1), ("workers", 1), ("seed", 0)):
-            value = getattr(self, name)
-            if value < least:
-                raise PbcJonesError(f"{name} must be at least {least}, got {value}")
+        for name, least in (("directions", 1), ("workers", 1), ("seed", 0), ("crossing_cap", 0)):
+            require_count(name, getattr(self, name), least)
         require_nonnegative("tolerance", self.tolerance)
         require_nonnegative("prune", self.prune)
 
@@ -191,7 +187,8 @@ def jones(curves: Sequence[Curve], cfg: Optional[SamplingConfig] = None) -> Jone
         _accumulate(total, part.items())
     if used == 0:
         raise StateSumTooLargeError(max_cross, cfg.crossing_cap)
-    avg = LaurentPoly({e: Fraction(c, used) for e, c in total.items()}, EXACT)
-    poly = avg.to_float().pruned(cfg.prune)
+    # c / used is correctly rounded, as float(Fraction(c, used)) is
+    poly = LaurentPoly({e: c / used for e, c in total.items() if abs(c / used) > cfg.prune},
+                       FLOAT)
     skipped = cfg.directions - used
     return JonesResult(poly, False, used, skipped, retries, max_cross, expanded)

@@ -2,8 +2,9 @@
 
 A polynomial is a map from integer exponents to coefficients.  Two modes
 exist: ``"exact"`` keeps int/Fraction coefficients and is used wherever a
-single diagram is evaluated, ``"float"`` appears once sphere averaging is
-involved.  Mixing modes in arithmetic promotes the result to float.
+single diagram is evaluated; ``"float"`` holds finite float coefficients
+and is used only for direction averages and the values reported from
+them.  Arithmetic is exact-only: a float-mode operand raises TypeError.
 
 The constructor normalizes every coefficient: it checks the type, turns
 whole Fractions into ints and drops zeros.  Exact sums and products whose
@@ -41,6 +42,15 @@ def _norm_exact(value: Coeff) -> Union[int, Fraction]:
     raise TypeError(f"exact mode requires int or Fraction coefficients, got {type(value).__name__}")
 
 
+def _norm_float(value: Coeff) -> float:
+    if isinstance(value, bool):
+        raise TypeError("bool is not a polynomial coefficient")
+    v = float(value)
+    if not math.isfinite(v):
+        raise ValueError(f"float coefficients must be finite, got {v}")
+    return v
+
+
 class LaurentPoly:
     __slots__ = ("_c", "mode")
 
@@ -57,7 +67,7 @@ class LaurentPoly:
                         c[int(e)] = v
             else:
                 for e, v in coeffs.items():
-                    v = float(v)
+                    v = _norm_float(v)
                     if abs(v) > FLOAT_PRUNE:
                         c[int(e)] = v
         self._c = c
@@ -65,16 +75,16 @@ class LaurentPoly:
     # -- constructors ---------------------------------------------------
 
     @classmethod
-    def zero(cls, mode: str = EXACT) -> "LaurentPoly":
-        return cls({}, mode)
+    def zero(cls) -> "LaurentPoly":
+        return cls({})
 
     @classmethod
-    def one(cls, mode: str = EXACT) -> "LaurentPoly":
-        return cls({0: 1}, mode)
+    def one(cls) -> "LaurentPoly":
+        return cls({0: 1})
 
     @classmethod
-    def monomial(cls, coeff: Coeff, exp: int, mode: str = EXACT) -> "LaurentPoly":
-        return cls({exp: coeff}, mode)
+    def monomial(cls, coeff: Coeff, exp: int) -> "LaurentPoly":
+        return cls({exp: coeff})
 
     # -- inspection -----------------------------------------------------
 
@@ -111,16 +121,13 @@ class LaurentPoly:
 
     # -- arithmetic -----------------------------------------------------
 
-    def _join_mode(self, other: "LaurentPoly") -> str:
-        return FLOAT if FLOAT in (self.mode, other.mode) else EXACT
-
     def __add__(self, other: "LaurentPoly") -> "LaurentPoly":
         if not isinstance(other, LaurentPoly):
             return NotImplemented
         c = dict(self._c)
         for e, v in other._c.items():
             c[e] = c.get(e, 0) + v
-        return self._result(other, c)
+        return self._result(c)
 
     def __sub__(self, other: "LaurentPoly") -> "LaurentPoly":
         if not isinstance(other, LaurentPoly):
@@ -128,38 +135,37 @@ class LaurentPoly:
         c = dict(self._c)
         for e, v in other._c.items():
             c[e] = c.get(e, 0) - v
-        return self._result(other, c)
+        return self._result(c)
 
     def __neg__(self) -> "LaurentPoly":
         return LaurentPoly({e: -v for e, v in self._c.items()}, self.mode)
 
     def __mul__(self, other):
         if isinstance(other, LaurentPoly):
-            if EXACT == self.mode == other.mode and (len(self._c) == 1 or len(other._c) == 1):
+            if len(self._c) == 1 or len(other._c) == 1:
                 return self._shifted(other) if len(other._c) == 1 else other._shifted(self)
             c: Dict[int, Coeff] = {}
             for e1, v1 in self._c.items():
                 for e2, v2 in other._c.items():
                     e = e1 + e2
                     c[e] = c.get(e, 0) + v1 * v2
-            return self._result(other, c)
-        if isinstance(other, (int, Fraction, float)) and not isinstance(other, bool):
-            mode = FLOAT if (self.mode == FLOAT or isinstance(other, float)) else EXACT
-            return LaurentPoly({e: v * other for e, v in self._c.items()}, mode)
+            return self._result(c)
+        if isinstance(other, (int, Fraction)) and not isinstance(other, bool):
+            return LaurentPoly({e: v * other for e, v in self._c.items()})
         return NotImplemented
 
     __rmul__ = __mul__
 
-    def _result(self, other: "LaurentPoly", c: Dict[int, Coeff]) -> "LaurentPoly":
-        """The sum or product ``c`` of two polynomials, in their joined mode.
+    @staticmethod
+    def _result(c: Dict[int, Coeff]) -> "LaurentPoly":
+        """The exact sum or product ``c`` of two polynomials.
 
-        Exact coefficients that are all ints need no normalizing, so only
-        their zero sums are dropped; a Fraction anywhere, or float mode,
-        sends ``c`` through the constructor.
+        Coefficients that are all ints need no normalizing, so only their
+        zero sums are dropped; anything else goes through the constructor,
+        which turns whole Fractions into ints and rejects floats.
         """
-        mode = self._join_mode(other)
-        if mode == FLOAT or any(type(v) is not int for v in c.values()):
-            return LaurentPoly(c, mode)
+        if any(type(v) is not int for v in c.values()):
+            return LaurentPoly(c)
         out = LaurentPoly.__new__(LaurentPoly)
         out.mode = EXACT
         out._c = {e: v for e, v in c.items() if v}
@@ -173,12 +179,12 @@ class LaurentPoly:
         constructor, which turns whole ones into ints.
         """
         (e0, v0), = monomial._c.items()
-        return self._result(monomial, {e + e0: v * v0 for e, v in self._c.items()})
+        return self._result({e + e0: v * v0 for e, v in self._c.items()})
 
     def __pow__(self, n: int) -> "LaurentPoly":
         if not isinstance(n, int) or n < 0:
             raise ValueError("only nonnegative integer powers are supported")
-        result = LaurentPoly.one(self.mode)
+        result = LaurentPoly.one()
         base = self
         while n:
             if n & 1:
@@ -201,15 +207,6 @@ class LaurentPoly:
     def __hash__(self) -> int:
         # instances are never mutated after construction
         return hash((self.mode, tuple(sorted(self._c.items()))))
-
-    def approx_eq(self, other: "LaurentPoly", tol: float = 1e-9) -> bool:
-        exps = set(self._c) | set(other._c)
-        return all(abs(float(self._c.get(e, 0)) - float(other._c.get(e, 0))) <= tol for e in exps)
-
-    def to_float(self) -> "LaurentPoly":
-        if self.mode == FLOAT:
-            return self
-        return LaurentPoly({e: float(v) for e, v in self._c.items()}, FLOAT)
 
     def pruned(self, eps: float) -> "LaurentPoly":
         """Drop coefficients of magnitude <= eps (any mode)."""
@@ -332,15 +329,13 @@ def _divide_class(coeffs: Dict[int, Coeff], k: int) -> Tuple[Dict[int, Coeff], D
 def divide_by_d_power(p: LaurentPoly, k: int, zero_tol: float = 1e-9) -> DivisionResult:
     """Split p as quotient * (-A^2 - A^-2)^k + remainder.
 
-    The quotient is unique when the division is exact.  In float mode the
-    remainder is tested against ``zero_tol`` and its span is measured after
-    pruning at that tolerance.
+    The quotient is unique when the division is exact.  Float input follows
+    one rule: quotient and remainder coefficients at or below ``zero_tol``
+    in magnitude are zero, for every k including 0.  ``remainder_span`` and
+    ``remainder_is_zero`` describe the returned remainder.
     """
     if k < 0:
         raise ValueError("power must be nonnegative")
-    if k == 0:
-        return DivisionResult(p, LaurentPoly.zero(p.mode), 0, True)
-    is_float = p.mode == FLOAT
     even: Dict[int, Coeff] = {}
     odd: Dict[int, Coeff] = {}
     for e, v in p._c.items():
@@ -351,14 +346,14 @@ def divide_by_d_power(p: LaurentPoly, k: int, zero_tol: float = 1e-9) -> Divisio
     qc: Dict[int, Coeff] = {}
     rc: Dict[int, Coeff] = {}
     for parity, cls_coeffs in ((0, even), (1, odd)):
-        q, r = _divide_class(cls_coeffs, k)
+        # d^0 = 1 divides everything, negative exponents included
+        q, r = _divide_class(cls_coeffs, k) if k else (cls_coeffs, {})
         for e, v in q.items():
             qc[2 * e + parity] = v
         for e, v in r.items():
             rc[2 * e + parity] = v
     quotient = LaurentPoly(qc, p.mode)
     remainder = LaurentPoly(rc, p.mode)
-    if is_float:
-        trimmed = remainder.pruned(zero_tol)
-        return DivisionResult(quotient, remainder, trimmed.span, trimmed.is_zero)
+    if p.mode == FLOAT:
+        quotient, remainder = quotient.pruned(zero_tol), remainder.pruned(zero_tol)
     return DivisionResult(quotient, remainder, remainder.span, remainder.is_zero)

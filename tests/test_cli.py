@@ -1,6 +1,7 @@
 """End-to-end CLI runs through main(), checking exit codes and reports."""
 
 import json
+import math
 import time
 
 import numpy as np
@@ -329,6 +330,15 @@ class TestMalformedInput:
         ({"coeffs": {"0": "1/0"}}, "not a polynomial"),
         ({"coeffs": {"0": 1.5}}, "exact mode requires int or Fraction"),
         ({"mode": "complex", "coeffs": {}}, "unknown mode"),
+        # json writes and reads these as NaN, Infinity and -Infinity
+        ({"mode": "float", "coeffs": {"0": math.nan, "2": 1.5}},
+         "not a polynomial: float coefficients must be finite, got nan"),
+        ({"mode": "float", "coeffs": {"0": math.inf, "2": 1.5}},
+         "not a polynomial: float coefficients must be finite, got inf"),
+        ({"mode": "float", "coeffs": {"0": -math.inf, "2": 1.5}},
+         "not a polynomial: float coefficients must be finite, got -inf"),
+        ({"mode": "float", "coeffs": {"0": True, "2": 1.5}},
+         "not a polynomial: bool is not a polynomial coefficient"),
     ])
     def test_normalize_rejects_non_polynomials(self, content, message, chainmail_file, capsys):
         if content is not None:
@@ -354,6 +364,14 @@ class TestMalformedInput:
         (["cutoff-verify", "SYSTEM", "--copies", "0"], "--copies must be at least 1, got 0"),
         (["slk", "SYSTEM", "--axis", "5"], "axis must be 0, 1 or 2, got 5"),
         (["slk", "SYSTEM", "--axis", "-3"], "axis must be 0, 1 or 2, got -3"),
+        (["cutoff-verify", "SYSTEM", "--copies", "2", "--enumerate-cap", "-3"],
+         "--enumerate-cap must be at least 0, got -3"),
+        (["cutoff-verify", "SYSTEM", "--copies", "2", "--crossing-cap", "-1"],
+         "--crossing-cap must be at least 0, got -1"),
+        (["periodic-jones", "SYSTEM", "--crossing-cap", "-1"],
+         "--crossing-cap must be at least 0, got -1"),
+        (["cell-jones", "SYSTEM", "--crossing-cap", "-2"],
+         "--crossing-cap must be at least 0, got -2"),
     ])
     def test_flag_out_of_range(self, argv, message, chainmail_file, tmp_path, capsys):
         poly = tmp_path / "poly.json"
@@ -387,6 +405,7 @@ class TestMalformedInput:
         (["slk", "SYSTEM", "--seed", "-1"], "--seed must be at least 0, got -1"),
         (["jones", "OPEN", "--mode", "random", "--seed", "-1"],
          "seed must be at least 0, got -1"),
+        (["jones", "HOPF", "--crossing-cap", "-1"], "--crossing-cap must be at least 0, got -1"),
     ])
     def test_non_finite_or_negative_number(self, argv, message, hopf_file, chainmail_file,
                                            tmp_path, capsys):

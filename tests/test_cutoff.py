@@ -264,6 +264,15 @@ class TestLimits:
             verify_cutoff_factorization(chainmail_system(), 2, xi=COHERENT_XI,
                                         enumerate_cap=1)
 
+    @pytest.mark.parametrize("cap, message", [
+        ({"enumerate_cap": -3}, "^enumerate_cap must be at least 0, got -3$"),
+        ({"crossing_cap": -1}, "^crossing_cap must be at least 0, got -1$"),
+        ({"enumerate_cap": 2.5}, "^enumerate_cap must be an integer, got 2.5$"),
+    ])
+    def test_bad_caps_rejected_up_front(self, cap, message):
+        with pytest.raises(PbcJonesError, match=message):
+            verify_cutoff_factorization(chainmail_system(), 2, xi=COHERENT_XI, **cap)
+
     def test_report_serializes(self):
         rep = verify_cutoff_factorization(chainmail_system(), 1, xi=COHERENT_XI)
         obj = rep.to_json_obj()

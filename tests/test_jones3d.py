@@ -1,6 +1,8 @@
 import importlib
 import math
 import pickle
+import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -56,6 +58,14 @@ class TestSphereAverage:
         assert res.poly.mode == "float"
         assert res.directions_used == 40
 
+    def test_average_is_the_rounded_exact_mean(self):
+        # each coefficient is an integer sum over the used directions divided once
+        res = jones([open_trefoil(0.5)], SamplingConfig(directions=97))
+        used = res.directions_used
+        assert used == 97 and len(res.poly) > 1
+        for _, v in res.poly.terms():
+            assert v == float(Fraction(round(v * used), used))
+
     def test_same_seed_same_result(self):
         cfg = SamplingConfig(directions=30, mode="random", seed=9)
         a = jones([open_trefoil(0.3)], cfg)
@@ -85,7 +95,7 @@ class TestSphereAverage:
 
     def test_gap_closing_approaches_closed_value(self):
         cfg = SamplingConfig(directions=200)
-        closed = jones([trefoil()], cfg).poly.to_float()
+        closed = jones([trefoil()], cfg).poly
 
         def dist(gap):
             open_poly = jones([open_trefoil(gap)], cfg).poly
@@ -152,6 +162,24 @@ class TestConfig:
     def test_unusable_tolerances_rejected(self, field, value):
         with pytest.raises(PbcJonesError, match=f"^{field} must be finite and at least 0"):
             SamplingConfig(**{field: value})
+
+    @pytest.mark.parametrize("field,value", [("directions", 2.5), ("directions", True),
+                                             ("workers", 1.0), ("seed", "0"),
+                                             ("crossing_cap", 2.0), ("crossing_cap", False)])
+    def test_non_integer_counts_rejected(self, field, value):
+        message = f"^{field} must be an integer, got {re.escape(repr(value))}$"
+        with pytest.raises(PbcJonesError, match=message):
+            SamplingConfig(**{field: value})
+
+    def test_numpy_integer_counts_accepted(self):
+        cfg = SamplingConfig(directions=np.int64(3), workers=np.int32(1), seed=np.uint8(2),
+                             crossing_cap=np.int16(0))
+        assert cfg.directions == 3 and cfg.crossing_cap == 0
+
+    @pytest.mark.parametrize("value", [-1, -20])
+    def test_negative_crossing_cap_rejected(self, value):
+        with pytest.raises(PbcJonesError, match=f"^crossing_cap must be at least 0, got {value}$"):
+            SamplingConfig(crossing_cap=value)
 
     def test_result_json_fields(self):
         res = jones(list(hopf_link()), SamplingConfig())

@@ -74,16 +74,16 @@ class TestArithmetic:
         assert isinstance(p.coefficient(0), int)
 
     @given(st.dictionaries(st.integers(-12, 12), exact, max_size=6), st.integers(-12, 12),
-           exact.filter(bool), st.booleans(), st.booleans())
-    def test_monomial_product_matches_the_general_path(self, c, e0, v0, left, as_float):
-        p, m = LaurentPoly(c), LaurentPoly({e0: v0}, "float" if as_float else "exact")
+           exact.filter(bool), st.booleans())
+    def test_monomial_product_matches_the_general_path(self, c, e0, v0, left):
+        p, m = LaurentPoly(c), LaurentPoly({e0: v0})
         # the general path: every pair of terms, then normalization
         a, b = (m, p) if left else (p, m)
         terms = {}
         for e1, v1 in a.terms():
             for e2, v2 in b.terms():
                 terms[e1 + e2] = terms.get(e1 + e2, 0) + v1 * v2
-        reference = LaurentPoly(terms, m.mode)
+        reference = LaurentPoly(terms)
         got = a * b
         assert got == reference and got.mode == reference.mode
         assert [type(v) for _, v in got.terms()] == [type(v) for _, v in reference.terms()]
@@ -113,12 +113,25 @@ class TestArithmetic:
             assert all(v != 0 and type(v) in (int, Fraction) for _, v in got.terms())
             assert all(type(v) is int for _, v in got.terms() if v.denominator == 1)
 
-    def test_mode_promotion(self):
+    def test_float_operands_are_rejected(self):
+        # arithmetic is exact-only; float polynomials are report values
         e = poly({1: 1})
-        f = e.to_float()
-        assert (e + f).mode == "float"
-        assert (e * f).mode == "float"
-        assert e.mode == "exact"
+        for f in (LaurentPoly({1: 1.0}, "float"), LaurentPoly({0: 0.5, 2: -3.0}, "float")):
+            for a, b in ((e, f), (f, e), (f, f)):
+                for op in (operator.add, operator.sub, operator.mul):
+                    with pytest.raises(TypeError):
+                        op(a, b)
+            for n in (1, 2, 3):
+                with pytest.raises(TypeError):
+                    f ** n
+            for scalar in (2, Fraction(1, 2)):
+                with pytest.raises(TypeError):
+                    f * scalar
+            for operand in (e, f):
+                with pytest.raises(TypeError):
+                    operand * 2.0
+                with pytest.raises(TypeError):
+                    0.5 * operand
 
     def test_scale_exponents_inverts_variable(self):
         p = poly({-2: 1, 4: 3})
@@ -138,13 +151,21 @@ class TestFormatting:
         assert p == q and q.mode == "exact"
 
     def test_json_round_trip_float(self):
-        p = poly({0: 1, 2: -3}).to_float()
+        p = LaurentPoly({0: 1.0, 2: -3.0}, "float")
         q = LaurentPoly.from_json_obj(p.to_json_obj())
         assert p == q and q.mode == "float"
 
     def test_json_coefficient_beyond_float_range(self):
         with pytest.raises(PbcJonesError, match="not a polynomial"):
             LaurentPoly.from_json_obj({"mode": "float", "coeffs": {"1": 10**400}})
+
+    @pytest.mark.parametrize("value, error", [(math.nan, ValueError), (math.inf, ValueError),
+                                              (-math.inf, ValueError), (True, TypeError)])
+    def test_bad_float_coefficient_rejected(self, value, error):
+        with pytest.raises(error):
+            LaurentPoly({0: value, 2: 1.5}, "float")
+        with pytest.raises(PbcJonesError, match="^not a polynomial: "):
+            LaurentPoly.from_json_obj({"mode": "float", "coeffs": {"0": value, "2": 1.5}})
 
 
 class TestLoopValue:
@@ -238,9 +259,22 @@ class TestDivision:
     def test_float_division_tracks_exact(self, c, k):
         p = poly(c)
         exact = divide_by_d_power(p, k)
-        approx = divide_by_d_power(p.to_float(), k)
-        assert approx.quotient.approx_eq(exact.quotient.to_float(), 1e-9)
-        assert approx.remainder.approx_eq(exact.remainder.to_float(), 1e-9)
+        approx = divide_by_d_power(LaurentPoly(c, "float"), k)
+        for got, want in ((approx.quotient, exact.quotient), (approx.remainder, exact.remainder)):
+            exps = {e for e, _ in got.terms()} | {e for e, _ in want.terms()}
+            assert all(abs(got.coefficient(e) - want.coefficient(e)) <= 1e-9 for e in exps)
+
+    @given(st.dictionaries(st.integers(-12, 12),
+                           st.floats(-9, 9, allow_nan=False, allow_infinity=False), max_size=6),
+           st.integers(0, 3), st.sampled_from([1e-9, 1e-3, 0.5]))
+    @settings(max_examples=80)
+    def test_float_division_drops_coefficients_at_the_tolerance(self, c, k, zero_tol):
+        res = divide_by_d_power(LaurentPoly(c, "float"), k, zero_tol)
+        for part in (res.quotient, res.remainder):
+            assert part.mode == "float"
+            assert all(abs(v) > zero_tol for _, v in part.terms())
+        assert res.remainder_span == res.remainder.span
+        assert res.remainder_is_zero == res.remainder.is_zero
 
     def test_negative_power_rejected(self):
         with pytest.raises(ValueError):

@@ -80,14 +80,17 @@ share an entry.  The as-given key is the diagram itself,
 ``(diagram.components, tuple(diagram.crossings.items()))``, and is looked
 up first: a hit skips ``terminal_graph``, which the terminal-graph key
 needs.  The as-given key is stored only when the terminal-graph key is
-already there, so only for a diagram that repeats.  The cutoff check
-meets the same smoothed pieces state after state (978 bracket calls on
-85 distinct diagrams per chainmail pass of the benchmark), but a melt
-pass meets each of its 400 diagrams once: storing every as-given key
-would keep those diagrams alive for no hit.  The caller owns the memo
-and keeps it for one call (one direction chunk, one cutoff check): there
-is no cache across calls.  Past ``MEMO_LIMIT`` entries of either kind a
-memo stops storing, which holds it near 10 MB on 25-crossing diagrams.
+already there, so only for a diagram that repeats.  Repeated directions
+of a direction average no longer reach ``bracket``: ``project_many``
+gives them one ``Diagram`` object, which ``jones3d`` solves once.  The
+as-given key serves the cutoff check, which meets the same smoothed
+pieces state after state (978 bracket calls on 85 distinct diagrams per
+chainmail pass of the benchmark), but a melt pass meets each of its 400
+diagrams once: storing every as-given key would keep those diagrams
+alive for no hit.  The caller owns the memo and keeps it for one call
+(one direction chunk, one cutoff check): there is no cache across calls.
+Past ``MEMO_LIMIT`` entries of either kind a memo stops storing, which
+holds it near 10 MB on 25-crossing diagrams.
 """
 
 from __future__ import annotations
@@ -98,7 +101,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple, Union
 
 from .diagram import Component, Diagram, smoothing_joins, terminal_graph
-from .errors import StateSumTooLargeError
+from .errors import StateSumTooLargeError, require_count
 from .laurent import LaurentPoly, d_power
 
 DEFAULT_CROSSING_CAP = 48
@@ -198,6 +201,7 @@ def _crossing_order(n: int, strand: Tuple[int, ...]) -> List[int]:
 
 def bracket(diagram: Diagram, crossing_cap: int = DEFAULT_CROSSING_CAP,
             memo: Optional[Dict[MemoKey, BracketResult]] = None) -> BracketResult:
+    require_count("crossing_cap", crossing_cap, 0)
     n = len(diagram.crossings)
     if n > crossing_cap:
         raise StateSumTooLargeError(n, crossing_cap)

@@ -52,7 +52,10 @@ class AmbiguousMatchError(ChainConnectivityError):
 
 
 def require_nonnegative(name: str, value: float) -> None:
-    """Reject a tolerance-like number that is not finite or is below 0."""
+    """Reject a tolerance-like number that is not real (bool is not one), not
+    finite, or below 0."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise PbcJonesError(f"{name} must be a real number, got {value!r}")
     if not (math.isfinite(value) and value >= 0):
         raise PbcJonesError(f"{name} must be finite and at least 0, got {value}")
 

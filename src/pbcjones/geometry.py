@@ -23,11 +23,13 @@ Frames and coordinates use only elementwise array operations, so a row
 gives the same result alone or in any block.
 
 Candidate segment pairs come from a sort-and-sweep: the ends of the
-tol-padded x-intervals are sorted together by (row, value), low ends
+tol-padded x-intervals of each row are sorted within the row, low ends
 first on ties, and the later partners of a box are the low ends sorted
-between its own two ends.  Sorting on the row as a separate key keeps
-the comparisons exact; coordinates shifted by a multiple of the row
-could round a pair that is within tol apart.  Pairs are then filtered on
+between its own two ends.  One stable argsort along the rows of a
+(rows, 2 x segments) array sorts every row at once and compares only
+values of one row, so no comparison is rounded; for 35 rows of 29
+segments it takes 28 us where one lexsort by (row, value) over all rows
+takes 147 us (numpy 2.4, one Xeon core).  Pairs are then filtered on
 y overlap, same-curve neighbors and end-to-end contacts, and the
 crossing tests run on all pairs of the block at once.  Checks run in a
 fixed order, and pairs are taken in lexicographic (a < b) order: when
@@ -35,9 +37,20 @@ several pairs of a row fail, its error names the check of the first
 failing pair.  A row that fails a check leaves the block before the
 next check, so no later check divides by its zero lengths.
 The separation and near-vertex checks sweep crossings and vertices on x
-with a 2 tol window, in the same way.  A direction that is not finite
-and nonzero, or a tolerance that is not finite and at least 0, raises
-PbcJonesError before anything is projected: no nudge can repair it.
+with a 2 tol window, in the same way; each row's crossings are padded
+with NaN to the widest row's count, and a NaN interval pairs with
+nothing.  A direction that is not finite and nonzero, or a tolerance
+that is not a finite real number of at least 0, raises PbcJonesError
+before anything is projected: no nudge can repair it.
+
+Rows of one ``project_many`` or ``project_translates`` call that see the
+same diagram share one ``Diagram`` object.  A row's key is its passages
+in order, one int each of (name rank, curve, role, crossing sign), and
+a row whose key came before gets the diagram built for it; crossing
+maps are built in name order, so that diagram equals the one the row
+would build.  The call keeps each distinct diagram, and one (name,
+role) passage tuple per name and role, for its rows to share: 2,000
+directions of the open trefoil see 280 distinct diagrams.
 """
 
 from __future__ import annotations
@@ -165,24 +178,29 @@ def _end_distance(px, py, x0, y0, x1, y1) -> np.ndarray:
     return np.hypot(px - (x0 + t * dx), py - (y0 + t * dy))
 
 
-def _overlaps(lo: np.ndarray, hi: np.ndarray, group: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """Index pairs (i, j) of the closed intervals [lo, hi] of one group that overlap.
+def _overlaps(lo: np.ndarray, hi: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Flat index pairs (i, j) of the closed intervals [lo, hi] of one row that overlap.
 
-    Sort-and-sweep: the interval ends are sorted together by (group,
-    value), low ends first on ties, so the later partners of an interval
-    are the low ends sorted between its own two ends.  Each pair is
-    returned once, in no particular orientation.
+    ``lo`` and ``hi`` have shape (rows, m); interval k of row r has the
+    flat index r * m + k, and an interval with a NaN low end is padding.
+    Sort-and-sweep: the ends of each row are sorted together, low ends
+    first on ties, so the later partners of an interval are the low ends
+    sorted between its own two ends; NaN sorts after every number.  Each
+    pair is returned once, in no particular orientation.
     """
-    n = lo.shape[0]
-    ends = np.lexsort([np.concatenate([lo, hi]), np.concatenate([group, group])])
-    low = ends < n
-    seen = np.empty(2 * n, dtype=np.int64)
-    seen[ends] = low.cumsum()  # low ends sorted at or before each end
-    counts = seen[n:] - seen[:n]
-    i = np.arange(n).repeat(counts)
+    rows, m = lo.shape
+    ends = np.argsort(np.concatenate([lo, hi], axis=1), axis=1, kind="stable")
+    # the low ends of real intervals, in sorted order
+    low = np.take_along_axis(np.concatenate([~np.isnan(lo), np.zeros_like(lo, dtype=bool)],
+                                            axis=1), ends, axis=1)
+    seen = np.empty_like(ends)
+    np.put_along_axis(seen, ends, low.cumsum().reshape(rows, 2 * m), axis=1)
+    counts = (seen[:, m:] - seen[:, :m]).ravel()  # low ends sorted within each interval
+    i = np.arange(rows * m).repeat(counts)
     # the partners of interval k have the low-end ranks seen[k], seen[k] + 1, ...
-    shift = (seen[:n] + counts - counts.cumsum()).repeat(counts)
-    return i, ends[low][np.arange(i.shape[0]) + shift]
+    shift = (seen[:, :m].ravel() + counts - counts.cumsum()).repeat(counts)
+    partners = (ends + np.arange(0, rows * m, m)[:, None])[low]
+    return i, partners[np.arange(i.shape[0]) + shift]
 
 
 def projection_frames(xis) -> np.ndarray:
@@ -254,6 +272,10 @@ class _Segments:
         head = np.where(~seg_closed & last, self.v1, -1)
         self.terminal = (tail >= 0) | (head >= 0)
         self.free_end = np.stack([np.where(tail >= 0, tail, head), np.where(head >= 0, head, tail)])
+        # the rows of one call share their distinct diagrams by passage key,
+        # and the (name, role) passages of each name rank
+        self.seen: dict = {}
+        self.passages: List[Tuple[Tuple[str, str], Tuple[str, str]]] = []
 
     def project(self, frames: np.ndarray, coords: np.ndarray, tol: float) -> list:
         """The Diagram or NonGenericDirectionError of each row of a block.
@@ -352,7 +374,7 @@ class _Segments:
         overlapping tol-padded boxes.
         """
         n = self.n
-        i, j = _overlaps(lo[0], hi[0], np.arange(lo.shape[1]) // n)
+        i, j = _overlaps(lo[0].reshape(-1, n), hi[0].reshape(-1, n))
         lo_y, hi_y = lo[1], hi[1]
         keep = (lo_y[j] <= hi_y[i]) & (lo_y[i] <= hi_y[j])
         i, j = i[keep], j[keep]
@@ -379,53 +401,80 @@ class _Segments:
     def _separation(code, cross_row, px, py, pos, tol) -> None:
         """Mark rows with crossings closer than tol to each other or to a vertex.
 
-        Crossings and the vertices of every row are swept on x with a
-        2 tol window.
+        Crossings, grouped by row, and the vertices of every row are swept
+        on x with a 2 tol window.  Each row holds its crossings padded with
+        NaN to the widest row's count, then its vertices.
         """
-        n_cross = px.shape[0]
-        x = np.concatenate([px, pos[0].ravel()])
-        y = np.concatenate([py, pos[1].ravel()])
-        group = np.concatenate([cross_row, np.arange(pos[0].size) // pos.shape[2]])
-        i, j = _overlaps(x - tol, x + tol, group)
+        rows = code.shape[0]
+        bounds = cross_row.searchsorted(np.arange(rows + 1))
+        width = int(np.diff(bounds).max())
+        cross = np.full((2, rows, width), np.nan)
+        cross[:, cross_row, np.arange(px.shape[0]) - bounds[cross_row]] = px, py
+        x, y = np.concatenate([cross, pos[:2]], axis=2)
+        m = x.shape[1]
+        i, j = _overlaps(x - tol, x + tol)
+        x, y = x.ravel(), y.ravel()
         dx, dy = x[i] - x[j], y[i] - y[j]
         close = np.sqrt(dx * dx + dy * dy) <= tol
-        ci, cj = i < n_cross, j < n_cross
-        code[group[i[close & (ci != cj)]]] = NEAR_VERTEX
-        code[group[i[close & ci & cj]]] = SEPARATION
+        ci, cj = i % m < width, j % m < width
+        code[i[close & (ci != cj)] // m] = NEAR_VERTEX
+        code[i[close & ci & cj] // m] = SEPARATION
 
     def _diagrams(self, fail, live, a, b, s, t, a_over, denom, cross_row) -> list:
         """Outcome of each direction of a block from its surviving crossings.
 
         Crossings are pairs (a, b) in pair order, grouped by row.  Each is
         passed once over and once under and ``project_many`` checked the
-        curve ids, so the diagrams skip ``Diagram`` validation.
+        curve ids, so the diagrams skip ``Diagram`` validation.  A row's key
+        is its passages in order, one int each of (name rank, curve, role,
+        crossing sign); a row whose key an earlier row of the call had gets
+        that row's Diagram.
         """
         out = [NonGenericDirectionError(CHECKS[f - 1]) if f else None for f in fail.tolist()]
         n_cross = a.shape[0]
-        bounds = cross_row.searchsorted(np.arange(live.shape[0] + 1)).tolist()
-        names = signs = order = curve = over = []
+        bounds = cross_row.searchsorted(np.arange(live.shape[0] + 1))
+        codes = np.zeros(0, dtype=np.int64)
+        ranks = curve = over = signs = []
         if n_cross:
             # names follow the sorted (curve, segment, parameter) slots of each crossing
             rank = np.empty(n_cross, dtype=np.int64)
             rank[np.lexsort([t, b, s, a])] = np.arange(n_cross)
-            rank -= cross_row.searchsorted(cross_row)
-            names = [f"c{r}" for r in rank.tolist()]
+            start = bounds[cross_row]
+            rank -= start
             # cross(over, under) is denom when a is over and -denom otherwise
-            signs = np.where(a_over == (denom > 0), 1, -1).tolist()
+            plus = a_over == (denom > 0)
+            named = np.empty(n_cross, dtype=np.int64)  # each row's signs in name order
+            named[start + rank] = np.where(plus, 1, -1)
+            # the passages of each row in order, by crossing
             seg = np.concatenate([a, b])
             order = np.lexsort([np.concatenate([s, t]), seg])
-            over = np.concatenate([a_over, ~a_over])[order].tolist()
-            curve = self.curve[seg[order] % self.n].tolist()
-            order = order.tolist()
+            e = order % n_cross
+            ranks, over = rank[e], np.concatenate([a_over, ~a_over])[order]
+            curve = self.curve[seg[order] % self.n]
+            codes = ((ranks * len(self.curves) + curve) * 2 + over) * 2 + plus[e]
+            ranks, curve, over = ranks.tolist(), curve.tolist(), over.tolist()
+            signs = named.tolist()
+            for r in range(len(self.passages), int(np.diff(bounds).max())):
+                name = f"c{r}"
+                self.passages.append(((name, "u"), (name, "o")))
+        bounds = bounds.tolist()
         for r, pos in enumerate(live.tolist()):
             if out[pos] is not None:
                 continue
             lo, hi = bounds[r], bounds[r + 1]
-            passages: List[List[Tuple[str, str]]] = [[] for _ in self.curves]
-            for e, ci, o in zip(order[2 * lo:2 * hi], curve[2 * lo:2 * hi], over[2 * lo:2 * hi]):
-                passages[ci].append((names[e % n_cross], "o" if o else "u"))
-            comps = [Component(c.id, c.closed, tuple(p)) for c, p in zip(self.curves, passages)]
-            out[pos] = Diagram.trusted(comps, dict(zip(names[lo:hi], signs[lo:hi])))
+            key = codes[2 * lo:2 * hi].tobytes()
+            diagram = self.seen.get(key)
+            if diagram is None:
+                passages: List[List[Tuple[str, str]]] = [[] for _ in self.curves]
+                for k, ci, o in zip(ranks[2 * lo:2 * hi], curve[2 * lo:2 * hi],
+                                    over[2 * lo:2 * hi]):
+                    passages[ci].append(self.passages[k][o])
+                comps = [Component(c.id, c.closed, tuple(p))
+                         for c, p in zip(self.curves, passages)]
+                crossings = {self.passages[k][0][0]: sign
+                             for k, sign in enumerate(signs[lo:hi])}
+                diagram = self.seen[key] = Diagram.trusted(comps, crossings)
+            out[pos] = diagram
         return out
 
 

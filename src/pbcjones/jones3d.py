@@ -8,11 +8,15 @@ are summed exactly and divided by the number of directions used once at
 the end, so results do not depend on worker count or summation order.
 
 Each worker's chunk of directions is projected with one
-``project_many`` call.  A direction that fails a genericity check there
-goes through the same nudges as a single-direction projection, starting
-at the first perturbed direction, so its retry count does not depend on
-how the directions were projected.  ``_direction_term`` then solves one
-direction from its diagram.
+``project_many`` call, which gives directions that see the same diagram
+the same ``Diagram`` object.  ``_direction_term`` solves each distinct
+diagram of the chunk once, and the chunk adds its polynomial and its
+work counters times the number of directions that saw it; the sums are
+exact integers, so a chunk of any size gives the same totals.  A
+direction that fails a genericity check in the chunk goes through the
+same nudges as a single-direction projection, starting at the first
+perturbed direction, so its retry count does not depend on how the
+directions were projected, and is solved on its own.
 """
 
 from __future__ import annotations
@@ -24,6 +28,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .bracket import DEFAULT_CROSSING_CAP, bracket, writhe_prefactor
+from .diagram import Diagram
 from .errors import (NonGenericDirectionError, PbcJonesError, StateSumTooLargeError,
                      require_count, require_nonnegative)
 from .geometry import (Curve, perturbed_direction, project, project_many,
@@ -130,20 +135,29 @@ def _accumulate(total: Dict[int, int], terms) -> None:
 
 def _chunk_sum(args) -> Tuple[Dict[int, int], int, int, int, int]:
     curves, dirs, cfg = args
+    memo: dict = {}  # distinct diagrams may still share a terminal graph
+    # each diagram object is solved where it first comes, so on_cap="error"
+    # raises at the first capped direction; only the directions that fail a
+    # genericity check project again, nudged, one at a time
+    counted: Dict[Diagram, list] = {}  # diagram -> [its term, directions]
+    nudged = []
+    for xi, first in zip(dirs, project_many(curves, dirs, cfg.tolerance)):
+        if isinstance(first, NonGenericDirectionError):
+            nudged.append((_direction_term(curves, xi, cfg, memo, first), 1))
+        elif first in counted:
+            counted[first][1] += 1
+        else:
+            counted[first] = [_direction_term(curves, xi, cfg, memo, first), 1]
     total: Dict[int, int] = {}
     used = retries = max_cross = expanded = 0
-    memo: dict = {}  # nearby directions often give the same diagram
-    # the whole chunk is projected in array passes; only the directions
-    # that fail a genericity check project again, nudged, one at a time
-    for xi, first in zip(dirs, project_many(curves, dirs, cfg.tolerance)):
-        poly, tries, n_cross, st = _direction_term(curves, xi, cfg, memo, first)
-        retries += tries
+    for (poly, tries, n_cross, st), count in [*counted.values(), *nudged]:
+        retries += tries * count
         max_cross = max(max_cross, n_cross)
         if poly is None:
             continue
-        used += 1
-        expanded += st
-        _accumulate(total, poly.terms())
+        used += count
+        expanded += st * count
+        _accumulate(total, ((e, c * count) for e, c in poly.terms()))
     return total, used, retries, max_cross, expanded
 
 

@@ -144,6 +144,27 @@ def brute_segment_crossings(flat: np.ndarray, segments: Sequence[Tuple[int, int]
     return out
 
 
+def brute_overlaps(lo: np.ndarray, hi: np.ndarray) -> List[Tuple[int, int]]:
+    """Flat index pairs (i < j) of the closed intervals [lo, hi] of one row
+    that overlap, by comparing every two intervals of each row.
+
+    ``lo`` and ``hi`` have shape (rows, m); interval k of row r has the flat
+    index r * m + k, and an interval with a NaN end is padding, which
+    overlaps nothing.
+    """
+    rows, m = lo.shape
+    out = []
+    for r in range(rows):
+        for k in range(m):
+            for l in range(k + 1, m):
+                ends = (lo[r, k], hi[r, k], lo[r, l], hi[r, l])
+                if any(math.isnan(e) for e in ends):
+                    continue
+                if lo[r, k] <= hi[r, l] and lo[r, l] <= hi[r, k]:
+                    out.append((r * m + k, r * m + l))
+    return out
+
+
 def gauss_linking(a: np.ndarray, b: np.ndarray) -> float:
     """Gauss linking integral of two closed polylines, segment pair by
     segment pair via the signed solid angle of the connecting tetrahedron."""

@@ -1,4 +1,5 @@
 import importlib
+import re
 
 import numpy as np
 import pytest
@@ -7,9 +8,9 @@ from hypothesis import strategies as st
 from oracles import brute_bracket
 
 from pbcjones.bracket import bracket, jones_of_diagram
-from pbcjones.cutoff import build_cutoff
+from pbcjones.cutoff import build_cutoff, split_bracket
 from pbcjones.diagram import Component, Diagram, terminal_graph
-from pbcjones.errors import StateSumTooLargeError
+from pbcjones.errors import PbcJonesError, StateSumTooLargeError
 from pbcjones.fixtures import (chainmail_system, figure_eight, hopf_link, jersey_system,
                                trefoil)
 from pbcjones.geometry import Curve, sample_directions
@@ -116,6 +117,19 @@ class TestCapAndAccounting:
     def test_cap_boundary_is_inclusive(self):
         d = project(hopf_link(), 0)
         bracket(d, crossing_cap=len(d.crossings))  # no raise
+
+    @pytest.mark.parametrize("cap, message", [
+        (-1, "crossing_cap must be at least 0, got -1"),
+        (True, "crossing_cap must be an integer, got True"),
+        (2.5, "crossing_cap must be an integer, got 2.5"),
+    ])
+    @pytest.mark.parametrize("solve", [bracket, jones_of_diagram,
+                                       lambda d, cap: split_bracket(d.pieces(), cap)],
+                             ids=["bracket", "jones_of_diagram", "split_bracket"])
+    def test_bad_cap_rejected(self, cap, message, solve):
+        d = project(hopf_link(), 0)
+        with pytest.raises(PbcJonesError, match=f"^{re.escape(message)}$"):
+            solve(d, cap)
 
     def test_merging_reports_cache_hits(self):
         d = project([figure_eight()], 3)

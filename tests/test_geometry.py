@@ -1,12 +1,13 @@
 import math
+import re
 import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import (brute_segment_crossings, gauss_linking, outcome, point_segment_distance,
-                     projected_alone, segment_distance)
+from oracles import (brute_overlaps, brute_segment_crossings, gauss_linking, outcome,
+                     point_segment_distance, projected_alone, segment_distance)
 
 from pbcjones import geometry
 from pbcjones.diagram import Diagram
@@ -204,6 +205,12 @@ class TestProjection:
     def test_unusable_tolerance_rejected(self, tol):
         with pytest.raises(PbcJonesError, match="tolerance must be finite and at least 0"):
             project([trefoil()], [0.2, 0.1, 0.95], tol)
+
+    @pytest.mark.parametrize("tol", [True, "1e-9", None])
+    def test_non_real_tolerance_rejected(self, tol):
+        message = f"^tolerance must be a real number, got {re.escape(repr(tol))}$"
+        with pytest.raises(PbcJonesError, match=message):
+            project_many([trefoil()], [[0, 0, 1]], tol)
 
 
 class TestGenericity:
@@ -428,6 +435,22 @@ class TestSweepKernel:
         assert peak < dense / 20
 
 
+class TestOverlaps:
+    """The sort-and-sweep pair lister against comparing every two intervals."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(1, 4), st.integers(1, 8), st.data())
+    def test_pairs_match_brute_scan(self, rows, m, data):
+        # few distinct values, so ends often tie; NaN pads anywhere in a row
+        cell = st.tuples(st.integers(-3, 3), st.integers(0, 2), st.booleans())
+        cells = data.draw(st.lists(cell, min_size=rows * m, max_size=rows * m))
+        lo = np.array([math.nan if pad else x for x, _, pad in cells]).reshape(rows, m)
+        hi = lo + np.array([w for _, w, _ in cells]).reshape(rows, m)
+        i, j = geometry._overlaps(lo, hi)
+        pairs = sorted(zip(np.minimum(i, j).tolist(), np.maximum(i, j).tolist()))
+        assert pairs == sorted(brute_overlaps(lo, hi))
+
+
 class TestBatchedKernel:
     """project_many against one-direction calls, the brute scan and its block size."""
 
@@ -454,6 +477,16 @@ class TestBatchedKernel:
             flat, segs, _ = flatten(curves, xi)
             assert len(diagram.crossings) == len(brute_segment_crossings(flat, segs))
             assert diagram.writhe == brute_writhe(curves, xi)
+
+    def test_repeated_rows_share_one_diagram(self):
+        curves = [open_trefoil(0.3)]
+        dirs = sample_directions(400)
+        batch = list(project_many(curves, dirs))
+        outcomes = [outcome(d) for d in batch]
+        assert outcomes == [projected_alone(curves, xi) for xi in dirs]
+        # one object per distinct diagram, and fewer than the directions
+        distinct = {(comps, tuple(items)) for comps, items in outcomes}
+        assert len({id(d) for d in batch}) == len(distinct) < len(dirs)
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(0, 2**32 - 1), st.lists(TestSweepKernel.component, min_size=1, max_size=4),

@@ -2,19 +2,21 @@ import importlib
 import math
 import pickle
 import re
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from pbcjones import jones3d
-from pbcjones.diagram import terminal_graph
+from pbcjones.diagram import Diagram, terminal_graph
 from pbcjones.errors import NonGenericDirectionError, PbcJonesError, StateSumTooLargeError
 from pbcjones.fixtures import (figure_eight, hopf_link, jersey_system, open_trefoil,
                                trefoil, unlinked_circles)
 from pbcjones.jones3d import (SamplingConfig, jones, jones_single_direction,
                               project_generic)
-from pbcjones.laurent import LaurentPoly, d_power
+from pbcjones.geometry import project_many, sample_directions
+from pbcjones.laurent import FLOAT, LaurentPoly, d_power
 from pbcjones.pbc import link_curves, minimal_periodic_link
 
 
@@ -163,6 +165,17 @@ class TestConfig:
         with pytest.raises(PbcJonesError, match=f"^{field} must be finite and at least 0"):
             SamplingConfig(**{field: value})
 
+    @pytest.mark.parametrize("field", ["tolerance", "prune"])
+    @pytest.mark.parametrize("value", [True, "1", None])
+    def test_non_real_tolerances_rejected(self, field, value):
+        message = f"^{field} must be a real number, got {re.escape(repr(value))}$"
+        with pytest.raises(PbcJonesError, match=message):
+            SamplingConfig(**{field: value})
+
+    def test_real_tolerances_accepted(self):
+        cfg = SamplingConfig(tolerance=Fraction(1, 10**9), prune=np.float32(0))
+        assert cfg.tolerance == Fraction(1, 10**9)
+
     @pytest.mark.parametrize("field,value", [("directions", 2.5), ("directions", True),
                                              ("workers", 1.0), ("seed", "0"),
                                              ("crossing_cap", 2.0), ("crossing_cap", False)])
@@ -218,7 +231,11 @@ class TestDiagramMemo:
             if n:
                 keys.append((tuple(tg.strand[p] for p in range(4 * n)),
                              tuple(d.crossings[c] for c in tg.crossing_ids), tg.free_loops))
-        assert len(seen) == 200
+        # a direction whose diagram object came before reaches bracket() no more
+        projected = list(project_many([open_trefoil(0.3)], sample_directions(200)))
+        assert all(isinstance(d, Diagram) for d in projected)
+        assert len({id(d) for d in seen}) == len(seen) == len(set(projected)) < 200
+        # distinct diagrams that share a terminal graph share one state sum
         assert len(solved) == len(set(keys)) < len(keys)
 
         # the memo changes neither the average nor the work counters
@@ -234,12 +251,49 @@ class TestCounters:
 
         def counted(d, *a, **kw):
             res = inner(d, *a, **kw)
-            hits.append(res.cache_hits)
+            hits.append((d, res.cache_hits))
             return res
 
+        projected = []
+        inner_many = jones3d.project_many
+
+        def listed(*a):
+            projected.extend(inner_many(*a))
+            return iter(projected)
+
         monkeypatch.setattr(jones3d, "bracket", counted)
+        monkeypatch.setattr(jones3d, "project_many", listed)
         curves = link_curves(minimal_periodic_link(jersey_system()))
         res = jones(curves, SamplingConfig(directions=9, crossing_cap=64, on_cap="skip"))
         assert (res.directions_used, res.directions_skipped) == (8, 1)
-        assert res.cache_hits == sum(hits) > 0
+        # each solved diagram counts once per direction that saw it; a nudged
+        # direction's diagram is its own
+        directions = Counter(projected)
+        assert res.cache_hits == sum(h * directions.get(d, 1) for d, h in hits) > 0
         assert jones([]).cache_hits == 0
+
+
+class TestRepeatedDiagrams:
+    """Directions that see one diagram are solved once and counted."""
+
+    def test_average_is_the_exact_sum_of_single_directions(self):
+        curves = [open_trefoil(0.3)]
+        cfg = SamplingConfig(directions=400)
+        res = jones(curves, cfg)
+        singles = [jones_single_direction(curves, xi, cfg) for xi in sample_directions(400)]
+        total = LaurentPoly.zero()
+        for r in singles:
+            total = total + r.poly
+        assert res.poly == LaurentPoly({e: c / 400 for e, c in total.terms()
+                                        if abs(c / 400) > cfg.prune}, FLOAT)
+        assert (res.directions_used, res.directions_skipped) == (400, 0)
+        assert res.retries == sum(r.retries for r in singles)
+        assert res.max_crossings == max(r.max_crossings for r in singles)
+        assert res.states_expanded == sum(r.states_expanded for r in singles)
+        assert res.cache_hits == sum(r.cache_hits for r in singles)
+
+    def test_worker_count_changes_nothing(self):
+        curves = [open_trefoil(0.3)]
+        one = jones(curves, SamplingConfig(directions=400, workers=1))
+        three = jones(curves, SamplingConfig(directions=400, workers=3))
+        assert one == three

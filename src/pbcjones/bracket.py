@@ -67,9 +67,11 @@ it is never searched.  Weighing the excess alone against ``SEARCH_WORK``
 would search it from N = 86 on, where the search takes the bracket from
 about 0.2 s to 0.7 s.
 
-A caller that solves many diagrams can pass ``bracket`` a memo dict that
-holds two kinds of key.  The terminal-graph key is the complete input of
-the state sum: ``tg.strand`` of the terminal graph as it stands (a tuple
+The cutoff check passes ``bracket`` a memo dict, because it meets the
+same smoothed pieces state after state (978 bracket calls on 85
+distinct diagrams per chainmail pass of the benchmark).  The memo holds
+two kinds of key.  The terminal-graph key is the complete input of the
+state sum: ``tg.strand`` of the terminal graph as it stands (a tuple
 holding one partner port per global port), the crossing signs in
 crossing-index order, and the count of free loops.  The crossing order,
 searched or not, reads only the strand matching, so it, the polynomial
@@ -77,20 +79,16 @@ and the counters are functions of that key alone, and a hit returns the
 stored ``BracketResult`` exact down to the counters.  Diagrams that
 differ only in component ids, or in crossing names that sort alike,
 share an entry.  The as-given key is the diagram itself,
-``(diagram.components, tuple(diagram.crossings.items()))``, and is looked
-up first: a hit skips ``terminal_graph``, which the terminal-graph key
-needs.  The as-given key is stored only when the terminal-graph key is
-already there, so only for a diagram that repeats.  Repeated directions
-of a direction average no longer reach ``bracket``: ``project_many``
-gives them one ``Diagram`` object, which ``jones3d`` solves once.  The
-as-given key serves the cutoff check, which meets the same smoothed
-pieces state after state (978 bracket calls on 85 distinct diagrams per
-chainmail pass of the benchmark), but a melt pass meets each of its 400
-diagrams once: storing every as-given key would keep those diagrams
-alive for no hit.  The caller owns the memo and keeps it for one call
-(one direction chunk, one cutoff check): there is no cache across calls.
-Past ``MEMO_LIMIT`` entries of either kind a memo stops storing, which
-holds it near 10 MB on 25-crossing diagrams.
+``(diagram.components, tuple(diagram.crossings.items()))``, and is
+looked up first: a hit skips ``terminal_graph``, which the
+terminal-graph key needs.  A miss of the as-given key stores both keys,
+so a diagram's first repeat already skips the terminal graph.  The
+caller owns the memo and keeps it for one check: there is no cache
+across calls.  A memo stops storing where the next pair of keys would
+take it past ``MEMO_LIMIT`` entries.  Full of distinct 25-crossing
+diagrams it holds about 18 MB: 1.8 KB per terminal-graph entry, and
+7 KB per as-given entry, which keeps the diagram's components alive.
+A chainmail cutoff check of the benchmark stores at most 65 entries.
 """
 
 from __future__ import annotations
@@ -105,7 +103,7 @@ from .errors import StateSumTooLargeError, require_count
 from .laurent import LaurentPoly, d_power
 
 DEFAULT_CROSSING_CAP = 48
-# entries past which a bracket memo stops storing (about 2.3 KB each at 25 crossings)
+# entries past which a bracket memo stops storing (see the module docstring)
 MEMO_LIMIT = 4096
 # excess of the greedy's predicted work (sum of 2^(cut/2)) over twice the least
 # work, 2 * (2n - 1), above which the crossing order is searched
@@ -218,13 +216,9 @@ def bracket(diagram: Diagram, crossing_cap: int = DEFAULT_CROSSING_CAP,
     key = (tg.strand, tuple(diagram.crossings[c] for c in tg.crossing_ids), tg.free_loops)
     if memo is None:
         return _state_sum(*key)
-    res = memo.get(key)
-    if res is None:
-        res = _state_sum(*key)
-        if len(memo) < MEMO_LIMIT:
-            memo[key] = res
-    elif len(memo) < MEMO_LIMIT:
-        memo[given] = res  # a repeat: its next repeat skips the terminal graph
+    res = memo.get(key) or _state_sum(*key)
+    if len(memo) <= MEMO_LIMIT - 2:
+        memo[key] = memo[given] = res
     return res
 
 

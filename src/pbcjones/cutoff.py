@@ -34,6 +34,7 @@ once.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, fields
 from fractions import Fraction
 from typing import Dict, Iterator, List, Sequence, Tuple
@@ -69,8 +70,9 @@ def build_cutoff(system: PBCSystem, n_copies: int) -> CutoffLink:
     union of copies is cross-checked against direct enumeration of image
     translates present in the cutoff window.
     """
-    if n_copies < 1:
+    if isinstance(n_copies, numbers.Real) and n_copies < 1:
         raise PbcJonesError(f"need at least one copy, got {n_copies}")
+    require_count("copy count", n_copies, 1)
     if len(system.chains) != 1 or system.chains[0].topology != "closed":
         raise PbcJonesError("cutoffs are defined here for a single closed chain")
     axis = single_periodic_axis(system.cell)

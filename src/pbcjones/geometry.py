@@ -248,6 +248,8 @@ class _Segments:
     """
 
     def __init__(self, curves: Sequence[Curve]):
+        if not curves:
+            raise PbcJonesError("no curves to project")
         self.curves = curves
         self.coords = np.concatenate([c.vertices for c in curves]).T[:, None].copy()
         closed = np.array([c.closed for c in curves])

@@ -334,8 +334,8 @@ def divide_by_d_power(p: LaurentPoly, k: int, zero_tol: float = 1e-9) -> Divisio
     in magnitude are zero, for every k including 0.  ``remainder_span`` and
     ``remainder_is_zero`` describe the returned remainder.
     """
-    if k < 0:
-        raise ValueError("power must be nonnegative")
+    if not isinstance(k, int) or k < 0:
+        raise ValueError(f"power must be a nonnegative integer, got {k!r}")
     even: Dict[int, Coeff] = {}
     odd: Dict[int, Coeff] = {}
     for e, v in p._c.items():

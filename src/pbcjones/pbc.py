@@ -33,7 +33,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import (AmbiguousMatchError, ChainConnectivityError, NonGenericDirectionError,
-                     PbcJonesError, require_nonnegative)
+                     PbcJonesError, require_count, require_nonnegative)
 from .geometry import BLOCK_ROWS, Curve, project_translates
 from .jones3d import GENERICITY_RETRIES, JonesResult, SamplingConfig, jones, project_generic
 from .laurent import DivisionResult, LaurentPoly, divide_by_d_power
@@ -157,7 +157,7 @@ class PBCSystem:
         for c in self.chains:
             if c.id == chain_id:
                 return c
-        raise KeyError(chain_id)
+        raise PbcJonesError(f"no chain {chain_id!r} in the system")
 
 
 # -- unfolding ----------------------------------------------------------
@@ -465,6 +465,7 @@ def search_basepoint(system: PBCSystem, chain_id: str) -> Tuple[int, int]:
 
 
 def with_basepoint(system: PBCSystem, chain_id: str, basepoint: Tuple[int, int]) -> PBCSystem:
+    system.chain(chain_id)  # an unknown id raises
     chains = [
         GeneratingChain(c.id, c.arcs, c.topology, basepoint) if c.id == chain_id else c
         for c in system.chains
@@ -545,6 +546,7 @@ def cell_curves(system: PBCSystem, tol: float = 1e-9) -> List[Curve]:
     outside the box stays one closed curve; any other ring is clipped as
     an open walk from its first vertex outside the box.
     """
+    require_nonnegative("tolerance", tol)
     cell = system.cell
     lo = np.full(3, -tol)
     hi = np.full(3, 1.0 + tol)
@@ -626,10 +628,9 @@ def periodic_jones(system: PBCSystem, cfg: Optional[SamplingConfig] = None,
 
 def normalized(poly: LaurentPoly, component_count: int, zero_tol: float = 1e-9) -> DivisionResult:
     """Divide by the loop value to the (component count - 1) power."""
-    if component_count < 1:
-        raise PbcJonesError(f"component count must be at least 1, got {component_count}")
+    require_count("component count", component_count, 1)
     require_nonnegative("tolerance", zero_tol)
-    return divide_by_d_power(poly, component_count - 1, zero_tol)
+    return divide_by_d_power(poly, int(component_count) - 1, zero_tol)
 
 
 # -- periodic self-linking ----------------------------------------------

@@ -329,7 +329,7 @@ class TestMemo:
         calls = []
         graph = bracket_mod.terminal_graph
         monkeypatch.setattr(bracket_mod, "terminal_graph", lambda d: calls.append(d) or graph(d))
-        memo, seen, stored = {}, set(), set()
+        memo, stored = {}, set()
         for d in sequence:
             before = len(calls)
             if fresh[id(d)] is None:
@@ -343,39 +343,39 @@ class TestMemo:
                 continue
             assert len(calls) == before + 1
             if d.crossings:
-                if keys[id(d)] in seen:
-                    stored.add(given_key(d))
-                seen.add(keys[id(d)])
+                stored.add(given_key(d))
+        # each miss stored its terminal-graph key beside its as-given key
         assert set(memo) == {keys[id(d)] for d in pool if id(d) in keys
                              and fresh[id(d)] is not None} | stored
 
-    def test_second_as_given_repeat_builds_no_terminal_graph(self, monkeypatch):
+    def test_repeat_builds_no_terminal_graph(self, monkeypatch):
         d = project([trefoil()], 1)
         calls = []
         graph = bracket_mod.terminal_graph
         monkeypatch.setattr(bracket_mod, "terminal_graph", lambda d: calls.append(d) or graph(d))
         memo = {}
         results = [bracket(d, memo=memo) for _ in range(4)]
-        assert len(calls) == 2
+        assert len(calls) == 1
         assert all(r is results[0] for r in results)
         assert memo == {tg_key(d): results[0], given_key(d): results[0]}
 
-    def test_distinct_diagrams_store_only_terminal_graph_keys(self):
+    def test_distinct_diagrams_store_both_keys(self):
         pool = memo_pool()[:4]
         memo = {}
         for d in pool:
             bracket(d, memo=memo)
-        assert set(memo) == {tg_key(d) for d in pool}
+        assert set(memo) == {tg_key(d) for d in pool} | {given_key(d) for d in pool}
 
     def test_both_kinds_of_key_count_toward_the_limit(self, monkeypatch):
-        monkeypatch.setattr(bracket_mod, "MEMO_LIMIT", 3)
+        monkeypatch.setattr(bracket_mod, "MEMO_LIMIT", 5)
         pool = memo_pool()[:4]
         memo = {}
         for d in pool[:2] + pool[:2] + pool + pool:
             assert fields(bracket(d, memo=memo)) == fields(bracket(d))
-            assert len(memo) <= 3
-        # two terminal-graph keys, then the first repeat's as-given key
-        assert set(memo) == {tg_key(pool[0]), tg_key(pool[1]), given_key(pool[0])}
+            assert len(memo) <= 5
+        # two misses store two keys each; a third pair would pass the limit
+        assert set(memo) == {tg_key(pool[0]), given_key(pool[0]),
+                             tg_key(pool[1]), given_key(pool[1])}
 
     @pytest.mark.parametrize("make,seed", [
         (lambda: [trefoil()], 1),
@@ -387,9 +387,9 @@ class TestMemo:
         first = bracket(d, crossing_cap=64, memo=memo)
         r = renamed(d)
         hit = bracket(r, crossing_cap=64, memo=memo)
-        # the renamed repeat hits the terminal-graph key and stores its own
-        # as-given key beside it
-        assert memo == {tg_key(d): first, given_key(r): first}
+        # the renamed repeat misses the as-given key, hits the terminal-graph
+        # key, and stores its own as-given key beside the first one
+        assert memo == {tg_key(d): first, given_key(d): first, given_key(r): first}
         assert hit is first
         assert fields(hit) == fields(bracket(d, crossing_cap=64))
 
@@ -401,7 +401,8 @@ class TestMemo:
         looser = Diagram(d.components + (Component("loose", True, ()),), d.crossings)
         memo = {}
         results = [bracket(x, memo=memo) for x in (d, flipped, looser)]
-        assert len(memo) == 3
+        assert len({tg_key(x) for x in (d, flipped, looser)}) == 3
+        assert len(memo) == 6
         for x, res in zip((d, flipped, looser), results):
             assert fields(res) == fields(bracket(x))
         assert results[2].poly == results[0].poly * d_power(1)

@@ -62,6 +62,11 @@ class TestBuildCutoff:
         with pytest.raises(PbcJonesError, match="need at least one copy, got -1"):
             verify_cutoff_factorization(chainmail_system(), -1)
 
+    @pytest.mark.parametrize("count", [2.5, "2", True])
+    def test_rejects_non_integer_copy_count(self, count):
+        with pytest.raises(PbcJonesError, match="copy count must be an integer"):
+            build_cutoff(chainmail_system(), count)
+
     def test_requires_single_closed_chain(self):
         with pytest.raises(PbcJonesError, match="single closed chain"):
             build_cutoff(melt_system(), 2)

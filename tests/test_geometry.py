@@ -196,6 +196,16 @@ class TestProjection:
         with pytest.raises(PbcJonesError, match="unique"):
             project([a, b], [0, 0, 1])
 
+    @pytest.mark.parametrize("call", [
+        lambda: project([], [0, 0, 1]),
+        lambda: project_many([], [[0, 0, 1]]),
+        lambda: project_translates([], [], [[1, 0, 0]], [0, 0, 1]),
+        lambda: project_generic([], [0, 0, 1], 1e-9, 3),
+    ], ids=["project", "project_many", "project_translates", "project_generic"])
+    def test_no_curves_rejected(self, call):
+        with pytest.raises(PbcJonesError, match="no curves to project"):
+            call()
+
     @pytest.mark.parametrize("xi", [[0, 0, 0], [math.nan, 1, 1], [1, math.inf, 0]])
     def test_unusable_direction_rejected(self, xi):
         with pytest.raises(PbcJonesError, match="direction must be finite and nonzero"):

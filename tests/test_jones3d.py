@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from pbcjones import jones3d
-from pbcjones.diagram import Diagram, terminal_graph
+from pbcjones.diagram import Diagram
 from pbcjones.errors import NonGenericDirectionError, PbcJonesError, StateSumTooLargeError
 from pbcjones.fixtures import (figure_eight, hopf_link, jersey_system, open_trefoil,
                                trefoil, unlinked_circles)
@@ -51,6 +51,10 @@ class TestClosedCurves:
         res = jones([], SamplingConfig())
         assert res.poly == LaurentPoly.one()
         assert res.exact
+
+    def test_single_direction_needs_curves(self):
+        with pytest.raises(PbcJonesError, match="no curves to project"):
+            jones_single_direction([], [0, 0, 1])
 
 
 class TestSphereAverage:
@@ -215,33 +219,26 @@ class TestDiagramMemo:
     def test_each_distinct_diagram_is_solved_once(self, monkeypatch):
         bracket_mod = importlib.import_module("pbcjones.bracket")
         solved = []
-        order = bracket_mod._crossing_order
-        monkeypatch.setattr(bracket_mod, "_crossing_order",
-                            lambda n, strand: solved.append(n) or order(n, strand))
+        state_sum = bracket_mod._state_sum
+        monkeypatch.setattr(bracket_mod, "_state_sum",
+                            lambda *key: solved.append(key) or state_sum(*key))
         seen = []
         inner = jones3d.bracket
         monkeypatch.setattr(jones3d, "bracket",
-                            lambda d, *a, **kw: seen.append(d) or inner(d, *a, **kw))
-        ref = jones([open_trefoil(0.3)], SamplingConfig(directions=200))
+                            lambda d, *a, **kw: seen.append((d, a, kw)) or inner(d, *a, **kw))
+        cfg = SamplingConfig(directions=200)
+        jones([open_trefoil(0.3)], cfg)
 
-        keys = []
-        for d in seen:
-            tg = terminal_graph(d)
-            n = len(tg.crossing_ids)
-            if n:
-                keys.append((tuple(tg.strand[p] for p in range(4 * n)),
-                             tuple(d.crossings[c] for c in tg.crossing_ids), tg.free_loops))
         # a direction whose diagram object came before reaches bracket() no more
         projected = list(project_many([open_trefoil(0.3)], sample_directions(200)))
         assert all(isinstance(d, Diagram) for d in projected)
-        assert len({id(d) for d in seen}) == len(seen) == len(set(projected)) < 200
-        # distinct diagrams that share a terminal graph share one state sum
-        assert len(solved) == len(set(keys)) < len(keys)
-
-        # the memo changes neither the average nor the work counters
-        monkeypatch.setattr(jones3d, "bracket", lambda d, *a, memo=None: inner(d, *a))
-        again = jones([open_trefoil(0.3)], SamplingConfig(directions=200))
-        assert again == ref
+        diagrams = [d for d, _, _ in seen]
+        assert len({id(d) for d in diagrams}) == len(seen) == len(set(projected)) < 200
+        # bracket() gets no memo, so every diagram object with crossings below
+        # the cap runs its own state sum, shared terminal graph or not
+        assert all(a == (cfg.crossing_cap,) and not kw for _, a, kw in seen)
+        assert len(solved) == sum(0 < len(d.crossings) <= cfg.crossing_cap for d in diagrams)
+        assert len(set(solved)) < len(solved)
 
 
 class TestCounters:

@@ -280,6 +280,11 @@ class TestDivision:
         with pytest.raises(ValueError):
             divide_by_d_power(LaurentPoly.one(), -1)
 
+    @pytest.mark.parametrize("k", [1.5, 2.0, "1"])
+    def test_non_integer_power_rejected(self, k):
+        with pytest.raises(ValueError, match="power must be a nonnegative integer"):
+            divide_by_d_power(poly({2: -1, -2: -1}), k)
+
     def test_exact_multiple_has_zero_remainder(self):
         p = poly({6: 2, 0: -3, 2: 1}) * d_power(2)
         res = divide_by_d_power(p, 2)

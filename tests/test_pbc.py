@@ -1,3 +1,5 @@
+import math
+import re
 from itertools import product
 
 import numpy as np
@@ -261,6 +263,13 @@ class TestBasepoint:
         assert moved.chain(cid).basepoint == (0, 0)
         assert system.chain(cid).basepoint == (1, 0)
 
+    @pytest.mark.parametrize("call", [lambda s: with_basepoint(s, "nope", (0, 0)),
+                                      lambda s: search_basepoint(s, "nope")],
+                             ids=["with_basepoint", "search_basepoint"])
+    def test_unknown_chain_id_rejected(self, call):
+        with pytest.raises(PbcJonesError, match="no chain 'nope' in the system"):
+            call(jersey_system())
+
 
 class TestPeriodicSelfLinking:
     @pytest.mark.parametrize("seed", range(4))
@@ -320,6 +329,20 @@ class TestCellLink:
     def test_normalized_needs_a_component(self, count):
         with pytest.raises(PbcJonesError, match=f"component count must be at least 1, got {count}"):
             normalized(LaurentPoly.one(), count)
+
+    @pytest.mark.parametrize("count", [2.5, "2", True])
+    def test_normalized_needs_an_integer_count(self, count):
+        message = f"^component count must be an integer, got {re.escape(repr(count))}$"
+        with pytest.raises(PbcJonesError, match=message):
+            normalized(LaurentPoly.one(), count)
+
+    @pytest.mark.parametrize("tol,message", [
+        (math.nan, "finite and at least 0"), (-1.0, "finite and at least 0"),
+        ("x", "a real number"),
+    ])
+    def test_cell_curves_rejects_bad_tolerance(self, tol, message):
+        with pytest.raises(PbcJonesError, match=f"^tolerance must be {message}"):
+            cell_curves(chainmail_system(), tol)
 
     def test_melt_cell_equals_periodic(self):
         system = melt_system()

@@ -258,31 +258,6 @@ class Diagram:
         return Diagram.trusted(new_comps, {c: -s if backwards.get(c) == 1 else s
                                            for c, s in self.crossings.items() if c != cid})
 
-    def oriented_smooth(self, cid: str) -> "Diagram":
-        """Smooth a crossing the way that respects both strand orientations."""
-        return self.smooth(cid, "A" if self.crossings[cid] > 0 else "B")
-
-    def mirror(self) -> "Diagram":
-        comps = []
-        for comp in self.components:
-            ps = tuple((c, "u" if r == "o" else "o") for c, r in comp.passages)
-            comps.append(Component(comp.id, comp.closed, ps, comp.ends))
-        return Diagram(comps, {c: -s for c, s in self.crossings.items()})
-
-    def reverse_component(self, comp_id: str) -> "Diagram":
-        comps = []
-        counts: Dict[str, int] = {}
-        for comp in self.components:
-            if comp.id != comp_id:
-                comps.append(comp)
-                continue
-            for c, _ in comp.passages:
-                counts[c] = counts.get(c, 0) + 1
-            ends = (comp.ends[1], comp.ends[0]) if comp.ends else None
-            comps.append(Component(comp.id, comp.closed, tuple(reversed(comp.passages)), ends))
-        signs = {c: (-s if counts.get(c, 0) == 1 else s) for c, s in self.crossings.items()}
-        return Diagram(comps, signs)
-
 
 @dataclass(frozen=True)
 class TerminalGraph:
@@ -298,9 +273,6 @@ class TerminalGraph:
     crossing_ids: Tuple[str, ...]
     strand: Tuple[int, ...]
     free_loops: int
-
-    def port(self, cid: str, code: int) -> int:
-        return 4 * self.crossing_ids.index(cid) + code
 
 
 def terminal_graph(diagram: Diagram) -> TerminalGraph:

@@ -15,17 +15,13 @@ class NonGenericDirectionError(PbcJonesError):
     ``"crossing_separation"``.
     """
 
-    def __init__(self, feature: str, detail: str = ""):
+    def __init__(self, feature: str):
         self.feature = feature
-        self.detail = detail
-        msg = f"projection is not generic: {feature}"
-        if detail:
-            msg += f" ({detail})"
-        super().__init__(msg)
+        super().__init__(f"projection is not generic: {feature}")
 
     def __reduce__(self):
         # rebuilt from the constructor's arguments, so a worker process can return it
-        return type(self), (self.feature, self.detail)
+        return type(self), (self.feature,)
 
 
 class StateSumTooLargeError(PbcJonesError):

@@ -24,8 +24,6 @@ def ring(id: str, center=(0.0, 0.0, 0.0), radius: float = 1.0, n: int = 16,
         pts = np.column_stack([c, s, z])
     elif plane == "xz":
         pts = np.column_stack([c, z, s])
-    elif plane == "yz":
-        pts = np.column_stack([z, c, s])
     else:
         raise ValueError(f"unknown plane {plane!r}")
     pts = pts + np.asarray(center, dtype=float)

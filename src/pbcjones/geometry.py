@@ -56,6 +56,7 @@ directions of the open trefoil see 280 distinct diagrams.
 from __future__ import annotations
 
 import math
+import numbers
 from typing import Iterator, List, Sequence, Tuple, Union
 
 import numpy as np
@@ -78,6 +79,8 @@ class Curve:
     __slots__ = ("id", "vertices", "closed")
 
     def __init__(self, id: str, vertices, closed: bool):
+        if not isinstance(closed, (bool, np.bool_)):
+            raise PbcJonesError(f"curve {id!r}: closed must be a bool, got {closed!r}")
         v = np.asarray(vertices, dtype=float)
         if v.ndim != 2 or v.shape[1] != 3:
             raise PbcJonesError(f"curve {id!r}: vertices must have shape (n, 3)")
@@ -97,7 +100,7 @@ class Curve:
             raise PbcJonesError(f"curve {id!r}: closed curves must not repeat the first vertex")
         self.id = id
         self.vertices = v
-        self.closed = closed
+        self.closed = bool(closed)
 
     @property
     def segment_count(self) -> int:
@@ -118,6 +121,8 @@ def check_unique_ids(curves: Sequence[Curve]) -> None:
 
 
 def sample_directions(n: int, mode: str = "fibonacci", seed: int = 0) -> np.ndarray:
+    if isinstance(n, bool) or not isinstance(n, numbers.Integral):
+        raise ValueError(f"direction count must be an integer, got {n!r}")
     if n < 1:
         raise ValueError("need at least one direction")
     if mode == "fibonacci":

@@ -16,11 +16,15 @@ count; the sums are exact integers, so chunks of any size give the same
 totals.  The diagram objects are the only dedup of an average: distinct
 diagrams seldom share a terminal graph (7 of the 280 state sums of the
 benchmark's open trefoil pass, none on jersey or melt), so a bracket
-memo's keys cost as much to build as the sums they save.  A direction
-that fails a genericity check in the chunk goes through the same nudges
-as a single-direction projection, starting at the first perturbed
-direction, so its retry count does not depend on how the directions
-were projected, and is solved on its own.
+memo's keys cost as much to build as the sums they save.
+
+Nudging happens in ``project_generic`` only, before a diagram is solved:
+``jones_single_direction`` calls it for its one direction, and
+``_chunk_sum`` calls it for each direction of the chunk that fails a
+genericity check, passing on that failure, so the nudges start at the
+first perturbed direction and the retry count does not depend on how
+the directions were projected.  Such a direction is solved on its own.
+``_direction_term`` solves the diagram it is given.
 """
 
 from __future__ import annotations
@@ -87,18 +91,18 @@ class JonesResult:
         return obj
 
 
-def project_generic(curves: Sequence[Curve], xi, tol: float, retries: int, first=None):
+def project_generic(curves: Sequence[Curve], xi, tol: float, retries: int,
+                    first: Optional[NonGenericDirectionError] = None):
     """Project along xi, nudging the direction until generic.
 
-    ``first`` is the outcome of projecting along xi itself when the
-    caller already has it: a Diagram, or the NonGenericDirectionError that
-    starts the nudges.  Returns (diagram, direction_used, retries_needed).
+    ``first`` is the NonGenericDirectionError of projecting along xi
+    itself when the caller already has it; the nudges then start at the
+    first perturbed direction.  Returns (diagram, direction_used,
+    retries_needed).
     """
     xi0 = np.asarray(xi, dtype=float)
-    last = first if isinstance(first, NonGenericDirectionError) else None
-    if first is not None and last is None:
-        return first, xi0, 0
-    for attempt in range(0 if last is None else 1, retries + 1):
+    last = first
+    for attempt in range(0 if first is None else 1, retries + 1):
         cand = xi0 if attempt == 0 else perturbed_direction(xi0, attempt)
         try:
             return project(curves, cand, tol), cand, attempt
@@ -107,14 +111,12 @@ def project_generic(curves: Sequence[Curve], xi, tol: float, retries: int, first
     raise last
 
 
-def _direction_term(curves, xi, cfg: SamplingConfig, first=None):
-    """Exact Jones polynomial for one direction.
+def _direction_term(diagram: Diagram, tries: int, cfg: SamplingConfig):
+    """Exact Jones polynomial of the diagram one direction sees after ``tries`` nudges.
 
-    ``first`` is the outcome of projecting along xi, as for
-    ``project_generic``.  Returns (poly or None when capped and skipping,
-    retries, crossings, states_expanded).
+    Returns (poly or None when capped and skipping, tries, crossings,
+    states_expanded).
     """
-    diagram, _, tries = project_generic(curves, xi, cfg.tolerance, GENERICITY_RETRIES, first)
     n_cross = len(diagram.crossings)
     try:
         res = bracket(diagram, cfg.crossing_cap)
@@ -136,18 +138,21 @@ def _chunk_sum(args) -> list:
     nudged = []
     for xi, first in zip(dirs, project_many(curves, dirs, cfg.tolerance)):
         if isinstance(first, NonGenericDirectionError):
-            nudged.append((_direction_term(curves, xi, cfg, first), 1))
+            diagram, _, tries = project_generic(curves, xi, cfg.tolerance, GENERICITY_RETRIES,
+                                                first)
+            nudged.append((_direction_term(diagram, tries, cfg), 1))
         elif first in counted:
             counted[first][1] += 1
         else:
-            counted[first] = [_direction_term(curves, xi, cfg, first), 1]
+            counted[first] = [_direction_term(first, 0, cfg), 1]
     return [*counted.values(), *nudged]
 
 
 def jones_single_direction(curves: Sequence[Curve], xi, cfg: Optional[SamplingConfig] = None) -> JonesResult:
     """Exact Jones polynomial of the diagram seen along one direction."""
     cfg = cfg or SamplingConfig()
-    poly, tries, n_cross, st = _direction_term(curves, np.asarray(xi, dtype=float), cfg)
+    diagram, _, tries = project_generic(curves, xi, cfg.tolerance, GENERICITY_RETRIES)
+    poly, tries, n_cross, st = _direction_term(diagram, tries, cfg)
     if poly is None:
         raise StateSumTooLargeError(n_cross, cfg.crossing_cap)
     return JonesResult(poly, True, 1, 0, tries, n_cross, st)
@@ -184,14 +189,11 @@ def jones(curves: Sequence[Curve], cfg: Optional[SamplingConfig] = None) -> Jone
         used += count
         expanded += st * count
         for e, c in poly.terms():
-            nc = total.get(e, 0) + c * count
-            if nc:
-                total[e] = nc
-            else:
-                del total[e]
+            total[e] = total.get(e, 0) + c * count
     if used == 0:
         raise StateSumTooLargeError(max_cross, cfg.crossing_cap)
-    # c / used is correctly rounded, as float(Fraction(c, used)) is
+    # c / used is correctly rounded, as float(Fraction(c, used)) is; a sum
+    # that came to 0 fails the test, since prune >= 0
     poly = LaurentPoly({e: c / used for e, c in total.items() if abs(c / used) > cfg.prune},
                        FLOAT)
     skipped = cfg.directions - used

@@ -7,10 +7,15 @@ and is used only for direction averages and the values reported from
 them.  Arithmetic is exact-only: a float-mode operand raises TypeError.
 
 The constructor normalizes every coefficient: it checks the type, turns
-whole Fractions into ints and drops zeros.  Exact sums and products whose
-coefficients are all ints skip it and only drop zero terms; one holding a
-Fraction still goes through it.  ``d_power`` is cached per k, which is
-safe because polynomials are never mutated after construction.
+whole Fractions into ints and drops zeros.  Both modes drop exact zeros
+only; a float coefficient that is small but nonzero is kept.  Exact sums
+and products whose coefficients are all ints skip it and only drop zero
+terms; one holding a Fraction still goes through it.  ``d_power`` is
+cached per k, which is safe because polynomials are never mutated after
+construction.
+
+``divide_by_d_power`` is one descending long division over the exponents
+of A by d^k, whose leading term is (-1)^k A^(2k).
 """
 
 from __future__ import annotations
@@ -27,9 +32,6 @@ Coeff = Union[int, Fraction, float]
 
 EXACT = "exact"
 FLOAT = "float"
-
-# magnitude below which float-mode coefficients are dropped on construction
-FLOAT_PRUNE = 1e-12
 
 
 def _norm_exact(value: Coeff) -> Union[int, Fraction]:
@@ -60,16 +62,11 @@ class LaurentPoly:
         self.mode = mode
         c: Dict[int, Coeff] = {}
         if coeffs:
-            if mode == EXACT:
-                for e, v in coeffs.items():
-                    v = _norm_exact(v)
-                    if v != 0:
-                        c[int(e)] = v
-            else:
-                for e, v in coeffs.items():
-                    v = _norm_float(v)
-                    if abs(v) > FLOAT_PRUNE:
-                        c[int(e)] = v
+            norm = _norm_exact if mode == EXACT else _norm_float
+            for e, v in coeffs.items():
+                v = norm(v)
+                if v != 0:
+                    c[int(e)] = v
         self._c = c
 
     # -- constructors ---------------------------------------------------
@@ -182,7 +179,7 @@ class LaurentPoly:
         return self._result({e + e0: v * v0 for e, v in self._c.items()})
 
     def __pow__(self, n: int) -> "LaurentPoly":
-        if not isinstance(n, int) or n < 0:
+        if isinstance(n, bool) or not isinstance(n, int) or n < 0:
             raise ValueError("only nonnegative integer powers are supported")
         result = LaurentPoly.one()
         base = self
@@ -192,10 +189,6 @@ class LaurentPoly:
             base = base * base
             n >>= 1
         return result
-
-    def scale_exponents(self, factor: int) -> "LaurentPoly":
-        """Substitute A -> A**factor."""
-        return LaurentPoly({e * factor: v for e, v in self._c.items()}, self.mode)
 
     # -- comparison and conversion --------------------------------------
 
@@ -289,71 +282,48 @@ class DivisionResult:
     remainder_is_zero: bool
 
 
-def _divide_class(coeffs: Dict[int, Coeff], k: int) -> Tuple[Dict[int, Coeff], Dict[int, Coeff]]:
-    """Divide a polynomial in B (exponent->coeff) by (-B - B^-1)^k.
-
-    Descending long division emitting quotient terms with nonnegative
-    B exponents only; it stops as soon as the next quotient term would
-    need a negative exponent and leaves the rest as the remainder.  This
-    keeps the quotient in ordinary polynomial form and makes the split
-    unique.
-    """
-    if not coeffs or max(coeffs) < k:
-        # no quotient term has a nonnegative exponent: skip the k + 1 binomials
-        return {}, dict(coeffs)
-    sign = -1 if k & 1 else 1
-    # (-B - B^-1)^k == sign * sum_j C(k,j) B^(2j-k), leading term sign * B^k
-    divisor = {2 * j - k: sign * math.comb(k, j) for j in range(k + 1)}
-    quot: Dict[int, Coeff] = {}
-    work = dict(coeffs)
-    while work:
-        deg = max(work)
-        qe = deg - k
-        if qe < 0:
-            break
-        factor = work[deg] * sign  # divisor lead coefficient is `sign`, sign^2 == 1
-        quot[qe] = factor
-        del work[deg]  # cancels exactly by construction
-        for de, dv in divisor.items():
-            if de == k:
-                continue
-            e = qe + de
-            nv = work.get(e, 0) - factor * dv
-            if nv == 0:
-                work.pop(e, None)
-            else:
-                work[e] = nv
-    return quot, work
-
-
 def divide_by_d_power(p: LaurentPoly, k: int, zero_tol: float = 1e-9) -> DivisionResult:
     """Split p as quotient * (-A^2 - A^-2)^k + remainder.
 
-    The quotient is unique when the division is exact.  Float input follows
-    one rule: quotient and remainder coefficients at or below ``zero_tol``
-    in magnitude are zero, for every k including 0.  ``remainder_span`` and
-    ``remainder_is_zero`` describe the returned remainder.
+    Descending long division that emits quotient terms with nonnegative
+    exponents only; it stops as soon as the next quotient term would need
+    a negative exponent and leaves the rest as the remainder.  This keeps
+    the quotient in ordinary polynomial form and makes the split unique.
+    For k = 0 the quotient is p, negative exponents included.  Float
+    input follows one rule: quotient and remainder coefficients at or
+    below ``zero_tol`` in magnitude are zero, for every k including 0.
+    ``remainder_span`` and ``remainder_is_zero`` describe the returned
+    remainder.
     """
-    if not isinstance(k, int) or k < 0:
+    if isinstance(k, bool) or not isinstance(k, int) or k < 0:
         raise ValueError(f"power must be a nonnegative integer, got {k!r}")
-    even: Dict[int, Coeff] = {}
-    odd: Dict[int, Coeff] = {}
-    for e, v in p._c.items():
-        if e % 2 == 0:
-            even[e // 2] = v
-        else:
-            odd[(e - 1) // 2] = v
-    qc: Dict[int, Coeff] = {}
-    rc: Dict[int, Coeff] = {}
-    for parity, cls_coeffs in ((0, even), (1, odd)):
-        # d^0 = 1 divides everything, negative exponents included
-        q, r = _divide_class(cls_coeffs, k) if k else (cls_coeffs, {})
-        for e, v in q.items():
-            qc[2 * e + parity] = v
-        for e, v in r.items():
-            rc[2 * e + parity] = v
-    quotient = LaurentPoly(qc, p.mode)
-    remainder = LaurentPoly(rc, p.mode)
+    quot: Dict[int, Coeff] = {}
+    work = dict(p._c)
+    if not k:
+        quot, work = work, {}
+    elif work and max(work) >= 2 * k:
+        # below degree 2k no quotient term has a nonnegative exponent, so the
+        # k + 1 binomials are built only past it
+        sign = -1 if k & 1 else 1
+        # d^k == sign * sum_j C(k,j) A^(4j-2k); the j = k term sign * A^(2k) leads
+        lower = {4 * j - 2 * k: sign * math.comb(k, j) for j in range(k)}
+        while work:
+            deg = max(work)
+            qe = deg - 2 * k
+            if qe < 0:
+                break
+            # the lead coefficient is `sign`, sign^2 == 1; it cancels exactly
+            factor = work.pop(deg) * sign
+            quot[qe] = factor
+            for de, dv in lower.items():
+                e = qe + de
+                nv = work.get(e, 0) - factor * dv
+                if nv == 0:
+                    work.pop(e, None)
+                else:
+                    work[e] = nv
+    quotient = LaurentPoly(quot, p.mode)
+    remainder = LaurentPoly(work, p.mode)
     if p.mode == FLOAT:
         quotient, remainder = quotient.pruned(zero_tol), remainder.pruned(zero_tol)
     return DivisionResult(quotient, remainder, remainder.span, remainder.is_zero)

@@ -3,7 +3,10 @@
 Everything here trades efficiency for obviousness: full state
 enumeration instead of the contraction order, quadratic pair scans
 instead of spatial hashing, and the Gauss integral instead of signed
-crossing counts.  None of it imports the production bracket evaluator.
+crossing counts.  The diagram and polynomial operations that only tests
+need (mirror, component reversal, the oriented smoothing, A -> A^k and
+port numbers of a terminal graph) live here too.  None of it imports the
+production bracket evaluator.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
-from pbcjones.diagram import Diagram
+from pbcjones.diagram import Component, Diagram, TerminalGraph
 from pbcjones.errors import NonGenericDirectionError
 from pbcjones.geometry import Curve, project
 from pbcjones.laurent import LaurentPoly, d_power
@@ -112,6 +115,46 @@ def reference_pieces(diagram: Diagram) -> List[Tuple[List[str], List[Tuple[str, 
         out.append((ids, [(cid, s) for cid, s in diagram.crossings.items()
                           if owner[(cid, "o")] in members]))
     return out
+
+
+def oriented_smooth(diagram: Diagram, cid: str) -> Diagram:
+    """Smooth a crossing the way that respects both strand orientations."""
+    return diagram.smooth(cid, "A" if diagram.crossings[cid] > 0 else "B")
+
+
+def mirror(diagram: Diagram) -> Diagram:
+    """Swap over and under at every crossing, which flips every sign."""
+    comps = []
+    for comp in diagram.components:
+        ps = tuple((c, "u" if r == "o" else "o") for c, r in comp.passages)
+        comps.append(Component(comp.id, comp.closed, ps, comp.ends))
+    return Diagram(comps, {c: -s for c, s in diagram.crossings.items()})
+
+
+def reverse_component(diagram: Diagram, comp_id: str) -> Diagram:
+    """Walk one component backwards; crossings it passes once change sign."""
+    comps = []
+    counts: Dict[str, int] = {}
+    for comp in diagram.components:
+        if comp.id != comp_id:
+            comps.append(comp)
+            continue
+        for c, _ in comp.passages:
+            counts[c] = counts.get(c, 0) + 1
+        ends = (comp.ends[1], comp.ends[0]) if comp.ends else None
+        comps.append(Component(comp.id, comp.closed, tuple(reversed(comp.passages)), ends))
+    signs = {c: (-s if counts.get(c, 0) == 1 else s) for c, s in diagram.crossings.items()}
+    return Diagram(comps, signs)
+
+
+def scale_exponents(p: LaurentPoly, factor: int) -> LaurentPoly:
+    """Substitute A -> A**factor."""
+    return LaurentPoly({e * factor: v for e, v in p.terms()}, p.mode)
+
+
+def port(graph: TerminalGraph, cid: str, code: int) -> int:
+    """Global port number of a crossing's port in a terminal graph."""
+    return 4 * graph.crossing_ids.index(cid) + code
 
 
 def brute_segment_crossings(flat: np.ndarray, segments: Sequence[Tuple[int, int]],

@@ -182,6 +182,14 @@ class TestNormalize:
         assert obj["results"]["quotient"] == base["results"]["normalization"]["quotient"]
         assert obj["parameters"]["components"] == 3
 
+    def test_zero_tolerance_keeps_tiny_float_terms(self, tmp_path, capsys):
+        path = tmp_path / "tiny.json"
+        path.write_text('{"mode": "float", "coeffs": {"0": 1.0, "2": 5e-13}}')
+        obj = run_json(capsys, ["normalize", str(path), "--components", "1",
+                                "--tolerance", "0"])
+        assert obj["results"]["polynomial"]["coeffs"] == {"0": 1.0, "2": 5e-13}
+        assert obj["results"]["quotient"]["coeffs"] == {"0": 1.0, "2": 5e-13}
+
     def test_bare_polynomial_needs_count(self, tmp_path, capsys):
         path = tmp_path / "poly.json"
         path.write_text(json.dumps(LaurentPoly({-2: -1, -10: -1}).to_json_obj()))
@@ -485,6 +493,14 @@ class TestMalformedInput:
         with open(chainmail_file, "w", encoding="utf-8") as fh:
             json.dump(obj, fh)
         self.assert_rejected(capsys, ["slk", chainmail_file], message)
+
+    def test_chain_that_does_not_advance_is_rejected(self, tmp_path, capsys):
+        path = tmp_path / "stuck.json"
+        arc = np.array([[1.0, 1.0, 1.0], [2.0, 1.0, 1.0], [2.0, 2.0, 1.0], [1.0, 1.0, 1.0]])
+        chain = GeneratingChain("p", [arc], "infinite")
+        write_system(str(path), PBCSystem(Cell(np.diag([10.0] * 3), (True, True, True)), [chain]))
+        self.assert_rejected(capsys, ["periodic-jones", str(path)],
+                             "chain 'p': infinite chain must advance by a nonzero translate")
 
     @pytest.mark.parametrize("path, value, message", [
         (["chains", 0, "basepoint"], ["x", 0],

@@ -96,6 +96,16 @@ class TestCurve:
         assert np.allclose(arc.reversed().vertices[0], [1, 0, 0])
         assert np.allclose(arc.translated([0, 0, 2]).vertices[:, 2], 2.0)
 
+    @pytest.mark.parametrize("closed", ["no", 1, None])
+    def test_closed_flag_must_be_a_bool(self, closed):
+        with pytest.raises(PbcJonesError, match="closed must be a bool"):
+            Curve("t", trefoil().vertices, closed)
+
+    def test_numpy_bool_closed_flag_accepted(self):
+        curve = Curve("t", trefoil().vertices, np.bool_(True))
+        assert curve.closed is True
+        assert curve.segment_count == trefoil().segment_count
+
 
 class TestDirections:
     def test_unit_norm_both_modes(self):
@@ -121,6 +131,11 @@ class TestDirections:
             sample_directions(0)
         with pytest.raises(ValueError):
             sample_directions(5, "spiral")
+
+    @pytest.mark.parametrize("n", [2.5, True, "3"])
+    def test_count_must_be_an_integer(self, n):
+        with pytest.raises(ValueError, match="direction count must be an integer"):
+            sample_directions(n)
 
 
 class TestFrames:

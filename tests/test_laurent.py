@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import scale_exponents
 
 from pbcjones.errors import PbcJonesError
 from pbcjones.laurent import (LaurentPoly, d_poly, d_power, divide_by_d_power)
@@ -28,6 +29,12 @@ class TestArithmetic:
         p = poly({3: 0, 1: 2})
         assert p.min_exp == p.max_exp == 1
         assert len(p) == 1
+
+    def test_float_mode_drops_exact_zeros_only(self):
+        p = LaurentPoly({0: 1.0, 2: 5e-13, 4: 0.0, 6: -0.0, 8: -1e-300}, "float")
+        assert dict(p.terms()) == {0: 1.0, 2: 5e-13, 8: -1e-300}
+        q = LaurentPoly.from_json_obj({"mode": "float", "coeffs": {"0": 1.0, "2": 5e-13}})
+        assert q.coefficient(2) == 5e-13
 
     @given(coeffs, coeffs)
     def test_addition_commutes(self, a, b):
@@ -135,7 +142,7 @@ class TestArithmetic:
 
     def test_scale_exponents_inverts_variable(self):
         p = poly({-2: 1, 4: 3})
-        assert p.scale_exponents(-1) == poly({2: 1, -4: 3})
+        assert scale_exponents(p, -1) == poly({2: 1, -4: 3})
 
 
 class TestFormatting:
@@ -186,14 +193,14 @@ class TestLoopValue:
     def test_d_power_is_cached_per_k_and_survives_arithmetic(self):
         p = d_power(6)
         assert d_power(6) is p
-        for q in (p * p, p + p, p - p, -p, p * 3, p * d_poly(), p.scale_exponents(2)):
+        for q in (p * p, p + p, p - p, -p, p * 3, p * d_poly(), scale_exponents(p, 2)):
             assert q is not p  # arithmetic builds new polynomials
         assert list(d_power(6).terms()) == list((d_poly() ** 6).terms())
         assert d_power(7) == d_poly() ** 7
 
     def test_d_power_rejects_what_pow_rejects(self):
         d_power(2)
-        for bad in (-1, 2.0):
+        for bad in (-1, 2.0, True):
             with pytest.raises(ValueError):
                 d_power(bad)
 
@@ -276,11 +283,17 @@ class TestDivision:
         assert res.remainder_span == res.remainder.span
         assert res.remainder_is_zero == res.remainder.is_zero
 
+    def test_zero_tolerance_keeps_tiny_float_terms(self):
+        p = LaurentPoly({0: 1.0, 4: 3e-13, 8: 1.0}, "float")
+        res = divide_by_d_power(p, 0, 0.0)
+        assert res.quotient == p and res.quotient.coefficient(4) == 3e-13
+        assert res.remainder.is_zero
+
     def test_negative_power_rejected(self):
         with pytest.raises(ValueError):
             divide_by_d_power(LaurentPoly.one(), -1)
 
-    @pytest.mark.parametrize("k", [1.5, 2.0, "1"])
+    @pytest.mark.parametrize("k", [1.5, 2.0, "1", True])
     def test_non_integer_power_rejected(self, k):
         with pytest.raises(ValueError, match="power must be a nonnegative integer"):
             divide_by_d_power(poly({2: -1, -2: -1}), k)

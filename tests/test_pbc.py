@@ -10,7 +10,7 @@ from oracles import (gauss_linking, outcome, projected_alone, scalar_box_presenc
                      slk_by_translate)
 
 from pbcjones import pbc
-from pbcjones.errors import PbcJonesError
+from pbcjones.errors import AmbiguousMatchError, ChainConnectivityError, PbcJonesError
 from pbcjones.fixtures import (_CHAINMAIL_RING, chainmail_system, jersey_system,
                                melt_system, twill_system)
 from pbcjones.geometry import Curve, project, project_translates, sample_directions
@@ -173,6 +173,37 @@ class TestUnfolding:
             delta = frac[-1] - frac[0]
             assert np.allclose(np.round(delta), delta, atol=1e-6)
             assert np.any(np.abs(np.round(delta)) >= 1)
+
+
+    # an open path in a periodic cell of side 10, cut into three arcs; the
+    # first arc is handed over one cell along x, where the walk re-places it
+    PATH = np.array([[1, 1, 1], [2, 1, 1], [3, 2, 1], [4, 2, 2], [5, 3, 2], [6, 3, 3],
+                     [7, 4, 3]], dtype=float)
+    CELL = Cell(np.diag([10.0] * 3), (True, True, True))
+
+    @pytest.mark.parametrize("base", [1, 2])
+    def test_open_chain_walks_back_from_the_basepoint_arc(self, base):
+        arcs = [self.PATH[0:3] + [10.0, 0.0, 0.0], self.PATH[2:5], self.PATH[4:7]]
+        chain = GeneratingChain("p", arcs, "open", basepoint=(base, 0))
+        img = unfold_image(PBCSystem(self.CELL, [chain]), chain)
+        assert img.translate == (0, 0, 0) and not img.closed
+        assert np.allclose(img.polyline, self.PATH)
+
+    def test_two_arcs_continuing_the_head_are_ambiguous(self):
+        arcs = [self.PATH[0:2], self.PATH[1:3], [self.PATH[1], [2, 2, 2]]]
+        chain = GeneratingChain("p", arcs, "open")
+        with pytest.raises(AmbiguousMatchError, match="2 arc translates continue the head"):
+            unfold_image(PBCSystem(self.CELL, [chain]), chain)
+
+    @pytest.mark.parametrize("topology, arc, message", [
+        ("closed", PATH[0:3], "closed chain does not return to its start"),
+        ("infinite", np.vstack([PATH[0:3], PATH[:1]]),
+         "infinite chain must advance by a nonzero translate"),
+    ])
+    def test_one_arc_chain_with_a_bad_advance(self, topology, arc, message):
+        chain = GeneratingChain("p", [arc], topology)
+        with pytest.raises(ChainConnectivityError, match=message):
+            unfold_image(PBCSystem(self.CELL, [chain]), chain)
 
 
 class TestMinimalPeriodicLink:

@@ -12,7 +12,10 @@ only; a float coefficient that is small but nonzero is kept.  Exact sums
 and products whose coefficients are all ints skip it and only drop zero
 terms; one holding a Fraction still goes through it.  ``d_power`` is
 cached per k, which is safe because polynomials are never mutated after
-construction.
+construction.  A power, for ``**``, ``d_power`` and ``divide_by_d_power``
+alike, is any integer that is not a bool and not negative, numpy's
+included; it becomes an int first, so ``d_power(np.int64(2))`` and
+``d_power(2)`` share one cache entry.
 
 ``divide_by_d_power`` is one descending long division over the exponents
 of A by d^k, whose leading term is (-1)^k A^(2k).
@@ -22,6 +25,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Iterator, Mapping, Optional, Tuple, Union
@@ -42,6 +46,13 @@ def _norm_exact(value: Coeff) -> Union[int, Fraction]:
     if isinstance(value, Fraction):
         return int(value) if value.denominator == 1 else value
     raise TypeError(f"exact mode requires int or Fraction coefficients, got {type(value).__name__}")
+
+
+def _power(n) -> int:
+    """A power as an int: any integer that is not a bool and not negative, numpy's included."""
+    if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 0:
+        raise ValueError(f"power must be a nonnegative integer, got {n!r}")
+    return int(n)
 
 
 def _norm_float(value: Coeff) -> float:
@@ -179,8 +190,7 @@ class LaurentPoly:
         return self._result({e + e0: v * v0 for e, v in self._c.items()})
 
     def __pow__(self, n: int) -> "LaurentPoly":
-        if isinstance(n, bool) or not isinstance(n, int) or n < 0:
-            raise ValueError("only nonnegative integer powers are supported")
+        n = _power(n)
         result = LaurentPoly.one()
         base = self
         while n:
@@ -266,11 +276,13 @@ def d_poly() -> LaurentPoly:
     return LaurentPoly({2: -1, -2: -1})
 
 
-@functools.lru_cache(maxsize=None, typed=True)
 def d_power(k: int) -> LaurentPoly:
     """d^k, cached per k: polynomials are never mutated after construction."""
-    if k < 0:
-        raise ValueError("negative powers of the loop value are not polynomials")
+    return _d_power(_power(k))
+
+
+@functools.lru_cache(maxsize=None, typed=True)
+def _d_power(k: int) -> LaurentPoly:
     return d_poly() ** k
 
 
@@ -295,8 +307,7 @@ def divide_by_d_power(p: LaurentPoly, k: int, zero_tol: float = 1e-9) -> Divisio
     ``remainder_span`` and ``remainder_is_zero`` describe the returned
     remainder.
     """
-    if isinstance(k, bool) or not isinstance(k, int) or k < 0:
-        raise ValueError(f"power must be a nonnegative integer, got {k!r}")
+    k = _power(k)
     quot: Dict[int, Coeff] = {}
     work = dict(p._c)
     if not k:

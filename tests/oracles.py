@@ -5,20 +5,25 @@ enumeration instead of the contraction order, quadratic pair scans
 instead of spatial hashing, and the Gauss integral instead of signed
 crossing counts.  The diagram and polynomial operations that only tests
 need (mirror, component reversal, the oriented smoothing, A -> A^k and
-port numbers of a terminal graph) live here too.  None of it imports the
-production bracket evaluator.
+port numbers of a terminal graph) live here too.  So does the frontier
+DP as it stood before its states shared their polynomials: every
+successor merged its parent's polynomial times its factor into a fresh
+or existing dict, and the greedy crossing order keyed its heap on
+tuples.  None of it imports the production bracket evaluator.
 """
 
 from __future__ import annotations
 
+import heapq
 import math
+import operator
 from fractions import Fraction
 from itertools import product
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from pbcjones.diagram import Component, Diagram, TerminalGraph
+from pbcjones.diagram import Component, Diagram, TerminalGraph, smoothing_joins
 from pbcjones.errors import NonGenericDirectionError
 from pbcjones.geometry import Curve, project
 from pbcjones.laurent import LaurentPoly, d_power
@@ -73,6 +78,127 @@ def brute_bracket(diagram: Diagram) -> LaurentPoly:
         term = LaurentPoly.monomial(1, exp) * d_power(count_loops(d) - 1)
         total = total + term
     return total
+
+
+# (port joins, terms of A^(+-1) * d^k for k = 0, 1, 2 closed loops) of the A- and
+# B-smoothing of a crossing of each sign
+_SMOOTHINGS = {sign: tuple((smoothing_joins(sign, kind),
+                            tuple(tuple((LaurentPoly.monomial(1, shift) * d_power(k)).terms())
+                                  for k in range(3)))
+                           for kind, shift in (("A", 1), ("B", -1)))
+               for sign in (1, -1)}
+
+
+def reference_greedy_order(nbrs: List[Dict[int, int]], deg: List[int], start: int,
+                           min_delta: bool, bound: Optional[Tuple[int, int]]
+                           ) -> Optional[Tuple[List[int], Tuple[int, int]]]:
+    """``bracket._greedy_order`` with its heap keyed on (key, -score, crossing) tuples."""
+    n = len(nbrs)
+    score = [0] * n
+    done = [False] * n
+    heap = [(deg[i] if min_delta else 0, 0, i) for i in range(n)]
+    heapq.heapify(heap)
+    order: List[int] = []
+    cut = peak = work = 0
+    c = start
+    while True:
+        done[c] = True
+        order.append(c)
+        cut += deg[c] - 2 * score[c]
+        peak = max(peak, cut)
+        work += 1 << (cut // 2)
+        if bound is not None and (peak, work) >= bound:
+            return None
+        if len(order) == n:
+            return order, (peak, work)
+        for b, w in nbrs[c].items():
+            if not done[b]:
+                s = score[b] = score[b] + w
+                heapq.heappush(heap, (deg[b] - 2 * s if min_delta else -s, -s, b))
+        while True:
+            c = heapq.heappop(heap)[2]
+            if not done[c]:
+                break
+
+
+def reference_crossing_order(n: int, strand: Sequence[int], search_work: float) -> List[int]:
+    """``bracket._crossing_order`` over ``reference_greedy_order``, searched
+    past the excess ``search_work``."""
+    nbrs: List[Dict[int, int]] = [dict() for _ in range(n)]
+    for p, q in enumerate(strand):
+        a, b = p // 4, q // 4
+        if a != b:
+            nbrs[a][b] = nbrs[a].get(b, 0) + 1
+    deg = [sum(d.values()) for d in nbrs]
+    order, work = reference_greedy_order(nbrs, deg, 0, False, None)
+    if work[1] - 2 * (2 * n - 1) <= search_work:
+        return order
+    for start in range(n):
+        for min_delta in (False, True):
+            found = reference_greedy_order(nbrs, deg, start, min_delta, work)
+            if found is not None:
+                order, work = found
+    return order
+
+
+def reference_state_sum(strand: Tuple[int, ...], signs: Tuple[int, ...], free_loops: int,
+                        search_work: float) -> Tuple[LaurentPoly, int, int]:
+    """(bracket, states_expanded, peak_frontier) of ``bracket._state_sum``,
+    with every successor merged term by term into its own dict."""
+    n = len(signs)
+    order = reference_crossing_order(n, strand, search_work)
+
+    solved = [False] * n
+    at = [0] * (4 * n)
+    frontier: List[int] = []
+    states: Dict[Tuple[int, ...], Dict[int, int]] = {(): {0: 1}}
+    states_expanded = 1
+    peak = 0
+
+    for ci in order:
+        base = 4 * ci
+        off = [p for p in range(base, base + 4) if not solved[strand[p] // 4]]
+        gained = [strand[p] for p in off if strand[p] // 4 != ci]
+        extra = off + gained
+        ext = tuple(strand[p] for p in extra)
+        for i, p in enumerate(frontier + extra):
+            at[p] = i
+        counted = -1 if ci == order[-1] else 0
+        choices = [(tuple((at[base + x], at[base + y], base + y) for x, y in joins), factors)
+                   for joins, factors in _SMOOTHINGS[signs[ci]]]
+        solved[ci] = True
+        frontier = sorted([p for p in frontier if p // 4 != ci] + gained)
+        peak = max(peak, len(frontier))
+        take = operator.itemgetter(*[at[p] for p in frontier]) if frontier else (lambda m: ())
+        nxt: Dict[Tuple[int, ...], Dict[int, int]] = {}
+        for key, poly in states.items():
+            for bonds, factors in choices:
+                m = [*key, *ext]
+                loops = counted
+                for ix, iy, y in bonds:
+                    px = m[ix]
+                    if px == y:
+                        loops += 1
+                    else:
+                        py = m[iy]
+                        m[at[px]] = py
+                        m[at[py]] = px
+                key2 = take(m)
+                slot = nxt.get(key2)
+                if slot is None:
+                    slot = nxt[key2] = {}
+                    states_expanded += 1
+                for fe, fc in factors[loops]:
+                    for e, c in poly.items():
+                        e += fe
+                        nc = slot.get(e, 0) + fc * c
+                        if nc:
+                            slot[e] = nc
+                        else:
+                            del slot[e]
+        states = nxt
+
+    return LaurentPoly(states[()]) * d_power(free_loops), states_expanded, peak
 
 
 def reference_pieces(diagram: Diagram) -> List[Tuple[List[str], List[Tuple[str, int]]]]:

@@ -1,3 +1,4 @@
+import builtins
 import importlib
 import re
 
@@ -5,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from oracles import brute_bracket
+from oracles import brute_bracket, reference_crossing_order, reference_state_sum
 
 from pbcjones.bracket import bracket, jones_of_diagram
 from pbcjones.cutoff import build_cutoff, split_bracket
@@ -243,6 +244,83 @@ class TestCrossingOrder:
         finally:
             bracket_mod.SEARCH_WORK = old
         assert res.poly == brute_bracket(d)
+
+
+@st.composite
+def strand_matchings(draw, max_n=60):
+    """(strand, signs, free loops) of n <= ``max_n`` crossings.
+
+    ``strand`` is a perfect matching of the 4n ports, as a terminal graph
+    holds it.  Kinks pair two ports of one crossing, and the crossings
+    split into up to four parts that share no strand.  Every other port
+    pairs with one of the next ``window`` unpaired ports of its part, so
+    the frontier stays narrow enough for 60 crossings; the crossing
+    indices are shuffled afterwards.
+    """
+    n = draw(st.integers(1, max_n))
+    window = draw(st.integers(1, 16))
+    cuts = sorted(draw(st.sets(st.integers(1, n - 1), max_size=3))) if n > 1 else []
+    strand = [-1] * (4 * n)
+    for c in draw(st.sets(st.integers(0, n - 1), max_size=n // 3 + 1)):
+        a, b = draw(st.sampled_from([(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]))
+        strand[4 * c + a], strand[4 * c + b] = 4 * c + b, 4 * c + a
+    for lo, hi in zip([0, *cuts], [*cuts, n]):
+        free = [p for p in range(4 * lo, 4 * hi) if strand[p] < 0]
+        while free:
+            p = free.pop(0)
+            q = free.pop(draw(st.integers(0, min(window, len(free)) - 1)))
+            strand[p], strand[q] = q, p
+    label = draw(st.permutations(range(n)))
+    moved = [0] * (4 * n)
+    for p, q in enumerate(strand):
+        moved[4 * label[p // 4] + p % 4] = 4 * label[q // 4] + q % 4
+    signs = tuple(draw(st.lists(st.sampled_from([1, -1]), min_size=n, max_size=n)))
+    return tuple(moved), signs, draw(st.integers(0, 2))
+
+
+class TestAgainstDictDP:
+    """The DP against ``oracles.reference_state_sum``, the dict merge loop
+    that it replaced, and the crossing order against the tuple-keyed heap."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(strand_matchings())
+    def test_searched_order_matches_tuple_keyed_heap(self, case):
+        strand, signs, _ = case
+        n = len(signs)
+        # a search work of 0 searches every diagram whose greedy sum exceeds
+        # twice the least work, so both tie-breaks run from every start
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(bracket_mod, "SEARCH_WORK", 0)
+            assert bracket_mod._crossing_order(n, strand) == reference_crossing_order(n, strand, 0)
+
+    @settings(max_examples=80, deadline=None)
+    @given(strand_matchings())
+    def test_state_sum_matches_dict_dp(self, case):
+        res = bracket_mod._state_sum(*case)
+        ref = reference_state_sum(*case, bracket_mod.SEARCH_WORK)
+        assert (res.poly, res.states_expanded, res.peak_frontier) == ref
+
+    @pytest.mark.parametrize("make", [
+        # the Hopf link's strand with opposite signs, an unlink of two loops:
+        # the last crossing's first successor closes no loop and shares its
+        # parent's dict, and the next one merges into it
+        lambda: ((7, 6, 5, 4, 3, 2, 1, 0), (1, -1), 0),
+        lambda: tg_key(jersey_diagram(5)),
+    ], ids=["unlink", "jersey5"])
+    def test_shared_dicts_are_copied_before_a_merge(self, make, monkeypatch):
+        case = make()
+        copies = []
+
+        def counting(*args):
+            copies.extend(args)
+            return builtins.dict(*args)
+
+        monkeypatch.setattr(bracket_mod, "dict", counting, raising=False)
+        res = bracket_mod._state_sum(*case)
+        monkeypatch.undo()
+        assert copies
+        ref = reference_state_sum(*case, bracket_mod.SEARCH_WORK)
+        assert (res.poly, res.states_expanded, res.peak_frontier) == ref
 
 
 class TestSkeinRelation:

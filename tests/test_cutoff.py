@@ -33,8 +33,10 @@ bracket_mod = importlib.import_module("pbcjones.bracket")
 COHERENT_XI = np.array([-0.632398, -0.322856, -0.704156])
 COHERENT_XI = COHERENT_XI / np.linalg.norm(COHERENT_XI)
 
-# brackets of large cutoffs along COHERENT_XI, recorded by the DP that keyed
-# its states by every live port rather than by the frontier
+# brackets of large cutoffs along COHERENT_XI: N = 32 and 64 recorded by the
+# DP that keyed its states by every live port rather than by the frontier, and
+# N = 16, with its work counters, by the dict merge DP that
+# oracles.reference_state_sum keeps
 RECORDED = json.loads(Path(__file__).with_name("data")
                       .joinpath("chainmail_cutoff_brackets.json").read_text())
 
@@ -145,6 +147,18 @@ class TestLargeCutoffs:
         # V(A = 1) = (-2)^(c - 1) for a link of c components, summed exactly
         jones = writhe_prefactor(diagram.writhe) * res.poly
         assert sum(c for _, c in jones.terms()) == (-2) ** (len(curves) - 1)
+
+    def test_bracket_and_counters_match_the_recorded_n16(self):
+        # 190 crossings and coefficients of up to 44 bits: merges of
+        # polynomials this large occur in no golden report
+        curves = build_cutoff(chainmail_system(), 16).all_curves()
+        diagram, _, _ = project_generic(curves, COHERENT_XI, 1e-9, 100)
+        recorded = RECORDED["16"]
+        assert len(diagram.crossings) == recorded["crossings"] == 190
+        res = bracket(diagram, crossing_cap=190)
+        assert res.poly == LaurentPoly.from_json_obj(recorded["bracket"])
+        assert res.states_expanded == recorded["states_expanded"] == 240
+        assert res.peak_frontier == recorded["peak_frontier"] == 4
 
     def test_greedy_order_is_kept_past_search_work(self, monkeypatch):
         # at N = 86 the greedy's excess over 2n - 1, 6N + 2, passes

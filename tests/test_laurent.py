@@ -3,6 +3,7 @@ import operator
 import time
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -61,6 +62,14 @@ class TestArithmetic:
         for _ in range(n):
             expected = expected * p
         assert p ** n == expected
+
+    def test_power_takes_any_nonnegative_integer_but_bool(self):
+        p = poly({1: 2, -3: 1})
+        assert p ** np.int64(3) == p ** 3
+        assert p ** np.uint8(0) == LaurentPoly.one()
+        for bad in (True, -1, np.int64(-1), 2.0, np.float64(2)):
+            with pytest.raises(ValueError, match="power must be a nonnegative integer"):
+                p ** bad
 
     @given(coeffs, st.integers(-3, 3).filter(lambda x: x != 0))
     def test_evaluate_is_ring_hom(self, a, x):
@@ -204,6 +213,13 @@ class TestLoopValue:
             with pytest.raises(ValueError):
                 d_power(bad)
 
+    def test_d_power_takes_numpy_integers_into_one_cache_entry(self):
+        assert d_power(np.int64(9)) is d_power(9)
+        assert d_power(np.int32(3)) is d_power(3)
+        for bad in (True, np.int64(-2), np.float64(2)):
+            with pytest.raises(ValueError, match="power must be a nonnegative integer"):
+                d_power(bad)
+
     def test_d_at_one_is_minus_two(self):
         assert d_poly().evaluate(1.0) == -2.0
 
@@ -292,6 +308,11 @@ class TestDivision:
     def test_negative_power_rejected(self):
         with pytest.raises(ValueError):
             divide_by_d_power(LaurentPoly.one(), -1)
+
+    @pytest.mark.parametrize("k", [np.int64(2), np.uint16(1), np.int64(0)])
+    def test_numpy_integer_power(self, k):
+        p = poly({6: 2, 0: -3, 2: 1, -5: 4}) * d_power(2) + poly({1: 7})
+        assert divide_by_d_power(p, k) == divide_by_d_power(p, int(k))
 
     @pytest.mark.parametrize("k", [1.5, 2.0, "1", True])
     def test_non_integer_power_rejected(self, k):

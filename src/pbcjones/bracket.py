@@ -81,26 +81,20 @@ about 0.2 s to 0.7 s.
 
 The cutoff check passes ``bracket`` a memo dict, because it meets the
 same smoothed pieces state after state (978 bracket calls on 85
-distinct diagrams per chainmail pass of the benchmark).  The memo holds
-two kinds of key.  The terminal-graph key is the complete input of the
-state sum: ``tg.strand`` of the terminal graph as it stands (a tuple
-holding one partner port per global port), the crossing signs in
-crossing-index order, and the count of free loops.  The crossing order,
-searched or not, reads only the strand matching, so it, the polynomial
-and the counters are functions of that key alone, and a hit returns the
-stored ``BracketResult`` exact down to the counters.  Diagrams that
-differ only in component ids, or in crossing names that sort alike,
-share an entry.  The as-given key is the diagram itself,
-``(diagram.components, tuple(diagram.crossings.items()))``, and is
-looked up first: a hit skips ``terminal_graph``, which the
-terminal-graph key needs.  A miss of the as-given key stores both keys,
-so a diagram's first repeat already skips the terminal graph.  The
-caller owns the memo and keeps it for one check: there is no cache
-across calls.  A memo stops storing where the next pair of keys would
-take it past ``MEMO_LIMIT`` entries.  Full of distinct 25-crossing
-diagrams it holds about 18 MB: 1.8 KB per terminal-graph entry, and
-7 KB per as-given entry, which keeps the diagram's components alive.
-A chainmail cutoff check of the benchmark stores at most 65 entries.
+distinct diagrams per chainmail pass of the benchmark).  Its key is the
+diagram less its component ids: each component's closedness, passages
+and end labels, in component order, and the crossing items.  That is
+all ``terminal_graph`` reads, and the state sum reads only the terminal
+graph and the signs, so a key gives one polynomial and one pair of
+counters, and a hit returns the stored ``BracketResult`` without
+building a terminal graph.  Diagrams that differ only in component ids
+share an entry; diagrams that differ in crossing names, or list their
+crossings in another order, do not.  A miss stores its result while the
+memo holds fewer than ``MEMO_LIMIT`` entries.  The caller owns the memo
+and keeps it for one check: there is no cache across calls.  Full of
+distinct 25-crossing diagrams a memo holds about 9 MB, 2.2 KB per entry
+(tracemalloc over 300 projected random closed 15-gons).  A chainmail
+cutoff check of the benchmark stores at most 18 entries.
 """
 
 from __future__ import annotations
@@ -108,14 +102,14 @@ from __future__ import annotations
 import heapq
 import operator
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Tuple
 
-from .diagram import Component, Diagram, smoothing_joins, terminal_graph
+from .diagram import Diagram, smoothing_joins, terminal_graph
 from .errors import StateSumTooLargeError, require_count
 from .laurent import LaurentPoly, d_power
 
 DEFAULT_CROSSING_CAP = 48
-# entries past which a bracket memo stops storing (see the module docstring)
+# entries at which a bracket memo stops storing (see the module docstring)
 MEMO_LIMIT = 4096
 # excess of the greedy's predicted work (sum of 2^(cut/2)) over twice the least
 # work, 2 * (2n - 1), above which the crossing order is searched
@@ -126,9 +120,6 @@ _SMOOTHINGS = {sign: tuple((smoothing_joins(sign, kind), shift,
                             tuple(tuple(d_power(k).terms()) for k in range(3)))
                            for kind, shift in (("A", 1), ("B", -1)))
                for sign in (1, -1)}
-
-MemoKey = Union[Tuple[Tuple[int, ...], Tuple[int, ...], int],  # terminal-graph key
-                Tuple[Tuple[Component, ...], Tuple[Tuple[str, int], ...]]]  # as-given key
 
 
 @dataclass(frozen=True)
@@ -222,27 +213,26 @@ def _crossing_order(n: int, strand: Tuple[int, ...]) -> List[int]:
 
 
 def bracket(diagram: Diagram, crossing_cap: int = DEFAULT_CROSSING_CAP,
-            memo: Optional[Dict[MemoKey, BracketResult]] = None) -> BracketResult:
+            memo: Optional[dict] = None) -> BracketResult:
     require_count("crossing_cap", crossing_cap, 0)
     n = len(diagram.crossings)
     if n > crossing_cap:
         raise StateSumTooLargeError(n, crossing_cap)
     if memo is not None:
-        given = (diagram.components, tuple(diagram.crossings.items()))
-        res = memo.get(given)
+        key = (tuple((c.closed, c.passages, c.ends) for c in diagram.components),
+               tuple(diagram.crossings.items()))
+        res = memo.get(key)
         if res is not None:
             return res
 
     tg = terminal_graph(diagram)
     if n == 0:
-        return BracketResult(d_power(max(tg.free_loops - 1, 0)), 1, 0)
-
-    key = (tg.strand, tuple(diagram.crossings[c] for c in tg.crossing_ids), tg.free_loops)
-    if memo is None:
-        return _state_sum(*key)
-    res = memo.get(key) or _state_sum(*key)
-    if len(memo) <= MEMO_LIMIT - 2:
-        memo[key] = memo[given] = res
+        res = BracketResult(d_power(max(tg.free_loops - 1, 0)), 1, 0)
+    else:
+        res = _state_sum(tg.strand, tuple(diagram.crossings[c] for c in tg.crossing_ids),
+                         tg.free_loops)
+    if memo is not None and len(memo) < MEMO_LIMIT:
+        memo[key] = res
     return res
 
 

@@ -27,8 +27,8 @@ enumerated states, the one whose word smooths each shared crossing along
 its sign, so a check with s shared crossings makes exactly 2^(s+1) - 2
 smoothings and splits 2^s states.  Each state is split into pieces once,
 and the same pieces give its bracket and decide whether it disconnects
-the copies.  The N copies and many states split into pieces with the
-same terminal graph; one bracket memo per check solves each such piece
+the copies.  The N copies and many states split into the same pieces
+up to component ids; one bracket memo per check solves each such piece
 once.
 """
 
@@ -43,7 +43,7 @@ from .bracket import DEFAULT_CROSSING_CAP, bracket, writhe_prefactor
 from .diagram import Diagram
 from .errors import PbcJonesError, require_count
 from .geometry import Curve, sample_directions
-from .jones3d import GENERICITY_RETRIES, project_generic
+from .jones3d import project_generic
 from .laurent import LaurentPoly, d_power
 from .pbc import (MinimalPeriodicLink, PBCSystem, PlacedImage, UnfoldingBox,
                   minimal_periodic_link, present_translates, single_periodic_axis, slk_p)
@@ -172,7 +172,7 @@ def verify_cutoff_factorization(system: PBCSystem, n_copies: int, xi=None,
         xi = sample_directions(1, "random", seed=0)[0]
     cut = build_cutoff(system, n_copies)
     curves = cut.all_curves()
-    diagram, xi_used, _ = project_generic(curves, xi, tol, GENERICITY_RETRIES)
+    diagram, xi_used, _ = project_generic(curves, xi, tol)
     per_copy = len(cut.link.images)
     copy_of = {c.id: i // per_copy for i, c in enumerate(curves)}
     owner = diagram.passage_owner()
@@ -186,7 +186,7 @@ def verify_cutoff_factorization(system: PBCSystem, n_copies: int, xi=None,
         )
 
     memo: dict = {}  # copies and smoothed states repeat the same pieces
-    base_diagram, _, _ = project_generic(curves[:per_copy], xi_used, tol, GENERICITY_RETRIES)
+    base_diagram, _, _ = project_generic(curves[:per_copy], xi_used, tol)
     bracket_base = bracket(base_diagram, crossing_cap, memo=memo).poly
     v_base = writhe_prefactor(base_diagram.writhe) * bracket_base
 

@@ -246,14 +246,14 @@ def _read_lammps_dump(path: str) -> List[TrajectoryFrame]:
     lineno = 0
 
     def close(lineno: int) -> None:
-        nonlocal timestep, bounds, rows
+        nonlocal timestep, bounds, rows, declared
         if timestep is None:
             return
         if declared is not None and len(rows) != declared:
             raise PbcJonesError(
                 f"{path}:{lineno}: frame {timestep} declares {declared} atoms, found {len(rows)}")
         frames.append(_finish_frame(timestep, bounds, rows, path, lineno))
-        timestep, bounds, rows = None, None, []
+        timestep, bounds, rows, declared = None, None, [], None
 
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, 1):

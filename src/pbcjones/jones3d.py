@@ -13,10 +13,11 @@ the same ``Diagram`` object.  ``_chunk_sum`` solves each distinct
 diagram of the chunk once and counts the directions that saw it, and
 ``jones`` adds each diagram's polynomial and work counters times that
 count; the sums are exact integers, so chunks of any size give the same
-totals.  The diagram objects are the only dedup of an average: distinct
-diagrams seldom share a terminal graph (7 of the 280 state sums of the
-benchmark's open trefoil pass, none on jersey or melt), so a bracket
-memo's keys cost as much to build as the sums they save.
+totals.  The diagram objects are the only dedup of an average, and
+``bracket`` gets no memo: its memo key, the diagram less its component
+ids, can never hit among the diagrams of one ``project_many`` call,
+which already gives each distinct passage sequence, crossing names and
+signs included, one object.
 
 Nudging happens in ``project_generic`` only, before a diagram is solved:
 ``jones_single_direction`` calls it for its one direction, and
@@ -91,18 +92,18 @@ class JonesResult:
         return obj
 
 
-def project_generic(curves: Sequence[Curve], xi, tol: float, retries: int,
+def project_generic(curves: Sequence[Curve], xi, tol: float,
                     first: Optional[NonGenericDirectionError] = None):
     """Project along xi, nudging the direction until generic.
 
-    ``first`` is the NonGenericDirectionError of projecting along xi
+    Up to ``GENERICITY_RETRIES`` nudges are tried.  ``first`` is the NonGenericDirectionError of projecting along xi
     itself when the caller already has it; the nudges then start at the
     first perturbed direction.  Returns (diagram, direction_used,
     retries_needed).
     """
     xi0 = np.asarray(xi, dtype=float)
     last = first
-    for attempt in range(0 if first is None else 1, retries + 1):
+    for attempt in range(0 if first is None else 1, GENERICITY_RETRIES + 1):
         cand = xi0 if attempt == 0 else perturbed_direction(xi0, attempt)
         try:
             return project(curves, cand, tol), cand, attempt
@@ -138,8 +139,7 @@ def _chunk_sum(args) -> list:
     nudged = []
     for xi, first in zip(dirs, project_many(curves, dirs, cfg.tolerance)):
         if isinstance(first, NonGenericDirectionError):
-            diagram, _, tries = project_generic(curves, xi, cfg.tolerance, GENERICITY_RETRIES,
-                                                first)
+            diagram, _, tries = project_generic(curves, xi, cfg.tolerance, first)
             nudged.append((_direction_term(diagram, tries, cfg), 1))
         elif first in counted:
             counted[first][1] += 1
@@ -151,7 +151,7 @@ def _chunk_sum(args) -> list:
 def jones_single_direction(curves: Sequence[Curve], xi, cfg: Optional[SamplingConfig] = None) -> JonesResult:
     """Exact Jones polynomial of the diagram seen along one direction."""
     cfg = cfg or SamplingConfig()
-    diagram, _, tries = project_generic(curves, xi, cfg.tolerance, GENERICITY_RETRIES)
+    diagram, _, tries = project_generic(curves, xi, cfg.tolerance)
     poly, tries, n_cross, st = _direction_term(diagram, tries, cfg)
     if poly is None:
         raise StateSumTooLargeError(n_cross, cfg.crossing_cap)

@@ -231,11 +231,17 @@ class LaurentPoly:
 
     @classmethod
     def from_json_obj(cls, obj: Mapping) -> "LaurentPoly":
-        """Inverse of ``to_json_obj``; anything else raises PbcJonesError."""
+        """Inverse of ``to_json_obj``; anything else raises PbcJonesError.
+
+        An exponent key must be ``str`` of its int, as ``to_json_obj`` writes
+        it, so no two keys can name one exponent and merge into one term.
+        """
         coeffs = obj.get("coeffs") if isinstance(obj, Mapping) else None
         if not isinstance(coeffs, Mapping):
             raise PbcJonesError("not a polynomial: expected an object with 'coeffs'")
         try:
+            if bad := [k for k in coeffs if str(int(k)) != k]:
+                raise ValueError(f"exponent key {bad[0]!r} is not a plain integer")
             return cls({int(k): Fraction(v) if isinstance(v, str) else v
                         for k, v in coeffs.items()}, obj.get("mode", EXACT))
         except (TypeError, ValueError, ZeroDivisionError, OverflowError) as exc:

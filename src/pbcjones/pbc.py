@@ -35,7 +35,7 @@ import numpy as np
 from .errors import (AmbiguousMatchError, ChainConnectivityError, NonGenericDirectionError,
                      PbcJonesError, require_count, require_nonnegative)
 from .geometry import BLOCK_ROWS, Curve, project_translates
-from .jones3d import GENERICITY_RETRIES, JonesResult, SamplingConfig, jones, project_generic
+from .jones3d import JonesResult, SamplingConfig, jones, project_generic
 from .laurent import DivisionResult, LaurentPoly, divide_by_d_power
 
 MATCH_TOL = 1e-6  # fractional distance, per axis, within which arc ends join (_lattice_match)
@@ -695,6 +695,6 @@ def slk_p(system: PBCSystem, xi, link: Optional[MinimalPeriodicLink] = None,
     for offset, diagram in zip(offsets, project_translates(base, moving, offsets, xi, tol)):
         if isinstance(diagram, NonGenericDirectionError):
             shifted = [c.translated(offset) for c in moving]
-            diagram, _, _ = project_generic(base + shifted, xi, tol, GENERICITY_RETRIES, diagram)
+            diagram, _, _ = project_generic(base + shifted, xi, tol, diagram)
         total += diagram.inter_linking(base_ids, moving_ids)
     return total

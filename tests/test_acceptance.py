@@ -36,7 +36,7 @@ def _report(num: int, name: str, ok: bool, detail: str) -> None:
 
 
 def _closed_jones(curves, xi):
-    diagram, _, _ = project_generic(curves, xi, 1e-9, 100)
+    diagram, _, _ = project_generic(curves, xi, 1e-9)
     w = diagram.writhe
     return LaurentPoly.monomial(-1 if w % 2 else 1, -3 * w) * bracket(diagram, 48).poly
 
@@ -203,11 +203,11 @@ def test_criterion_09_determinism_and_performance():
 
     xi = np.array([0.03, 0.05, 1.0])
     xi = xi / np.linalg.norm(xi)
-    small, _, _ = project_generic([_torus_two_strand(11, 160)], xi, 1e-9, 100)
+    small, _, _ = project_generic([_torus_two_strand(11, 160)], xi, 1e-9)
     t_small = time.monotonic()
     bracket(small, 48)
     t_small = time.monotonic() - t_small
-    big, _, _ = project_generic([_torus_two_strand(23, 260)], xi, 1e-9, 100)
+    big, _, _ = project_generic([_torus_two_strand(23, 260)], xi, 1e-9)
     t_big = time.monotonic()
     bracket(big, 48)
     t_big = time.monotonic() - t_big

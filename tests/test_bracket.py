@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from oracles import brute_bracket, reference_crossing_order, reference_state_sum
 
 from pbcjones.bracket import bracket, jones_of_diagram
-from pbcjones.cutoff import build_cutoff, split_bracket
+from pbcjones.cutoff import _shared_states, build_cutoff, split_bracket
 from pbcjones.diagram import Component, Diagram, terminal_graph
 from pbcjones.errors import PbcJonesError, StateSumTooLargeError
 from pbcjones.fixtures import (chainmail_system, figure_eight, hopf_link, jersey_system,
@@ -25,7 +25,7 @@ bracket_mod = importlib.import_module("pbcjones.bracket")
 
 def project(curves, seed):
     xi = sample_directions(1, "random", seed=seed)[0]
-    diagram, _, _ = project_generic(list(curves), xi, 1e-9, 100)
+    diagram, _, _ = project_generic(list(curves), xi, 1e-9)
     return diagram
 
 
@@ -217,7 +217,7 @@ class TestCrossingOrder:
         # (12, 1897), only a min-delta run reaches (12, 1881)
         xi = sample_directions(200, "fibonacci")[100]
         d, _, _ = project_generic(link_curves(minimal_periodic_link(jersey_system())),
-                                  xi, 1e-9, 100)
+                                  xi, 1e-9)
         n, strand = strand_of(d)
         assert n == 70
         assert predicted_work(strand, bracket_mod._crossing_order(n, strand)) == (12, 1881)
@@ -305,7 +305,7 @@ class TestAgainstDictDP:
         # the last crossing's first successor closes no loop and shares its
         # parent's dict, and the next one merges into it
         lambda: ((7, 6, 5, 4, 3, 2, 1, 0), (1, -1), 0),
-        lambda: tg_key(jersey_diagram(5)),
+        lambda: state_sum_args(jersey_diagram(5)),
     ], ids=["unlink", "jersey5"])
     def test_shared_dicts_are_copied_before_a_merge(self, make, monkeypatch):
         case = make()
@@ -355,28 +355,38 @@ class TestWritheNormalization:
 
 
 def fields(res):
-    return res.poly, res.states_expanded, res.cache_hits
+    return res.poly, res.states_expanded, res.peak_frontier
 
 
 def renamed(d):
-    """The same closed-curve diagram under new component ids."""
-    return Diagram([Component("r" + c.id, c.closed, c.passages) for c in d.components],
+    """The same diagram under new component ids; end labels keep their owners."""
+    return Diagram([Component("r" + c.id, c.closed, c.passages, c.ends) for c in d.components],
                    d.crossings)
 
 
-def tg_key(d):
+def state_sum_args(d):
     tg = terminal_graph(d)
     return (tg.strand, tuple(d.crossings[c] for c in tg.crossing_ids), tg.free_loops)
 
 
-def given_key(d):
-    return (d.components, tuple(d.crossings.items()))
+def memo_key(d):
+    """The bracket memo's key: the diagram less its component ids."""
+    return (tuple((c.closed, c.passages, c.ends) for c in d.components),
+            tuple(d.crossings.items()))
+
+
+def counted_terminal_graphs(monkeypatch):
+    """The diagrams that ``bracket`` builds a terminal graph of from now on."""
+    calls = []
+    graph = bracket_mod.terminal_graph
+    monkeypatch.setattr(bracket_mod, "terminal_graph", lambda d: calls.append(d) or graph(d))
+    return calls
 
 
 def memo_pool():
     """Diagrams of up to 7 crossings, repeats of one another under new
-    names, new objects or flipped signs, one crossingless diagram and two
-    that a cap of 7 refuses."""
+    names or as new objects, one with a flipped sign, one crossingless
+    diagram and two that a cap of 7 refuses."""
     base = [project([trefoil()], 1), project(hopf_link(), 0), project([figure_eight()], 0),
             project(random_open_tangle(0), 0)]
     assert all(0 < len(d.crossings) <= 7 for d in base)
@@ -385,6 +395,7 @@ def memo_pool():
         Diagram(base[0].components, base[0].crossings),  # equal, a new object
         renamed(base[0]),
         renamed(base[1]),
+        renamed(base[3]),
         Diagram(base[0].components, {c: -s if c == first else s
                                      for c, s in base[0].crossings.items()}),
         Diagram([Component("loop", True, ())], {}),
@@ -403,11 +414,8 @@ class TestMemo:
         sequence = [pool[i] for i in rng.integers(0, len(pool), 40)] + pool + pool
         fresh = {id(d): None if len(d.crossings) > self.CAP else fields(bracket(d))
                  for d in pool}
-        keys = {id(d): tg_key(d) for d in pool if d.crossings}
-        calls = []
-        graph = bracket_mod.terminal_graph
-        monkeypatch.setattr(bracket_mod, "terminal_graph", lambda d: calls.append(d) or graph(d))
-        memo, stored = {}, set()
+        calls = counted_terminal_graphs(monkeypatch)
+        memo = {}
         for d in sequence:
             before = len(calls)
             if fresh[id(d)] is None:
@@ -415,61 +423,49 @@ class TestMemo:
                     bracket(d, self.CAP, memo=memo)
                 assert len(calls) == before  # the cap is checked first
                 continue
+            hit = memo_key(d) in memo
             assert fields(bracket(d, self.CAP, memo=memo)) == fresh[id(d)]
-            if given_key(d) in stored:
-                assert len(calls) == before
-                continue
-            assert len(calls) == before + 1
-            if d.crossings:
-                stored.add(given_key(d))
-        # each miss stored its terminal-graph key beside its as-given key
-        assert set(memo) == {keys[id(d)] for d in pool if id(d) in keys
-                             and fresh[id(d)] is not None} | stored
+            # a miss builds one terminal graph, a hit none
+            assert len(calls) == before + (not hit)
+        solved = [d for d in pool if fresh[id(d)] is not None]
+        # one key per diagram up to component ids, the crossingless one included
+        assert set(memo) == {memo_key(d) for d in solved}
+        assert len(memo) == len(solved) - 4
 
     def test_repeat_builds_no_terminal_graph(self, monkeypatch):
         d = project([trefoil()], 1)
-        calls = []
-        graph = bracket_mod.terminal_graph
-        monkeypatch.setattr(bracket_mod, "terminal_graph", lambda d: calls.append(d) or graph(d))
+        calls = counted_terminal_graphs(monkeypatch)
         memo = {}
-        results = [bracket(d, memo=memo) for _ in range(4)]
-        assert len(calls) == 1
+        results = [bracket(x, memo=memo) for x in (d, d, Diagram(d.components, d.crossings), d)]
+        assert calls == [d]
         assert all(r is results[0] for r in results)
-        assert memo == {tg_key(d): results[0], given_key(d): results[0]}
+        assert memo == {memo_key(d): results[0]}
 
-    def test_distinct_diagrams_store_both_keys(self):
-        pool = memo_pool()[:4]
+    def test_distinct_diagrams_store_one_key_each(self):
+        pool = memo_pool()[:4] + [Diagram([Component("loop", True, ())], {})]
         memo = {}
-        for d in pool:
-            bracket(d, memo=memo)
-        assert set(memo) == {tg_key(d) for d in pool} | {given_key(d) for d in pool}
-
-    def test_both_kinds_of_key_count_toward_the_limit(self, monkeypatch):
-        monkeypatch.setattr(bracket_mod, "MEMO_LIMIT", 5)
-        pool = memo_pool()[:4]
-        memo = {}
-        for d in pool[:2] + pool[:2] + pool + pool:
-            assert fields(bracket(d, memo=memo)) == fields(bracket(d))
-            assert len(memo) <= 5
-        # two misses store two keys each; a third pair would pass the limit
-        assert set(memo) == {tg_key(pool[0]), given_key(pool[0]),
-                             tg_key(pool[1]), given_key(pool[1])}
+        results = [bracket(d, memo=memo) for d in pool]
+        assert memo == {memo_key(d): res for d, res in zip(pool, results)}
 
     @pytest.mark.parametrize("make,seed", [
         (lambda: [trefoil()], 1),
         (lambda: link_curves(minimal_periodic_link(jersey_system())), 5),
-    ], ids=["trefoil", "jersey"])
-    def test_hit_equals_fresh_bracket(self, make, seed):
+        (lambda: random_open_tangle(0), 0),
+    ], ids=["trefoil", "jersey", "open"])
+    def test_hit_equals_fresh_bracket(self, make, seed, monkeypatch):
         d = project(make(), seed)
+        expected = fields(bracket(d, crossing_cap=64))
+        calls = counted_terminal_graphs(monkeypatch)
         memo = {}
         first = bracket(d, crossing_cap=64, memo=memo)
         r = renamed(d)
+        assert [c.id for c in r.components] != [c.id for c in d.components]
         hit = bracket(r, crossing_cap=64, memo=memo)
-        # the renamed repeat misses the as-given key, hits the terminal-graph
-        # key, and stores its own as-given key beside the first one
-        assert memo == {tg_key(d): first, given_key(d): first, given_key(r): first}
+        # the renamed repeat hits the first diagram's key without a terminal graph
+        assert calls == [d]
+        assert memo == {memo_key(d): first} and memo_key(r) == memo_key(d)
         assert hit is first
-        assert fields(hit) == fields(bracket(d, crossing_cap=64))
+        assert fields(hit) == expected
 
     def test_sign_and_free_loops_are_part_of_the_key(self):
         d = project([figure_eight()], 3)
@@ -479,20 +475,66 @@ class TestMemo:
         looser = Diagram(d.components + (Component("loose", True, ()),), d.crossings)
         memo = {}
         results = [bracket(x, memo=memo) for x in (d, flipped, looser)]
-        assert len({tg_key(x) for x in (d, flipped, looser)}) == 3
-        assert len(memo) == 6
+        assert len(memo) == 3
         for x, res in zip((d, flipped, looser), results):
             assert fields(res) == fields(bracket(x))
         assert results[2].poly == results[0].poly * d_power(1)
         assert results[1].poly != results[0].poly
 
+    def test_end_label_pairing_is_part_of_the_key(self):
+        # two open strands whose heads swap owners: the same passages close
+        # through other virtual closures
+        d = project(random_open_tangle(0), 0)
+        x, y = d.components
+        swapped = Diagram([Component(x.id, False, x.passages, (x.ends[0], y.ends[1])),
+                           Component(y.id, False, y.passages, (y.ends[0], x.ends[1]))],
+                          d.crossings)
+        memo = {}
+        results = [bracket(z, memo=memo) for z in (d, swapped)]
+        assert len(memo) == 2
+        for z, res in zip((d, swapped), results):
+            assert fields(res) == fields(bracket(z))
+        assert results[0].poly != results[1].poly
+
+    def test_equal_keys_give_equal_results_over_cutoff_pieces(self):
+        # every piece of every shared-crossing state of the N = 3 chainmail cutoff
+        diagram = chainmail_cutoff_diagram(3)
+        owner = diagram.passage_owner()
+        copy = {cid: (owner[(cid, "o")].split("|")[0], owner[(cid, "u")].split("|")[0])
+                for cid in diagram.crossings}
+        shared = sorted(cid for cid, (over, under) in copy.items() if over != under)
+        assert len(shared) == 8
+        by_key = {}
+        for _, _, d_state in _shared_states(diagram, shared):
+            for piece in d_state.pieces():
+                by_key.setdefault(memo_key(piece), []).append(piece)
+        renames = 0
+        for pieces in by_key.values():
+            assert len({fields(bracket(p, 64)) for p in pieces}) == 1
+            renames += len({tuple(c.id for c in p.components) for p in pieces}) > 1
+        assert renames  # some key is met under more than one set of component ids
+
+    def test_crossingless_diagrams_count_toward_the_limit(self, monkeypatch):
+        monkeypatch.setattr(bracket_mod, "MEMO_LIMIT", 3)
+        loops = [Diagram([Component(f"a{j}", True, ()) for j in range(k)], {}) for k in (1, 2)]
+        pool = loops + memo_pool()[:3]
+        memo = {}
+        for d in pool + pool:
+            assert fields(bracket(d, memo=memo)) == fields(bracket(d))
+            assert len(memo) <= 3
+        assert set(memo) == {memo_key(d) for d in pool[:3]}
+
     def test_memo_stops_storing_at_its_limit(self, monkeypatch):
         monkeypatch.setattr(bracket_mod, "MEMO_LIMIT", 2)
         diagrams = [project([trefoil()], 1), project([figure_eight()], 3),
                     project(hopf_link(), 0), project([figure_eight()], 0)]
+        expected = [fields(bracket(d)) for d in diagrams]
+        calls = counted_terminal_graphs(monkeypatch)
         memo = {}
         for _ in range(2):
-            for d in diagrams:
-                assert fields(bracket(d, memo=memo)) == fields(bracket(d))
+            for d, fresh in zip(diagrams, expected):
+                assert fields(bracket(d, memo=memo)) == fresh
                 assert len(memo) <= 2
-        assert len(memo) == 2
+        assert set(memo) == {memo_key(d) for d in diagrams[:2]}
+        # the two stored diagrams hit on the second round; the others are solved again
+        assert calls == diagrams + diagrams[2:]

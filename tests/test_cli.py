@@ -354,6 +354,12 @@ class TestMalformedInput:
                 json.dump(content, fh)
         self.assert_rejected(capsys, ["normalize", chainmail_file, "--components", "2"], message)
 
+    def test_normalize_rejects_exponent_keys_that_would_merge(self, chainmail_file, capsys):
+        with open(chainmail_file, "w", encoding="utf-8") as fh:
+            json.dump({"coeffs": {"1": 1, "01": 2, " 1": 5}}, fh)
+        self.assert_rejected(capsys, ["normalize", chainmail_file, "--components", "1"],
+                             "chainmail.json: not a polynomial: exponent key '01'")
+
     @pytest.mark.parametrize("command", ["periodic-jones", "slk"])
     def test_unbounded_arc_is_rejected_at_once(self, command, chainmail_file, capsys):
         with open(chainmail_file, encoding="utf-8") as fh:

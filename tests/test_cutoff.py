@@ -84,13 +84,13 @@ class TestSplitBracket:
     def test_disjoint_union_multiplies_with_loop_factor(self):
         a = trefoil()
         b = Curve("far", a.vertices + np.array([40.0, 0, 0]), True)
-        both, xi_used, _ = project_generic([a, b], COHERENT_XI, 1e-9, 100)
-        one, _, _ = project_generic([a], xi_used, 1e-9, 100)
+        both, xi_used, _ = project_generic([a, b], COHERENT_XI, 1e-9)
+        one, _, _ = project_generic([a], xi_used, 1e-9)
         expected = bracket(one).poly ** 2 * d_power(1)
         assert split_bracket(both.pieces()) == expected
 
     def test_connected_diagram_matches_plain_bracket(self):
-        diagram, _, _ = project_generic([trefoil()], COHERENT_XI, 1e-9, 100)
+        diagram, _, _ = project_generic([trefoil()], COHERENT_XI, 1e-9)
         assert split_bracket(diagram.pieces()) == bracket(diagram).poly
 
 
@@ -138,7 +138,7 @@ class TestLargeCutoffs:
     @pytest.mark.parametrize("n,states", [(32, 480), (64, 960)])
     def test_bracket_matches_the_recorded_one(self, n, states):
         curves = build_cutoff(chainmail_system(), n).all_curves()
-        diagram, _, _ = project_generic(curves, COHERENT_XI, 1e-9, 100)
+        diagram, _, _ = project_generic(curves, COHERENT_XI, 1e-9)
         recorded = RECORDED[str(n)]
         assert len(diagram.crossings) == recorded["crossings"]
         res = bracket(diagram, crossing_cap=len(diagram.crossings))
@@ -152,7 +152,7 @@ class TestLargeCutoffs:
         # 190 crossings and coefficients of up to 44 bits: merges of
         # polynomials this large occur in no golden report
         curves = build_cutoff(chainmail_system(), 16).all_curves()
-        diagram, _, _ = project_generic(curves, COHERENT_XI, 1e-9, 100)
+        diagram, _, _ = project_generic(curves, COHERENT_XI, 1e-9)
         recorded = RECORDED["16"]
         assert len(diagram.crossings) == recorded["crossings"] == 190
         res = bracket(diagram, crossing_cap=190)
@@ -172,7 +172,7 @@ class TestLargeCutoffs:
 
         monkeypatch.setattr(bracket_mod, "_greedy_order", counted)
         curves = build_cutoff(chainmail_system(), 86).all_curves()
-        diagram, _, _ = project_generic(curves, COHERENT_XI, 1e-9, 100)
+        diagram, _, _ = project_generic(curves, COHERENT_XI, 1e-9)
         n = len(diagram.crossings)
         assert n == 1030
         res = bracket(diagram, crossing_cap=n)
@@ -204,7 +204,7 @@ class TestObliqueDirection:
 
 class TestStateEnumeration:
     def test_states_come_in_lexicographic_order(self):
-        diagram, _, _ = project_generic([trefoil()], COHERENT_XI, 1e-9, 100)
+        diagram, _, _ = project_generic([trefoil()], COHERENT_XI, 1e-9)
         shared = sorted(diagram.crossings)[:3]
         walked = list(_shared_states(diagram, shared))
         assert [kinds for kinds, _, _ in walked] == list(product("AB", repeat=3))
@@ -223,7 +223,7 @@ class TestStateEnumeration:
         curves = build_cutoff(chainmail_system(), n).all_curves()
         checked = 0
         for xi in sample_directions(100, "fibonacci"):
-            diagram, _, _ = project_generic(curves, xi, 1e-9, 100)
+            diagram, _, _ = project_generic(curves, xi, 1e-9)
             owner = diagram.passage_owner()
             shared = sorted(c for c in diagram.crossings
                             if owner[(c, "o")].split("|")[0] != owner[(c, "u")].split("|")[0])

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from oracles import (brute_overlaps, brute_segment_crossings, gauss_linking, outcome,
                      point_segment_distance, projected_alone, segment_distance)
 
-from pbcjones import geometry
+from pbcjones import geometry, jones3d
 from pbcjones.diagram import Diagram
 from pbcjones.errors import NonGenericDirectionError, PbcJonesError
 from pbcjones.fixtures import hopf_link, open_trefoil, trefoil, unlinked_circles
@@ -175,7 +175,7 @@ class TestProjection:
     def test_crossing_count_matches_brute_scan(self, name, make, seed):
         curves = make()
         xi = sample_directions(1, "random", seed)[0]
-        diagram, xi_used, _ = project_generic(curves, xi, 1e-9, 100)
+        diagram, xi_used, _ = project_generic(curves, xi, 1e-9)
         flat, segs, _ = flatten(curves, xi_used)
         assert len(diagram.crossings) == len(brute_segment_crossings(flat, segs))
 
@@ -184,14 +184,14 @@ class TestProjection:
     def test_writhe_matches_brute_signs(self, name, make, seed):
         curves = make()
         xi = sample_directions(1, "random", seed)[0]
-        diagram, xi_used, _ = project_generic(curves, xi, 1e-9, 100)
+        diagram, xi_used, _ = project_generic(curves, xi, 1e-9)
         assert diagram.writhe == brute_writhe(curves, xi_used)
 
     @pytest.mark.parametrize("seed", range(4))
     def test_projected_linking_matches_gauss_integral(self, seed):
         a, b = hopf_link()
         xi = sample_directions(1, "random", seed)[0]
-        diagram, _, _ = project_generic([a, b], xi, 1e-9, 100)
+        diagram, _, _ = project_generic([a, b], xi, 1e-9)
         lk = gauss_linking(a.vertices, b.vertices)
         assert diagram.inter_linking(["a"], ["b"]) == round(lk)
 
@@ -215,7 +215,7 @@ class TestProjection:
         lambda: project([], [0, 0, 1]),
         lambda: project_many([], [[0, 0, 1]]),
         lambda: project_translates([], [], [[1, 0, 0]], [0, 0, 1]),
-        lambda: project_generic([], [0, 0, 1], 1e-9, 3),
+        lambda: project_generic([], [0, 0, 1], 1e-9),
     ], ids=["project", "project_many", "project_translates", "project_generic"])
     def test_no_curves_rejected(self, call):
         with pytest.raises(PbcJonesError, match="no curves to project"):
@@ -259,21 +259,22 @@ class TestGenericity:
 
     def test_project_generic_escapes_bad_direction(self):
         flat = hopf_link()[0]
-        diagram, used, tries = project_generic([flat], [1.0, 0.0, 0.0], 1e-9, 100)
+        diagram, used, tries = project_generic([flat], [1.0, 0.0, 0.0], 1e-9)
         assert tries >= 1
         assert len(diagram.crossings) == 0
 
     def test_escape_is_deterministic(self):
         curves = list(hopf_link())
-        _, xi1, t1 = project_generic(curves, [1.0, 0.0, 0.0], 1e-9, 100)
-        _, xi2, t2 = project_generic(curves, [1.0, 0.0, 0.0], 1e-9, 100)
+        _, xi1, t1 = project_generic(curves, [1.0, 0.0, 0.0], 1e-9)
+        _, xi2, t2 = project_generic(curves, [1.0, 0.0, 0.0], 1e-9)
         assert t1 == t2
         assert np.array_equal(xi1, xi2)
 
-    def test_exhausted_retries_raise(self):
+    def test_exhausted_retries_raise(self, monkeypatch):
         flat = hopf_link()[0]
+        monkeypatch.setattr(jones3d, "GENERICITY_RETRIES", 0)
         with pytest.raises(NonGenericDirectionError):
-            project_generic([flat], [1.0, 0.0, 0.0], 1e-9, 0)
+            project_generic([flat], [1.0, 0.0, 0.0], 1e-9)
 
 
 class TestParallelSegments:
@@ -402,7 +403,7 @@ class TestSweepKernel:
         curves = [Curve(f"k{i}", rng.normal(size=(n, 3)), closed)
                   for i, (n, closed) in enumerate(specs)]
         xi = sample_directions(1, "random", dir_seed)[0]
-        diagram, xi_used, _ = project_generic(curves, xi, 1e-9, 100)
+        diagram, xi_used, _ = project_generic(curves, xi, 1e-9)
         flat, segs, _ = flatten(curves, xi_used)
         assert len(diagram.crossings) == len(brute_segment_crossings(flat, segs))
         assert diagram.writhe == brute_writhe(curves, xi_used)
@@ -450,7 +451,7 @@ class TestSweepKernel:
         tracemalloc.start()
         try:
             diagram, _, _ = project_generic([walk], sample_directions(1, "random", 0)[0],
-                                            1e-9, 100)
+                                            1e-9)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

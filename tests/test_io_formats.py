@@ -152,6 +152,31 @@ class TestCurvesJson:
             curves_from_json_obj(obj)
 
 
+# frame 0 declares its 2 atoms; frame 1 declares nothing and holds 3
+TWO_FRAMES = """ITEM: TIMESTEP
+0
+ITEM: NUMBER OF ATOMS
+2
+ITEM: BOX BOUNDS pp pp pp
+0 10
+0 10
+0 10
+ITEM: ATOMS id mol x y z
+1 1 1 1 1
+2 1 2 1 1
+ITEM: TIMESTEP
+1
+ITEM: BOX BOUNDS pp pp pp
+0 10
+0 10
+0 10
+ITEM: ATOMS id mol x y z
+1 1 1 1 1
+2 1 2 1 1
+3 1 3 2 1
+"""
+
+
 class TestLammpsDump:
     def test_parses_melt_snapshot(self, tmp_path):
         path = tmp_path / "melt.dump"
@@ -231,6 +256,14 @@ class TestLammpsDump:
         path.write_text(text)
         with pytest.raises(PbcJonesError, match="declares 99 atoms"):
             read_trajectory(str(path))
+
+    def test_declared_count_ends_with_its_frame(self, tmp_path):
+        # the second frame has no NUMBER OF ATOMS item; the first frame's 2 is not its count
+        path = tmp_path / "two.dump"
+        path.write_text(TWO_FRAMES)
+        frames = read_trajectory(str(path))
+        assert [f.timestep for f in frames] == [0, 1]
+        assert [len(f.positions) for f in frames] == [2, 3]
 
     def test_duplicate_atom_ids(self, tmp_path):
         text = melt_dump_text()

@@ -209,7 +209,7 @@ class TestProjectGeneric:
     def test_returns_direction_actually_used(self):
         curves = [trefoil()]
         xi = np.array([0.2, 0.1, 0.95])
-        diagram, used, tries = project_generic(curves, xi, 1e-9, 50)
+        diagram, used, tries = project_generic(curves, xi, 1e-9)
         assert tries == 0
         assert np.allclose(used / np.linalg.norm(used), xi / np.linalg.norm(xi))
 

@@ -1,5 +1,6 @@
 import math
 import operator
+import re
 import time
 from fractions import Fraction
 
@@ -174,6 +175,17 @@ class TestFormatting:
     def test_json_coefficient_beyond_float_range(self):
         with pytest.raises(PbcJonesError, match="not a polynomial"):
             LaurentPoly.from_json_obj({"mode": "float", "coeffs": {"1": 10**400}})
+
+    @pytest.mark.parametrize("coeffs, key", [
+        ({"1": 1, "01": 2, " 1": 5}, "01"),  # three spellings of A would merge into 5*A
+        ({"1_0": 1}, "1_0"),  # int() reads it as 10
+        ({"+2": 1}, "+2"),
+        ({"-0": 1}, "-0"),
+    ], ids=["leading-zero", "underscore", "plus", "minus-zero"])
+    def test_json_exponent_keys_must_be_canonical(self, coeffs, key):
+        message = f"^not a polynomial: exponent key '{re.escape(key)}' is not a plain integer$"
+        with pytest.raises(PbcJonesError, match=message):
+            LaurentPoly.from_json_obj({"coeffs": coeffs})
 
     @pytest.mark.parametrize("value, error", [(math.nan, ValueError), (math.inf, ValueError),
                                               (-math.inf, ValueError), (True, TypeError)])

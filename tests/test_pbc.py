@@ -15,7 +15,7 @@ from pbcjones.fixtures import (_CHAINMAIL_RING, chainmail_system, jersey_system,
                                melt_system, twill_system)
 from pbcjones.geometry import Curve, project, project_translates, sample_directions
 from pbcjones.io_formats import system_from_json_obj, system_to_json_obj
-from pbcjones.jones3d import GENERICITY_RETRIES, SamplingConfig, project_generic
+from pbcjones.jones3d import SamplingConfig, project_generic
 from pbcjones.laurent import LaurentPoly
 from pbcjones.pbc import (Cell, GeneratingChain, PBCSystem, PlacedImage, UnfoldingBox,
                           box_presence, cell_curves, cell_jones, minimal_periodic_link,
@@ -482,7 +482,7 @@ class TestTranslateKernel:
         expected_tries = []
 
         def per_translate(curves, xi):
-            diagram, _, tries = project_generic(curves, xi, 1e-9, GENERICITY_RETRIES)
+            diagram, _, tries = project_generic(curves, xi, 1e-9)
             expected_tries.append(tries)
             return diagram
 

@@ -4,6 +4,13 @@ JSON writing is canonical (sorted keys, fixed separators, trailing
 newline) so identical content always produces identical bytes.  Reports
 deliberately carry no timestamps or host details; two runs with the same
 inputs and parameters serialize to the same bytes.
+
+Readers raise PbcJonesError for any bad input, naming the file and,
+where one line is at fault, that line.  A JSON file past the parser's
+integer-digit or nesting limit is invalid JSON.  A cell's basis rows and
+origin take the point check of arc vertices, so a string or a bool never
+passes as a number.  The LAMMPS reader makes one streaming pass and
+keeps one record for the open frame.
 """
 
 from __future__ import annotations
@@ -38,18 +45,28 @@ def _expect(cond: bool, where: str, what: str) -> None:
         raise PbcJonesError(f"{where}: {what}")
 
 
+def _vec3(p, where: str) -> List[float]:
+    """One [x, y, z] point of JSON numbers (not bools) within float range."""
+    _expect(isinstance(p, list) and len(p) == 3, where, "expected [x, y, z]")
+    _expect(all(isinstance(c, (int, float)) and not isinstance(c, bool) for c in p),
+            where, "non-numeric coordinate")
+    try:
+        return [float(c) for c in p]
+    except OverflowError:
+        raise PbcJonesError(f"{where}: coordinate out of range") from None
+
+
 def _vec3_list(obj, where: str) -> List[List[float]]:
     _expect(isinstance(obj, list) and len(obj) >= 2, where, "expected a list of [x, y, z] points")
-    out = []
-    for i, p in enumerate(obj):
-        _expect(isinstance(p, list) and len(p) == 3, f"{where}[{i}]", "expected [x, y, z]")
-        _expect(all(isinstance(c, (int, float)) and not isinstance(c, bool) for c in p),
-                f"{where}[{i}]", "non-numeric coordinate")
-        try:
-            out.append([float(c) for c in p])
-        except OverflowError:
-            raise PbcJonesError(f"{where}[{i}]: coordinate out of range") from None
-    return out
+    return [_vec3(p, f"{where}[{i}]") for i, p in enumerate(obj)]
+
+
+def _cell_vec3(p, where: str, rule: str) -> List[float]:
+    """A cell row or origin through the point check, reported under the cell's rule."""
+    try:
+        return _vec3(p, where)
+    except PbcJonesError as exc:
+        raise PbcJonesError(f"cell: {rule} ({exc})") from None
 
 
 # -- PBC system files ---------------------------------------------------
@@ -67,8 +84,10 @@ def system_from_json_obj(obj) -> PBCSystem:
         _expect(key in cobj, "cell", f"missing '{key}'")
     basis = cobj["basis"]
     _expect(isinstance(basis, list) and len(basis) == 3, "cell.basis", "expected 3 basis vectors")
-    for i, row in enumerate(basis):
-        _expect(isinstance(row, list) and len(row) == 3, f"cell.basis[{i}]", "expected [x, y, z]")
+    basis = [_cell_vec3(row, f"cell.basis[{i}]", "cell basis must be a 3x3 matrix of numbers")
+             for i, row in enumerate(basis)]
+    origin = _cell_vec3(cobj.get("origin", [0.0, 0.0, 0.0]), "cell.origin",
+                        "cell origin must be 3 finite coordinates")
     periodic = cobj["periodic"]
     _expect(
         isinstance(periodic, list) and len(periodic) == 3
@@ -76,7 +95,7 @@ def system_from_json_obj(obj) -> PBCSystem:
         "cell.periodic", "expected three booleans",
     )
     try:
-        cell = Cell(basis, periodic, cobj.get("origin", (0.0, 0.0, 0.0)))
+        cell = Cell(basis, periodic, origin)
     except PbcJonesError as exc:
         raise PbcJonesError(f"cell: {exc}") from None
     chains_obj = obj["chains"]
@@ -122,6 +141,8 @@ def load_json(path: str):
             raise PbcJonesError(f"{path}:{exc.lineno}: invalid JSON ({exc.msg})") from None
         except UnicodeDecodeError as exc:
             raise PbcJonesError(f"{path}: not UTF-8 text ({exc.reason})") from None
+        except (ValueError, RecursionError) as exc:  # past the int digit or nesting limit
+            raise PbcJonesError(f"{path}: invalid JSON ({exc})") from None
 
 
 def read_system(path: str) -> PBCSystem:
@@ -233,28 +254,76 @@ def _finish_frame(timestep, bounds, rows, path, lineno) -> TrajectoryFrame:
     return TrajectoryFrame(timestep, bounds, ids, mols, pos)
 
 
-def _read_lammps_dump(path: str) -> List[TrajectoryFrame]:
-    frames: List[TrajectoryFrame] = []
+@dataclass
+class _DumpFrame:
+    """The open frame of a LAMMPS dump, from its ITEM: TIMESTEP line on.
+
+    A frame whose TIMESTEP item never got its value (it is followed by an
+    unknown ITEM) is dropped, as is the record the reader starts with.
+    """
+
+    start: int  # line of its ITEM: TIMESTEP
     timestep: Optional[int] = None
-    bounds: Optional[np.ndarray] = None
-    rows: List[Tuple[int, int, List[float]]] = []
-    section = None
-    columns: List[str] = []
-    scaled = False
-    pending_bounds: List[List[float]] = []
-    declared: Optional[int] = None
-    lineno = 0
+    declared: Optional[Tuple[int, int]] = None  # NUMBER OF ATOMS value and its line
+    box: List[List[float]] = field(default_factory=list)  # rows of its latest BOX BOUNDS
+    bounds: Optional[np.ndarray] = None  # the last BOX BOUNDS that had all three rows
+    rows: List[Tuple[int, int, List[float]]] = field(default_factory=list)
 
-    def close(lineno: int) -> None:
-        nonlocal timestep, bounds, rows, declared
-        if timestep is None:
+    def close(self, path: str, frames: List[TrajectoryFrame]) -> None:
+        """Check the frame as a whole and append it to frames."""
+        if self.timestep is None:
             return
-        if declared is not None and len(rows) != declared:
-            raise PbcJonesError(
-                f"{path}:{lineno}: frame {timestep} declares {declared} atoms, found {len(rows)}")
-        frames.append(_finish_frame(timestep, bounds, rows, path, lineno))
-        timestep, bounds, rows, declared = None, None, [], None
+        if self.declared is not None and self.declared[0] != len(self.rows):
+            count, lineno = self.declared
+            raise PbcJonesError(f"{path}:{lineno}: frame {self.timestep} declares {count} "
+                                f"atoms, found {len(self.rows)}")
+        frames.append(_finish_frame(self.timestep, self.bounds, self.rows, path, self.start))
 
+
+def _atoms_layout(columns: List[str], where: str):
+    """Column count, id and mol indices, position indices and scaling of an ATOMS item."""
+    if "mol" not in columns:
+        raise PbcJonesError(f"{where}: ATOMS columns lack molecule ids")
+    if "id" not in columns:
+        raise PbcJonesError(f"{where}: ATOMS columns lack atom ids")
+    for names, scaled in ((("x", "y", "z"), False), (("xs", "ys", "zs"), True)):
+        if all(c in columns for c in names):
+            return (len(columns), columns.index("id"), columns.index("mol"),
+                    tuple(columns.index(n) for n in names), scaled)
+    raise PbcJonesError(f"{where}: unknown atom columns {columns!r} (need x y z or xs ys zs)")
+
+
+def _atom_row(line: str, layout, bounds: Optional[np.ndarray], where: str):
+    """(atom id, molecule id, [x, y, z]) of an ATOMS data line; scaled positions fill the box."""
+    width, i_id, i_mol, i_pos, scaled = layout
+    parts = line.split()
+    if len(parts) != width:
+        raise PbcJonesError(f"{where}: expected {width} columns")
+    coords = [_number(parts[j], float, where, "coordinate") for j in i_pos]
+    if scaled:
+        if bounds is None:
+            raise PbcJonesError(f"{where}: scaled coordinates before BOX BOUNDS")
+        coords = [lo + c * (hi - lo) for c, (lo, hi) in zip(coords, bounds.tolist())]
+        if not all(map(math.isfinite, coords)):
+            raise PbcJonesError(f"{where}: scaled coordinates overflow")
+    return (_number(parts[i_id], int, where, "atom id"),
+            _number(parts[i_mol], int, where, "molecule id"), coords)
+
+
+def _read_lammps_dump(path: str) -> List[TrajectoryFrame]:
+    """Frames of a LAMMPS text dump, read in one pass, sorted by timestep.
+
+    A data line means what its ITEM and its place among that ITEM's data
+    lines say: the first after TIMESTEP or NUMBER OF ATOMS, the first
+    three after BOX BOUNDS and every one after ATOMS.  All other lines,
+    blank ones and those of unknown ITEMs among them, are skipped.  A
+    frame is checked as a whole when the next one starts or the file ends:
+    a wrong atom count names its NUMBER OF ATOMS value line, and no box,
+    no atoms or duplicate atom ids name its ITEM: TIMESTEP line.
+    """
+    frames: List[TrajectoryFrame] = []
+    frame = _DumpFrame(0)
+    head, n, layout = None, 0, None  # the current ITEM, its data lines so far, its columns
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, 1):
             line = raw.strip()
@@ -263,45 +332,23 @@ def _read_lammps_dump(path: str) -> List[TrajectoryFrame]:
             where = f"{path}:{lineno}"
             if line.startswith("ITEM:"):
                 tokens = line.split()
-                head = tokens[1] if len(tokens) > 1 else ""
-                if head in ("NUMBER", "BOX", "ATOMS") and timestep is None:
-                    raise PbcJonesError(f"{where}: {line!r} comes before any TIMESTEP value")
+                head, n = (tokens[1] if len(tokens) > 1 else ""), 0
                 if head == "TIMESTEP":
-                    close(lineno)
-                    section = "timestep"
-                elif head == "NUMBER":
-                    section = "natoms"
-                elif head == "BOX":
-                    section = "box"
-                    pending_bounds = []
+                    frame.close(path, frames)
+                    frame = _DumpFrame(lineno)
+                elif head in ("NUMBER", "BOX", "ATOMS") and frame.timestep is None:
+                    raise PbcJonesError(f"{where}: {line!r} comes before any TIMESTEP value")
                 elif head == "ATOMS":
-                    columns = tokens[2:]
-                    if "mol" not in columns:
-                        raise PbcJonesError(f"{where}: ATOMS columns lack molecule ids")
-                    if "id" not in columns:
-                        raise PbcJonesError(f"{where}: ATOMS columns lack atom ids")
-                    if all(c in columns for c in ("x", "y", "z")):
-                        scaled = False
-                        names = ("x", "y", "z")
-                    elif all(c in columns for c in ("xs", "ys", "zs")):
-                        scaled = True
-                        names = ("xs", "ys", "zs")
-                    else:
-                        raise PbcJonesError(
-                            f"{where}: unknown atom columns {columns!r} "
-                            "(need x y z or xs ys zs)")
-                    section = ("atoms", columns.index("id"), columns.index("mol"),
-                               tuple(columns.index(n) for n in names))
-                else:
-                    section = "skip"
+                    layout = _atoms_layout(tokens[2:], where)
                 continue
-            if section == "timestep":
-                timestep = _number(line, int, where, "timestep")
-                section = None
-            elif section == "natoms":
-                declared = _number(line, int, where, "atom count")
-                section = None
-            elif section == "box":
+            n += 1
+            if head == "ATOMS":
+                frame.rows.append(_atom_row(line, layout, frame.bounds, where))
+            elif head == "TIMESTEP" and n == 1:
+                frame.timestep = _number(line, int, where, "timestep")
+            elif head == "NUMBER" and n == 1:
+                frame.declared = (_number(line, int, where, "atom count"), lineno)
+            elif head == "BOX" and n <= 3:
                 parts = line.split()
                 if len(parts) != 2:
                     raise PbcJonesError(
@@ -310,25 +357,10 @@ def _read_lammps_dump(path: str) -> List[TrajectoryFrame]:
                 if not lo < hi:
                     raise PbcJonesError(
                         f"{where}: box bounds {line!r} are not 'lo hi' with lo < hi")
-                pending_bounds.append([lo, hi])
-                if len(pending_bounds) == 3:
-                    bounds = np.array(pending_bounds, dtype=float)
-                    section = None
-            elif isinstance(section, tuple):
-                _, i_id, i_mol, i_pos = section
-                parts = line.split()
-                if len(parts) != len(columns):
-                    raise PbcJonesError(f"{where}: expected {len(columns)} columns")
-                coords = [_number(parts[j], float, where, "coordinate") for j in i_pos]
-                if scaled:
-                    if bounds is None:
-                        raise PbcJonesError(f"{where}: scaled coordinates before BOX BOUNDS")
-                    coords = [lo + c * (hi - lo) for c, (lo, hi) in zip(coords, bounds.tolist())]
-                    if not all(map(math.isfinite, coords)):
-                        raise PbcJonesError(f"{where}: scaled coordinates overflow")
-                rows.append((_number(parts[i_id], int, where, "atom id"),
-                             _number(parts[i_mol], int, where, "molecule id"), coords))
-    close(lineno)
+                frame.box[n - 1:] = [[lo, hi]]
+                if n == 3:
+                    frame.bounds = np.array(frame.box, dtype=float)
+    frame.close(path, frames)
     if not frames:
         raise PbcJonesError(f"{path}: no frames found")
     frames.sort(key=lambda f: f.timestep)
@@ -349,8 +381,8 @@ def _read_xyz_mol(path: str) -> List[TrajectoryFrame]:
             count = int(lines[i].strip())
         except ValueError:
             raise PbcJonesError(f"{path}:{i + 1}: expected an atom count") from None
-        if i + 1 >= len(lines):
-            raise PbcJonesError(f"{path}:{i + 1}: truncated frame")
+        if i + 2 + max(count, 0) > len(lines):
+            raise PbcJonesError(f"{path}:{i + 1}: truncated frame: {count} atoms declared")
         nums = []
         for tok in lines[i + 1].replace(",", " ").split():
             try:
@@ -367,11 +399,8 @@ def _read_xyz_mol(path: str) -> List[TrajectoryFrame]:
             raise PbcJonesError(f"{path}:{i + 2}: box bounds must be 'lo hi' pairs with lo < hi")
         rows: List[Tuple[int, int, List[float]]] = []
         for k in range(count):
-            ln = i + 2 + k
-            if ln >= len(lines):
-                raise PbcJonesError(f"{path}:{ln + 1}: truncated frame")
-            parts = lines[ln].split()
-            where = f"{path}:{ln + 1}"
+            parts = lines[i + 2 + k].split()
+            where = f"{path}:{i + 3 + k}"
             if len(parts) != 4:
                 raise PbcJonesError(f"{where}: expected 'mol x y z' (molecule ids are required)")
             rows.append((k + 1, _number(parts[0], int, where, "molecule id"),
@@ -477,7 +506,7 @@ def _render_value(value, indent: str, lines: List[str]) -> None:
                 try:
                     lines.append(f"{indent}{k}: {LaurentPoly.from_json_obj(v)}")
                     continue
-                except (PbcJonesError, ValueError, TypeError, KeyError):
+                except PbcJonesError:
                     pass
             if isinstance(v, (dict, list)):
                 lines.append(f"{indent}{k}:")

@@ -19,6 +19,12 @@ included; it becomes an int first, so ``d_power(np.int64(2))`` and
 
 ``divide_by_d_power`` is one descending long division over the exponents
 of A by d^k, whose leading term is (-1)^k A^(2k).
+
+The JSON form is ``{"mode", "coeffs"}``: exponent keys are ``str`` of
+their int and a Fraction is the string ``n/d`` in lowest terms with
+d > 1.  ``from_json_obj`` reads only that form and checks a string's
+form before parsing it.  Printing tests a coefficient's sign exactly, so
+an int past float range prints as it does in JSON.
 """
 
 from __future__ import annotations
@@ -26,6 +32,7 @@ from __future__ import annotations
 import functools
 import math
 import numbers
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Iterator, Mapping, Optional, Tuple, Union
@@ -235,6 +242,8 @@ class LaurentPoly:
 
         An exponent key must be ``str`` of its int, as ``to_json_obj`` writes
         it, so no two keys can name one exponent and merge into one term.
+        A string coefficient must be ``n/d`` as ``to_json_obj`` writes it; the
+        form is checked first, so ``"1e10000000"`` never reaches ``Fraction``.
         """
         coeffs = obj.get("coeffs") if isinstance(obj, Mapping) else None
         if not isinstance(coeffs, Mapping):
@@ -242,6 +251,9 @@ class LaurentPoly:
         try:
             if bad := [k for k in coeffs if str(int(k)) != k]:
                 raise ValueError(f"exponent key {bad[0]!r} is not a plain integer")
+            if bad := [v for v in coeffs.values() if isinstance(v, str) and not (
+                    re.fullmatch("-?[0-9]+/[0-9]+", v) and str(Fraction(v)) == v)]:
+                raise ValueError(f"coefficient {bad[0]!r} is not 'n/d' in lowest terms with d > 1")
             return cls({int(k): Fraction(v) if isinstance(v, str) else v
                         for k, v in coeffs.items()}, obj.get("mode", EXACT))
         except (TypeError, ValueError, ZeroDivisionError, OverflowError) as exc:
@@ -260,7 +272,7 @@ class LaurentPoly:
         parts = []
         for e in sorted(self._c):
             v = self._c[e]
-            neg = (float(v) < 0)
+            neg = v < 0
             mag = -v if neg else v
             if e == 0:
                 body = self._fmt_coeff(mag)

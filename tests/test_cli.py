@@ -17,6 +17,10 @@ from pbcjones.pbc import Cell, GeneratingChain, PBCSystem
 
 COHERENT = "-0.632398,-0.322856,-0.704156"
 MELT = melt_dump_text()
+# an 11-line frame: the timestep, the declared count, and then two atoms with these ids
+FRAME = ("ITEM: TIMESTEP\n{}\nITEM: NUMBER OF ATOMS\n{}\nITEM: BOX BOUNDS pp pp pp\n"
+         "0 10\n0 10\n0 10\nITEM: ATOMS id mol x y z\n{} 1 1 1 1\n{} 1 2 1 1\n")
+BOX_ONLY = "ITEM: TIMESTEP\n7\nITEM: BOX BOUNDS pp pp pp\n0 10\n0 10\n0 10\n"
 
 
 @pytest.fixture
@@ -190,6 +194,15 @@ class TestNormalize:
         assert obj["results"]["polynomial"]["coeffs"] == {"0": 1.0, "2": 5e-13}
         assert obj["results"]["quotient"]["coeffs"] == {"0": 1.0, "2": 5e-13}
 
+    @pytest.mark.parametrize("output", ["json", "text"])
+    def test_coefficients_beyond_float_range_and_fractions(self, output, tmp_path, capsys):
+        big = 10**400  # 401 digits
+        path = tmp_path / "poly.json"
+        path.write_text('{"coeffs": {"0": %d, "2": "1/3", "4": -%d}}' % (big, big))
+        assert main(["normalize", str(path), "--components", "1", "--output", output]) == 0
+        out = capsys.readouterr().out
+        assert f"{big} + 1/3*A^2 - {big}*A^4" in out
+
     def test_bare_polynomial_needs_count(self, tmp_path, capsys):
         path = tmp_path / "poly.json"
         path.write_text(json.dumps(LaurentPoly({-2: -1, -10: -1}).to_json_obj()))
@@ -354,6 +367,23 @@ class TestMalformedInput:
                 json.dump(content, fh)
         self.assert_rejected(capsys, ["normalize", chainmail_file, "--components", "2"], message)
 
+    @pytest.mark.parametrize("coeff", ["1e400", "0.5", "2/4"])
+    def test_normalize_rejects_coefficient_strings_it_does_not_write(self, coeff, tmp_path,
+                                                                     capsys):
+        path = tmp_path / "p.json"
+        path.write_text(json.dumps({"coeffs": {"0": coeff}}))
+        self.assert_rejected(capsys, ["normalize", str(path), "--components", "1"],
+                             f"p.json: not a polynomial: coefficient '{coeff}' is not 'n/d'")
+
+    @pytest.mark.parametrize("text", ['{"coeffs": {"0": 1%s}}' % ("0" * 4999),
+                                      "[" * 100000],
+                             ids=["5000-digit-literal", "deep-nesting"])
+    def test_json_past_the_parser_limits_is_rejected(self, text, tmp_path, capsys):
+        path = tmp_path / "p.json"
+        path.write_text(text)
+        self.assert_rejected(capsys, ["normalize", str(path), "--components", "1"],
+                             "p.json: invalid JSON (")
+
     def test_normalize_rejects_exponent_keys_that_would_merge(self, chainmail_file, capsys):
         with open(chainmail_file, "w", encoding="utf-8") as fh:
             json.dump({"coeffs": {"1": 1, "01": 2, " 1": 5}}, fh)
@@ -452,19 +482,29 @@ class TestMalformedInput:
         ("xyz-mol", "2\n0 10 0 10 0 10\n1 a 1 1\n1 2 1 1\n", "t:3: bad coordinate 'a'"),
         ("xyz-mol", "2\n0 10 0 10 0 10\nx 1 1 1\n1 2 1 1\n", "t:3: bad molecule id 'x'"),
         ("xyz-mol", "2\n0 nan 0 10 0 10\n1 1 1 1\n1 2 1 1\n", "t:2: box bounds must be finite"),
-        # the last frame is closed at the last line read
+        # a wrong count names the line that declares it, not where its frame ends
         ("lammps-dump", MELT.replace("ATOMS\n98", "ATOMS\n97"),
-         f"t:{len(MELT.splitlines())}: frame 0 declares 97 atoms, found 98"),
+         "t:4: frame 0 declares 97 atoms, found 98"),
         ("lammps-dump", MELT.replace("0.0 12.0", "12.0 0.0", 1),
          "t:6: box bounds '12.0 0.0' are not 'lo hi' with lo < hi"),
         ("lammps-dump", MELT.replace("0.0 12.0", "3.0 3.0", 1),
          "t:6: box bounds '3.0 3.0' are not 'lo hi' with lo < hi"),
         ("xyz-mol", "2\n0 10 10 0 0 10\n1 1 1 1\n1 2 1 1\n",
          "t:2: box bounds must be 'lo hi' pairs with lo < hi"),
+        ("lammps-dump", FRAME.format(0, 3, 1, 2) + FRAME.format(1, 2, 1, 2),
+         "t:4: frame 0 declares 3 atoms, found 2"),
+        # a fault of the frame as a whole names its ITEM: TIMESTEP line
+        ("lammps-dump", FRAME.format(0, 2, 1, 2) + FRAME.format(1, 2, 1, 1),
+         "t:12: duplicate atom ids in frame 1"),
+        ("lammps-dump", MELT + BOX_ONLY, f"t:{len(MELT.splitlines()) + 1}: frame 7 has no atoms"),
+        # frame 1's count line declared three rows; the file ends after one
+        ("xyz-mol", "1\n0 1 0 1 0 1\n1 0 0 0\n3\n0 10 0 10 0 10\n1 1 1 1\n",
+         "t:4: truncated frame: 3 atoms declared"),
     ], ids=["timestep", "atom-count", "box-bound", "box-inf", "coordinate", "coordinate-nan",
             "atom-id-overflow", "step-overflow", "scaled-before-box", "xyz-coordinate",
             "xyz-molecule", "xyz-box-nan", "last-frame-line", "inverted-box", "empty-box",
-            "xyz-inverted-box"])
+            "xyz-inverted-box", "count-of-an-earlier-frame", "frame-fault-names-timestep",
+            "last-frame-without-atoms", "xyz-truncated"])
     def test_malformed_trajectory(self, fmt, text, message, tmp_path, capsys, monkeypatch):
         monkeypatch.chdir(tmp_path)
         with open("t", "w", encoding="utf-8") as fh:
@@ -491,6 +531,13 @@ class TestMalformedInput:
         ("origin", "abc", "cell: cell origin must be 3 finite coordinates"),
         ("basis", [[1.0, 0.0, 0.0], [0.0, "x", 0.0], [0.0, 0.0, 1.0]],
          "cell: cell basis must be a 3x3 matrix of numbers"),
+        # numpy alone would read "1" as 1.0 and False and True as 0.0 and 1.0
+        ("basis", [["1", False, 0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]],
+         "cell: cell basis must be a 3x3 matrix of numbers "
+         "(cell.basis[0]: non-numeric coordinate)"),
+        ("origin", [True, "0.5", 0],
+         "cell: cell origin must be 3 finite coordinates (cell.origin: non-numeric coordinate)"),
+        ("origin", [0, 0], "cell origin must be 3 finite coordinates (cell.origin: expected"),
     ])
     def test_non_numeric_cell_rejected(self, key, value, message, chainmail_file, capsys):
         with open(chainmail_file, encoding="utf-8") as fh:

@@ -3,6 +3,7 @@
 import copy
 import json
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -265,6 +266,14 @@ class TestLammpsDump:
         assert [f.timestep for f in frames] == [0, 1]
         assert [len(f.positions) for f in frames] == [2, 3]
 
+    def test_box_bounds_change_only_when_all_three_rows_are_read(self, tmp_path):
+        # a second BOX BOUNDS item cut short leaves the frame's bounds as they were
+        text = ("ITEM: TIMESTEP\n0\nITEM: BOX BOUNDS pp pp pp\n0 10\n0 10\n0 10\n"
+                "ITEM: BOX BOUNDS pp pp pp\n0 2\nITEM: ATOMS id mol xs ys zs\n1 1 0.5 0.5 0.5\n")
+        frame, = read_trajectory_text(tmp_path, text)
+        assert frame.bounds.tolist() == [[0, 10]] * 3
+        assert frame.positions.tolist() == [[5, 5, 5]]
+
     def test_duplicate_atom_ids(self, tmp_path):
         text = melt_dump_text()
         text = text.replace("\n2 1 ", "\n1 1 ", 1)
@@ -372,11 +381,18 @@ def soups(draw):
 @given(soups())
 def test_line_soup_gives_frames_or_a_located_error(tmp_path, lines):
     path = tmp_path / "soup"
-    path.write_text("\n".join(lines), encoding="utf-8")
+    text = "\n".join(lines)
+    path.write_text(text, encoding="utf-8")
+    # str.splitlines splits at every separator that a text-mode file iteration does, and more
+    n_lines = len(text.splitlines())
     for fmt in TRAJECTORY_FORMATS:
         try:
             frames = read_trajectory(str(path), fmt)
-        except PbcJonesError:
+        except PbcJonesError as exc:
+            located = re.match(re.escape(f"{path}:") + r"(?:(\d+):)?", str(exc))
+            assert located, f"{fmt} error does not start with the path: {exc}"
+            if located[1] is not None:
+                assert 1 <= int(located[1]) <= n_lines, f"{fmt} names a line past the file: {exc}"
             continue
         assert frames
         for frame in frames:

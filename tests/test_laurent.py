@@ -176,6 +176,20 @@ class TestFormatting:
         with pytest.raises(PbcJonesError, match="not a polynomial"):
             LaurentPoly.from_json_obj({"mode": "float", "coeffs": {"1": 10**400}})
 
+    @pytest.mark.parametrize("text", ["1e400", "1e10000000", "0.5", "2/4", "3/1", "0/5",
+                                      "-0/3", "+1/3", " 1/3", "1_0/3", "1/-3", "\uff11/3"])
+    def test_json_coefficient_strings_must_be_as_written(self, text):
+        # checked before parsing: Fraction("1e10000000") alone takes seconds
+        message = f"^not a polynomial: coefficient '{re.escape(text)}' is not 'n/d'"
+        with pytest.raises(PbcJonesError, match=message):
+            LaurentPoly.from_json_obj({"coeffs": {"0": text}})
+
+    def test_str_of_coefficients_beyond_float_range(self):
+        big = 10**400
+        p = LaurentPoly({-1: -big, 0: Fraction(big, 3), 2: -Fraction(1, 3), 3: big})
+        assert str(p) == f"-{big}*A^-1 + {big}/3 - 1/3*A^2 + {big}*A^3"
+        assert LaurentPoly.from_json_obj(p.to_json_obj()) == p
+
     @pytest.mark.parametrize("coeffs, key", [
         ({"1": 1, "01": 2, " 1": 5}, "01"),  # three spellings of A would merge into 5*A
         ({"1_0": 1}, "1_0"),  # int() reads it as 10

@@ -7,14 +7,28 @@ merged by adding their polynomials.  Loop closures multiply by the loop
 value d = -A^2 - A^-2; open strands count through their virtual head-tail
 closures, which the terminal graph has already folded in.
 
+The DP runs on a reduced diagram.  ``bracket`` first removes every kink
+(RI) and every bigon of two crossings of opposite sign (RII) from the
+signed Gauss code with ``diagram.reidemeister_reduce``.  A bigon keeps
+the bracket and a kink of sign s divides it by (-A^3)^s, for any Gauss
+code, so the reduced diagram's bracket times (-A^3)^(w - w'), with w and
+w' the writhes before and after, is the bracket of the diagram as
+given, and so is every Jones polynomial built on it.  The crossing cap
+counts the crossings of the diagram as given, while ``states_expanded``
+and ``peak_frontier`` count the DP over the reduced one.  Per pass of
+the benchmark the reduction takes melt from 10,206 crossings on 400
+diagrams to 722, with 182 diagrams left without any, and its DP states
+from 28,238 to 3,020; jersey goes from 22,262 states to 7,620 and the
+open trefoil from 3,630 to 1,982.
+
 The polynomial arithmetic of the DP is one merge loop.  ``_SMOOTHINGS``
 holds, for each crossing sign and smoothing, the port joins, the
 exponent of its factor A^(+-1) and the terms of d^k for k = 0, 1 and 2
 closed loops, built once at import from ``laurent.d_power``.  A state's
 polynomial is A^offset times a coefficient dict, and the state records
 whether it owns the dict.  A successor that closes no loop has the bare
-factor A^(+-1) (84% of the successors of a jersey pass of the benchmark,
-71% of a melt pass); as a new state it shares its parent's dict and only
+factor A^(+-1) (87% of the successors of a jersey pass of the benchmark,
+81% of a melt pass); as a new state it shares its parent's dict and only
 moves the offset.  A new state that closes loops starts from an empty
 dict of its own, and the merge loop adds the parent's polynomial times
 d^k into it.  A merge into a state that shares its dict first copies the
@@ -41,8 +55,9 @@ gains, both at their static partners; two writes per bond smooth it, and
 one itemgetter takes the next frontier.  The key is as long as the cut,
 so ``peak_frontier`` is the peak cut of the order.  Keying by every live
 port instead, four per unsolved crossing, gives the same states in the
-same order, but copies 6.7 times as many entries per jersey pass of the
-benchmark and 7.8 times as many per melt pass.
+same order, but copied 6.7 times as many entries per jersey pass of the
+benchmark and 7.8 times as many per melt pass, measured before the
+reduction.
 
 Each state yields two successor keys per crossing, and each is either a
 new state (counted in ``states_expanded``) or a merge into one already
@@ -66,28 +81,29 @@ picks an order predicted to be worse.  The search itself costs 2n greedy
 runs, which grow with n as the least work does, so it runs only when the
 greedy sum exceeds twice the least work, 2(2n - 1), by more than
 ``SEARCH_WORK``.  The constant keeps the search off diagrams where it
-cannot pay: searching every diagram costs about 1.1 s of order search per
-melt pass of the benchmark and saves no DP time, and the greedy excess
-over 2n - 1 peaks at 341 on melt, 32 on chainmail and 34 on the open
-trefoil.  On jersey
-the search runs on 7 of the 27 distinct diagrams of a pass (each has at
-most 59 crossings and an excess of at least 630) and brings the pass
-from 46,544 states to 22,262.  A chainmail cutoff of N >= 2 copies along
-the tests' coherent direction has 12N - 2 crossings and a greedy order
-of peak cut 4 and excess 6N + 2, far below 2n - 1 + ``SEARCH_WORK``, so
-it is never searched.  Weighing the excess alone against ``SEARCH_WORK``
-would search it from N = 86 on, where the search takes the bracket from
-about 0.2 s to 0.7 s.
+cannot pay.  On the reduced diagrams of a benchmark pass, searching
+every melt diagram doubles the time of its DP (0.019 to 0.036 s) to
+save 208 of 2,838 states, and the greedy excess over 2n - 1 peaks at
+248 on melt, 118 on chainmail and 10 on the open trefoil.  On jersey
+the search runs on 1 of the 27 distinct diagrams of a pass (26
+crossings, an excess of 594) and brings the pass from 9,786 states to
+7,620.  A chainmail cutoff of N >= 2 copies along the tests' coherent
+direction has 12N - 2 crossings; its reduction keeps 9N - 4, with a
+greedy order of peak cut 6 and excess 6N + 112, far below 2n - 1 +
+``SEARCH_WORK``, so it is never searched.  Weighing the excess alone
+against ``SEARCH_WORK`` would search it from N = 67 on; at N = 86 the
+search takes the bracket from about 0.07 s to 0.21 s.
 
 The cutoff check passes ``bracket`` a memo dict, because it meets the
 same smoothed pieces state after state (978 bracket calls on 85
 distinct diagrams per chainmail pass of the benchmark).  Its key is the
 diagram less its component ids: each component's closedness, passages
 and end labels, in component order, and the crossing items.  That is
-all ``terminal_graph`` reads, and the state sum reads only the terminal
-graph and the signs, so a key gives one polynomial and one pair of
-counters, and a hit returns the stored ``BracketResult`` without
-building a terminal graph.  Diagrams that differ only in component ids
+all that the reduction and ``terminal_graph`` read, and the state sum
+reads only the terminal graph and the signs, so a key gives one
+polynomial and one pair of counters, and a hit returns the stored
+``BracketResult`` without reducing the diagram or building a terminal
+graph.  Diagrams that differ only in component ids
 share an entry; diagrams that differ in crossing names, or list their
 crossings in another order, do not.  A miss stores its result while the
 memo holds fewer than ``MEMO_LIMIT`` entries.  The caller owns the memo
@@ -104,7 +120,7 @@ import operator
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from .diagram import Diagram, smoothing_joins, terminal_graph
+from .diagram import Diagram, reidemeister_reduce, smoothing_joins, terminal_graph
 from .errors import StateSumTooLargeError, require_count
 from .laurent import LaurentPoly, d_power
 
@@ -225,12 +241,18 @@ def bracket(diagram: Diagram, crossing_cap: int = DEFAULT_CROSSING_CAP,
         if res is not None:
             return res
 
-    tg = terminal_graph(diagram)
-    if n == 0:
+    reduced = reidemeister_reduce(diagram)
+    tg = terminal_graph(reduced)
+    if not tg.crossing_ids:
         res = BracketResult(d_power(max(tg.free_loops - 1, 0)), 1, 0)
     else:
-        res = _state_sum(tg.strand, tuple(diagram.crossings[c] for c in tg.crossing_ids),
+        res = _state_sum(tg.strand, tuple(reduced.crossings[c] for c in tg.crossing_ids),
                          tg.free_loops)
+    kinks = diagram.writhe - reduced.writhe
+    if kinks:
+        # each kink of sign s removed a factor (-A^3)^s
+        res = BracketResult(writhe_prefactor(-kinks) * res.poly, res.states_expanded,
+                            res.peak_frontier)
     if memo is not None and len(memo) < MEMO_LIMIT:
         memo[key] = res
     return res

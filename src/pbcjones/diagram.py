@@ -25,6 +25,11 @@ span walked backwards passes exactly once changes sign.
 The walks share no code on purpose.  The brute-force oracle in the tests
 builds its states with ``smooth`` and checks ``bracket``, which reads
 ``terminal_graph``; a common helper would let one fault pass both sides.
+
+``reidemeister_reduce`` reads the passages too, and removes kinks and
+bigons before ``bracket`` builds its terminal graph.  The brute-force
+oracle never calls it: it smooths every crossing of the diagram as given,
+so a fault in the reduction shows as a bracket that differs from it.
 """
 
 from __future__ import annotations
@@ -257,6 +262,73 @@ class Diagram:
         # a smoothing of a valid diagram is valid by construction
         return Diagram.trusted(new_comps, {c: -s if backwards.get(c) == 1 else s
                                            for c, s in self.crossings.items() if c != cid})
+
+
+def reidemeister_reduce(diagram: Diagram) -> Diagram:
+    """The diagram less every kink (RI) and bigon (RII) of its signed Gauss code.
+
+    A kink is a crossing whose two passages are adjacent on one strand.  A
+    bigon is two crossings of opposite sign whose over passages are
+    adjacent on one strand and whose under passages are adjacent on a
+    strand, in either order.  Adjacency wraps on closed components, never
+    across the ends of an open one.  Removing a bigon keeps the bracket and
+    removing a kink of sign s divides it by (-A^3)^s, for any Gauss code,
+    planar or not.
+
+    The passages, in component order, are slots of doubly linked lists;
+    -1 stands for an open end and for a removed slot.  A worklist holds
+    the slots whose pair with the next slot is to be checked: every slot
+    at the start, and then only the slots that a removal makes adjacent to
+    a new next slot.  Returns ``diagram`` itself when it has neither move.
+    """
+    signs = diagram.crossings
+    flat = [p for comp in diagram.components for p in comp.passages]
+    nxt = list(range(1, len(flat) + 1))
+    prv = list(range(-1, len(flat) - 1))
+    first = 0
+    for comp in diagram.components:
+        if comp.passages:
+            last = first + len(comp.passages) - 1
+            if comp.closed:
+                nxt[last], prv[first] = first, last
+            else:
+                nxt[last] = prv[first] = -1
+            first = last + 1
+    slot = {p: i for i, p in enumerate(flat)}
+    mate = [slot[(c, "u" if r == "o" else "o")] for c, r in flat]  # the crossing's other passage
+    removed = set()
+    work = list(range(len(flat)))
+    while work:
+        p = work.pop()
+        q = nxt[p]
+        if q < 0:
+            continue
+        if mate[p] == q:
+            gone: Tuple[int, ...] = (p, q)
+        else:
+            (a, role), (b, role_q) = flat[p], flat[q]
+            if role != role_q or signs[a] == signs[b]:
+                continue
+            pa, pb = mate[p], mate[q]
+            if nxt[pa] != pb and nxt[pb] != pa:
+                continue
+            gone = (p, q, pa, pb)
+        for x in gone:
+            removed.add(flat[x][0])
+            before, after = prv[x], nxt[x]
+            prv[x] = nxt[x] = -1
+            if before == x:  # the last passage of a closed component
+                continue
+            if before >= 0:
+                nxt[before] = after
+                work.append(before)
+            if after >= 0:
+                prv[after] = before
+    if not removed:
+        return diagram
+    comps = [Component(c.id, c.closed, tuple(p for p in c.passages if p[0] not in removed),
+                       c.ends) for c in diagram.components]
+    return Diagram.trusted(comps, {c: s for c, s in signs.items() if c not in removed})
 
 
 @dataclass(frozen=True)

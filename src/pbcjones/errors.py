@@ -2,6 +2,7 @@
 
 import math
 import numbers
+import sys
 
 
 class PbcJonesError(Exception):
@@ -45,6 +46,13 @@ class ChainConnectivityError(PbcJonesError):
 
 class AmbiguousMatchError(ChainConnectivityError):
     """More than one arc image continues a chain within tolerance."""
+
+
+def too_many_digits() -> PbcJonesError:
+    """The error for an integer too long for Python's int-to-string conversion,
+    which is refused past ``sys.get_int_max_str_digits()`` digits."""
+    return PbcJonesError(f"an integer has more than {sys.get_int_max_str_digits()} digits, "
+                         f"Python's limit for converting an int to a string")
 
 
 def require_nonnegative(name: str, value: float) -> None:

@@ -23,7 +23,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .errors import PbcJonesError
+from .errors import PbcJonesError, too_many_digits
 from .geometry import Curve
 from .laurent import LaurentPoly
 from .pbc import Cell, GeneratingChain, PBCSystem
@@ -34,7 +34,10 @@ REPORT_FORMAT = "pbcjones/report-v1"
 
 
 def canonical_dumps(obj) -> str:
-    return json.dumps(obj, sort_keys=True, indent=2, separators=(",", ": ")) + "\n"
+    try:
+        return json.dumps(obj, sort_keys=True, indent=2, separators=(",", ": ")) + "\n"
+    except ValueError:  # the only one json.dumps raises here: an int past the digit limit
+        raise too_many_digits() from None
 
 
 # -- schema helpers -----------------------------------------------------
@@ -371,7 +374,9 @@ def _read_xyz_mol(path: str) -> List[TrajectoryFrame]:
     """Minimal xyz variant: count, comment with 6 box numbers, 'mol x y z' rows."""
     frames: List[TrajectoryFrame] = []
     with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
+        # lines end only at \n, \r and \r\n, as in the LAMMPS reader;
+        # str.splitlines would also end them at form feeds and other separators
+        lines = fh.readlines()
     i = 0
     while i < len(lines):
         if not lines[i].strip():

@@ -37,7 +37,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Iterator, Mapping, Optional, Tuple, Union
 
-from .errors import PbcJonesError
+from .errors import PbcJonesError, too_many_digits
 
 Coeff = Union[int, Fraction, float]
 
@@ -231,7 +231,7 @@ class LaurentPoly:
         coeffs: Dict[str, Union[int, float, str]] = {}
         for e, v in self._c.items():
             if isinstance(v, Fraction):
-                coeffs[str(e)] = f"{v.numerator}/{v.denominator}"
+                coeffs[str(e)] = _exact_str(v)
             else:
                 coeffs[str(e)] = v
         return {"mode": self.mode, "coeffs": coeffs}
@@ -264,7 +264,7 @@ class LaurentPoly:
     def _fmt_coeff(self, v: Coeff) -> str:
         if isinstance(v, float):
             return f"{v:.6g}"
-        return str(v)
+        return _exact_str(v)
 
     def __str__(self) -> str:
         if not self._c:
@@ -287,6 +287,15 @@ class LaurentPoly:
 
     def __repr__(self) -> str:
         return f"LaurentPoly({self._c!r}, mode={self.mode!r})"
+
+
+def _exact_str(v: Union[int, Fraction]) -> str:
+    """An exact coefficient as ``n`` or ``n/d``; past Python's limit on the
+    digits of an int-to-string conversion, a PbcJonesError."""
+    try:
+        return str(v)
+    except ValueError:
+        raise too_many_digits() from None
 
 
 def d_poly() -> LaurentPoly:

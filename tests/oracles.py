@@ -9,7 +9,9 @@ port numbers of a terminal graph) live here too.  So does the frontier
 DP as it stood before its states shared their polynomials: every
 successor merged its parent's polynomial times its factor into a fresh
 or existing dict, and the greedy crossing order keyed its heap on
-tuples.  None of it imports the production bracket evaluator.
+tuples.  ``insert_moves`` pads a diagram with Reidemeister I and II moves
+without the reduction that removes them.  None of it imports the
+production bracket evaluator.
 """
 
 from __future__ import annotations
@@ -276,6 +278,75 @@ def reverse_component(diagram: Diagram, comp_id: str) -> Diagram:
 def scale_exponents(p: LaurentPoly, factor: int) -> LaurentPoly:
     """Substitute A -> A**factor."""
     return LaurentPoly({e * factor: v for e, v in p.terms()}, p.mode)
+
+
+def insert_moves(diagram: Diagram, rng: np.random.Generator,
+                 count: int) -> Tuple[Diagram, int]:
+    """``diagram`` with ``count`` kinks (RI) and bigons (RII) inserted into
+    its signed Gauss code, and the writhe that they add.
+
+    Each move goes next to a passage drawn at random, before or after it.
+    A kink is two adjacent passages of a new crossing of random sign.  A
+    bigon puts the first roles of two new crossings of opposite sign there,
+    and their other roles, in either order, next to the other passage of
+    the drawn passage's crossing.  The new crossings sit by an old one, so
+    the frontier of a padded diagram stays narrow.  A diagram without
+    passages takes its first move on a component drawn at random.  The
+    bracket of the result is (-A^3)^(added writhe) times that of ``diagram``.
+    """
+    comps = [list(c.passages) for c in diagram.components]
+    signs = dict(diagram.crossings)
+    added = 0
+
+    def gap_by(passage):
+        """A component list and the gap just before or after a passage in it."""
+        for ps in comps:
+            if passage in ps:
+                return ps, ps.index(passage) + int(rng.integers(2))
+
+    for k in range(count):
+        a, b = f"r{k}a", f"r{k}b"
+        while a in signs or b in signs:
+            a, b = "_" + a, "_" + b
+        sign = int(rng.choice([1, -1]))
+        first, second = ("o", "u") if rng.random() < 0.5 else ("u", "o")
+        held = [p for ps in comps for p in ps]
+        anchor = held[rng.integers(len(held))] if held else None
+        ps, i = gap_by(anchor) if anchor else (comps[rng.integers(len(comps))], 0)
+        if rng.random() < 0.5:
+            ps[i:i] = [(a, first), (a, second)]
+            signs[a] = sign
+            added += sign
+            continue
+        ps[i:i] = [(a, first), (b, first)]
+        if anchor:
+            ps, j = gap_by((anchor[0], "u" if anchor[1] == "o" else "o"))
+        else:
+            j = i + 2 * int(rng.integers(2))  # not between the two new passages
+        pair = [(a, second), (b, second)]
+        ps[j:j] = pair if rng.random() < 0.5 else pair[::-1]
+        signs[a], signs[b] = sign, -sign
+    return Diagram([Component(c.id, c.closed, tuple(ps), c.ends)
+                    for c, ps in zip(diagram.components, comps)], signs), added
+
+
+def gauss_code(diagram: Diagram):
+    """The signed Gauss code with crossings named in the order a walk over
+    the components first meets them, each closed component read from the
+    start that gives the least code.  Diagrams that differ only in crossing
+    names and in where their closed components start get equal codes.
+    Tries every start, so it is for small diagrams.
+    """
+    starts = [range(len(c.passages)) if c.closed and c.passages else [0]
+              for c in diagram.components]
+    codes = []
+    for shift in product(*starts):
+        names: Dict[str, int] = {}
+        walks = tuple(tuple((names.setdefault(x, len(names)), r)
+                            for x, r in c.passages[k:] + c.passages[:k])
+                      for c, k in zip(diagram.components, shift))
+        codes.append((walks, tuple(sorted((names[x], s) for x, s in diagram.crossings.items()))))
+    return [(c.id, c.closed, c.ends) for c in diagram.components], min(codes)
 
 
 def port(graph: TerminalGraph, cid: str, code: int) -> int:

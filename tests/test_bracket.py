@@ -10,7 +10,7 @@ from oracles import brute_bracket, reference_crossing_order, reference_state_sum
 
 from pbcjones.bracket import bracket, jones_of_diagram
 from pbcjones.cutoff import _shared_states, build_cutoff, split_bracket
-from pbcjones.diagram import Component, Diagram, terminal_graph
+from pbcjones.diagram import Component, Diagram, reidemeister_reduce, terminal_graph
 from pbcjones.errors import PbcJonesError, StateSumTooLargeError
 from pbcjones.fixtures import (chainmail_system, figure_eight, hopf_link, jersey_system,
                                trefoil)
@@ -138,22 +138,24 @@ class TestCapAndAccounting:
         assert res.states_expanded > 0
         assert res.cache_hits > 0
 
-    # counts of the kernel under the current crossing order; a kernel rewrite
-    # must reproduce them, an order change must re-pin them.  The first three
-    # stay below SEARCH_WORK and keep the greedy order's counts; the jersey
-    # diagram is searched and needed 20060 states under the greedy order.
-    @pytest.mark.parametrize("make,seed,crossings,states,hits", [
-        (lambda: [trefoil()], 1, 4, 8, 7),
-        (lambda: [figure_eight()], 3, 14, 54, 53),
-        (lambda: link_curves(minimal_periodic_link(chainmail_system())), 7, 14, 22, 21),
-        (lambda: link_curves(minimal_periodic_link(jersey_system())), 23, 63, 2886, 2885),
+    # counts of the kernel on the reduced diagram under the current crossing
+    # order; a kernel rewrite must reproduce them, a change to the reduction
+    # or the order must re-pin them.  The first three stay below SEARCH_WORK
+    # and keep the greedy order's counts; the reduced jersey diagram is
+    # searched and needed 11464 states under the greedy order.
+    @pytest.mark.parametrize("make,seed,crossings,reduced,states,hits", [
+        (lambda: [trefoil()], 1, 4, 4, 8, 7),
+        (lambda: [figure_eight()], 3, 14, 5, 10, 9),
+        (lambda: link_curves(minimal_periodic_link(chainmail_system())), 7, 14, 5, 8, 7),
+        (lambda: link_curves(minimal_periodic_link(jersey_system())), 23, 63, 43, 1449, 1448),
     ], ids=["trefoil", "figure_eight", "chainmail_base", "jersey"])
-    def test_work_counters_are_pinned(self, make, seed, crossings, states, hits):
+    def test_work_counters_are_pinned(self, make, seed, crossings, reduced, states, hits):
         d = project(make(), seed)
         assert len(d.crossings) == crossings
+        assert len(reidemeister_reduce(d).crossings) == reduced
         res = bracket(d, crossing_cap=crossings)
         assert (res.states_expanded, res.cache_hits) == (states, hits)
-        assert res.states_expanded < 20060
+        assert res.states_expanded < 11464
 
     def test_deterministic_across_calls(self):
         d = project([trefoil()], 1)
@@ -206,11 +208,13 @@ class TestCrossingOrder:
     ], ids=["jersey23", "jersey3", "jersey5", "jersey26", "chainmail_cutoff8"])
     def test_peak_frontier_is_the_peak_cut_of_the_order(self, make, arg):
         # states are keyed by frontier ports alone, so the longest key is
-        # the widest cut that the chosen order passes through
+        # the widest cut that the chosen order of the reduced diagram passes
+        # through
         d = make(arg)
-        n, strand = strand_of(d)
+        n, strand = strand_of(reidemeister_reduce(d))
+        assert n < len(d.crossings)
         peak, _ = predicted_work(strand, bracket_mod._crossing_order(n, strand))
-        assert bracket(d, crossing_cap=n).peak_frontier == peak
+        assert bracket(d, crossing_cap=len(d.crossings)).peak_frontier == peak
 
     def test_min_delta_runs_are_part_of_the_search(self):
         # a 70-crossing view of jersey: the score tie-break alone reaches
@@ -383,6 +387,10 @@ def counted_terminal_graphs(monkeypatch):
     return calls
 
 
+def contents(diagrams):
+    return [(x.components, x.crossings) for x in diagrams]
+
+
 def memo_pool():
     """Diagrams of up to 7 crossings, repeats of one another under new
     names or as new objects, one with a flipped sign, one crossingless
@@ -462,7 +470,7 @@ class TestMemo:
         assert [c.id for c in r.components] != [c.id for c in d.components]
         hit = bracket(r, crossing_cap=64, memo=memo)
         # the renamed repeat hits the first diagram's key without a terminal graph
-        assert calls == [d]
+        assert contents(calls) == contents([reidemeister_reduce(d)])
         assert memo == {memo_key(d): first} and memo_key(r) == memo_key(d)
         assert hit is first
         assert fields(hit) == expected
@@ -537,4 +545,4 @@ class TestMemo:
                 assert len(memo) <= 2
         assert set(memo) == {memo_key(d) for d in diagrams[:2]}
         # the two stored diagrams hit on the second round; the others are solved again
-        assert calls == diagrams + diagrams[2:]
+        assert contents(calls) == contents(map(reidemeister_reduce, diagrams + diagrams[2:]))

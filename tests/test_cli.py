@@ -384,6 +384,19 @@ class TestMalformedInput:
         self.assert_rejected(capsys, ["normalize", str(path), "--components", "1"],
                              "p.json: invalid JSON (")
 
+    @pytest.mark.parametrize("output", ["json", "text"])
+    def test_quotient_past_the_digit_limit_is_rejected(self, output, tmp_path, capsys):
+        # 21 coefficients of 4,300 digits read fine, but dividing by d^5
+        # makes them longer than Python converts an int to a string
+        path = tmp_path / "p.json"
+        nines = "9" * 4300
+        path.write_text('{"coeffs": {%s}}' % ", ".join(f'"{e}": {nines}'
+                                                       for e in range(-40, 41, 4)))
+        self.assert_rejected(capsys, ["normalize", str(path), "--components", "6",
+                                      "--output", output],
+                             "error: an integer has more than 4300 digits, Python's limit "
+                             "for converting an int to a string")
+
     def test_normalize_rejects_exponent_keys_that_would_merge(self, chainmail_file, capsys):
         with open(chainmail_file, "w", encoding="utf-8") as fh:
             json.dump({"coeffs": {"1": 1, "01": 2, " 1": 5}}, fh)

@@ -1,14 +1,24 @@
-import pytest
-from hypothesis import given
-from hypothesis import strategies as st
-from oracles import (mirror, oriented_smooth, port, reference_pieces, reverse_component,
-                     scale_exponents)
+import importlib
+from itertools import combinations
 
-from pbcjones.bracket import bracket, jones_of_diagram
-from pbcjones.diagram import (OI, OO, UI, UO, Component, Diagram,
+import numpy as np
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from oracles import (brute_bracket, gauss_code, insert_moves, mirror, oriented_smooth, port,
+                     reference_pieces, reverse_component, scale_exponents)
+
+from pbcjones.bracket import bracket, jones_of_diagram, writhe_prefactor
+from pbcjones.diagram import (OI, OO, UI, UO, Component, Diagram, reidemeister_reduce,
                               smoothing_joins, terminal_graph)
 from pbcjones.errors import PbcJonesError
-from pbcjones.laurent import LaurentPoly, d_poly
+from pbcjones.fixtures import figure_eight, hopf_link, open_trefoil, trefoil
+from pbcjones.geometry import Curve, sample_directions
+from pbcjones.jones3d import project_generic
+from pbcjones.laurent import LaurentPoly, d_poly, d_power
+
+# the package attribute ``pbcjones.bracket`` is the function, not the module
+bracket_mod = importlib.import_module("pbcjones.bracket")
 
 
 def closed(cid, *passages):
@@ -324,3 +334,167 @@ class TestTerminalGraph:
         assert g.free_loops == 0
         assert g.strand[port(g, "c", UO)] == port(g, "c", OI)
         assert g.strand[port(g, "c", OO)] == port(g, "c", UI)
+
+
+def projected(curves, seed):
+    xi = sample_directions(1, "random", seed=seed)[0]
+    return project_generic(list(curves), xi, 1e-9)[0]
+
+
+def random_polylines(seed, n_curves, n_pts, closed):
+    rng = np.random.default_rng(seed)
+    return [Curve(f"w{i}", rng.uniform(-1.0, 1.0, (n_pts, 3)), closed) for i in range(n_curves)]
+
+
+def dp_bracket(d):
+    """The frontier DP's bracket of ``d`` as given, without the reduction."""
+    tg = terminal_graph(d)
+    if not tg.crossing_ids:
+        return d_power(max(tg.free_loops - 1, 0))
+    signs = tuple(d.crossings[c] for c in tg.crossing_ids)
+    return bracket_mod._state_sum(tg.strand, signs, tg.free_loops).poly
+
+
+def moves_left(d):
+    """Kinks and opposite-sign bigons of ``d``, by a scan of every crossing
+    and every pair of crossings."""
+    nexts = set()
+    for c in d.components:
+        ps = c.passages
+        nexts.update(zip(ps, ps[1:] + ps[:1] if c.closed else ps[1:]))
+
+    def adjacent(p, q):
+        return (p, q) in nexts or (q, p) in nexts
+
+    kinks = [c for c in d.crossings if adjacent((c, "o"), (c, "u"))]
+    bigons = [(a, b) for a, b in combinations(d.crossings, 2)
+              if d.crossings[a] != d.crossings[b]
+              and adjacent((a, "o"), (b, "o")) and adjacent((a, "u"), (b, "u"))]
+    return kinks + bigons
+
+
+def check_reduction(d, brute_limit=10):
+    """The reduction of ``d`` is valid, has no move left, is its own
+    reduction and keeps the Jones polynomial; returns it."""
+    r = reidemeister_reduce(d)
+    Diagram(r.components, r.crossings)  # validates
+    assert [c.id for c in r.components] == [c.id for c in d.components]
+    assert set(r.crossings) <= set(d.crossings)
+    assert not moves_left(r)
+    assert reidemeister_reduce(r) is r
+    factor = writhe_prefactor(r.writhe - d.writhe)  # (-A^3)^(w - w')
+    whole = dp_bracket(d)
+    assert factor * dp_bracket(r) == whole == bracket(d, 10 ** 6).poly
+    if d.components and len(d.crossings) <= brute_limit:  # the oracle needs a loop
+        assert brute_bracket(d) == whole
+        assert factor * brute_bracket(r) == whole
+    return r
+
+
+class TestReidemeisterReduce:
+    @pytest.mark.parametrize("sign", [1, -1])
+    @pytest.mark.parametrize("is_closed", [True, False])
+    def test_kink_leaves_a_bare_component(self, sign, is_closed):
+        d = Diagram([Component("k", is_closed, (("c", "u"), ("c", "o")))], {"c": sign})
+        r = check_reduction(d)
+        ends = None if is_closed else (("k", "tail"), ("k", "head"))
+        assert shape(r) == [("k", is_closed, (), ends)]
+        assert r.crossings == {}
+        # a kink of sign s carries (-A^3)^s
+        assert bracket(d).poly == LaurentPoly.monomial(-1, 3 * sign)
+
+    def test_adjacency_does_not_wrap_across_open_ends(self):
+        # c's passages meet only across the ends of strand a, which closes
+        # virtually through strand e and its passage d: the loop reads
+        # c d c d, and a kink of c cut across the ends changes the bracket
+        passages = (("c", "o"), ("d", "o"), ("c", "u"))
+        e = Component("e", False, (("d", "u"),), (("q", "tail"), ("p", "head")))
+        opened = Diagram([Component("a", False, passages, (("p", "tail"), ("q", "head"))), e],
+                         {"c": 1, "d": 1})
+        assert check_reduction(opened) is opened
+        cut = Diagram([Component("a", False, passages[1:2], (("p", "tail"), ("q", "head"))), e],
+                      {"d": 1})
+        assert bracket(opened).poly != writhe_prefactor(-1) * bracket(cut).poly
+        # on a closed component the same passages wrap into a kink
+        looped = Diagram([closed("a", *passages), closed("b", ("d", "u"))], {"c": 1, "d": 1})
+        assert check_reduction(looped).crossings == {"d": 1}
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_same_sign_pair_is_no_bigon(self, sign):
+        d = hopf_diagram(sign)
+        assert check_reduction(d) is d
+
+    @pytest.mark.parametrize("unders, tail", [
+        ([closed("b", ("c1", "u"), ("c2", "u"))], ()),  # parallel, on another loop
+        ([closed("b", ("c2", "u"), ("c1", "u"))], ()),  # antiparallel, on another loop
+        ([strand("b", ("c2", "u"), ("c1", "u"))], ()),  # antiparallel, on an open strand
+        ([], (("c1", "u"), ("c2", "u"))),  # parallel, further along the same loop
+        ([], (("c2", "u"), ("c1", "u"))),  # antiparallel, further along the same loop
+    ], ids=["parallel", "antiparallel", "open", "same_loop_parallel", "same_loop_antiparallel"])
+    def test_bigon_of_opposite_signs_is_removed(self, unders, tail):
+        loop = closed("a", ("x", "o"), ("c1", "o"), ("c2", "o"), ("x", "u"),
+                      ("y", "o"), *tail, ("y", "u"))
+        r = check_reduction(Diagram([loop] + unders, {"c1": 1, "c2": -1, "x": 1, "y": -1}))
+        assert "c1" not in r.crossings and "c2" not in r.crossings
+
+    def test_a_diagram_without_moves_is_returned_as_is(self):
+        for d in (trefoil_diagram(), hopf_diagram(), Diagram([closed("a")], {}), Diagram([], {})):
+            assert reidemeister_reduce(d) is d
+
+    def test_poke_leaves_two_bare_loops(self):
+        r = check_reduction(poke_diagram())
+        assert shape(r) == [("a", True, (), None), ("b", True, (), None)]
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 3), st.integers(3, 7), st.booleans())
+    def test_projected_polylines_keep_their_jones_polynomial(self, seed, n_curves, n_pts,
+                                                              is_closed):
+        d = projected(random_polylines(seed, n_curves, n_pts, is_closed), seed)
+        assume(len(d.crossings) <= 24)
+        check_reduction(d)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 8), st.integers(0, 3), st.integers(0, 3),
+           st.randoms(use_true_random=False))
+    def test_gauss_codes_keep_their_bracket(self, n_crossings, n_closed, n_open, rnd):
+        # passages dealt at random: codes that no plane curve draws, and open
+        # strands that end on other strands' owners
+        check_reduction(random_diagram(n_crossings, n_closed, n_open, rnd))
+
+
+SMALL_DIAGRAMS = {
+    "trefoil": lambda: projected([trefoil()], 1),
+    "figure_eight": lambda: projected([figure_eight()], 0),
+    "hopf": lambda: projected(hopf_link(), 0),
+    "open_trefoil": lambda: projected([open_trefoil(0.5)], 2),
+    "loop": lambda: Diagram([closed("a")], {}),
+    "two_strands": lambda: Diagram([strand("a", ("x", "o")), strand("b", ("x", "u"))],
+                                   {"x": -1}),
+}
+
+
+class TestInsertedMoves:
+    """Small diagrams padded with kinks and bigons by ``oracles.insert_moves``:
+    the enumeration oracle gives the bracket of the small diagram, and the
+    padded one must have it times (-A^3)^(added writhe), at widths that the
+    enumeration cannot reach."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.sampled_from(sorted(SMALL_DIAGRAMS)), st.integers(1, 50), st.integers(0, 2**32 - 1))
+    def test_padded_bracket_and_its_reduction(self, name, count, seed):
+        small = SMALL_DIAGRAMS[name]()
+        padded, added = insert_moves(small, np.random.default_rng(seed), count)
+        Diagram(padded.components, padded.crossings)  # validates
+        want = writhe_prefactor(-added) * brute_bracket(small)
+        assert dp_bracket(padded) == want
+        r = check_reduction(padded, brute_limit=0)
+        # the reduction undoes every insertion, up to crossing names
+        assert gauss_code(r) == gauss_code(reidemeister_reduce(small))
+
+    def test_padding_reaches_past_the_enumeration(self):
+        small = SMALL_DIAGRAMS["figure_eight"]()
+        assert not moves_left(small)
+        padded, added = insert_moves(small, np.random.default_rng(7), 70)
+        assert len(padded.crossings) >= 100
+        assert dp_bracket(padded) == writhe_prefactor(-added) * brute_bracket(small)
+        assert gauss_code(reidemeister_reduce(padded)) == gauss_code(small)

@@ -328,6 +328,15 @@ class TestXyzMol:
         assert np.allclose(chains[2], [[5, 5, 5], [6, 5, 5]])
         assert np.allclose(frames[1].bounds, [[0, 10]] * 3)
 
+    @pytest.mark.parametrize("sep", ["\f", "\v", "\x1c", "\x1e", "\x85", "\u2028", "\u2029"])
+    def test_only_newlines_end_lines(self, sep, tmp_path):
+        # str.splitlines would end the comment line again at the separator
+        # and read the rows one line late
+        path = tmp_path / "frame.xyzm"
+        path.write_text(f"2\n0 10 0 10 0 10{sep}\n1 1 1 1\n1 2 1 1\n", encoding="utf-8")
+        frame, = read_trajectory(str(path), format="xyz-mol")
+        assert np.allclose(frame.chains()[1], [[1, 1, 1], [2, 1, 1]])
+
     def test_bad_count(self, tmp_path):
         with pytest.raises(PbcJonesError, match="atom count"):
             read_trajectory(self.make(tmp_path, "two\nbox\n"), format="xyz-mol")
@@ -455,6 +464,11 @@ class TestInteriorSelection:
 
 
 class TestReports:
+    def test_integers_past_the_digit_limit_raise(self):
+        obj = {"polynomial": LaurentPoly({0: 10**4300}).to_json_obj()}
+        with pytest.raises(PbcJonesError, match="^an integer has more than 4300 digits"):
+            canonical_dumps(obj)
+
     def test_serialization_is_stable(self):
         rep = AnalysisReport("jones", {"directions": 50, "seed": 0},
                              {"polynomial": LaurentPoly({-2: -1, -10: -1}).to_json_obj()})

@@ -190,6 +190,19 @@ class TestFormatting:
         assert str(p) == f"-{big}*A^-1 + {big}/3 - 1/3*A^2 + {big}*A^3"
         assert LaurentPoly.from_json_obj(p.to_json_obj()) == p
 
+    @pytest.mark.parametrize("value", [10**4300, Fraction(1, 10**4300), -Fraction(10**4300, 3)],
+                             ids=["int", "denominator", "numerator"])
+    def test_coefficients_past_the_digit_limit_raise(self, value):
+        # 4,301 digits: Python refuses to convert the int to a string
+        message = ("^an integer has more than 4300 digits, "
+                   "Python's limit for converting an int to a string$")
+        p = poly({2: value})
+        with pytest.raises(PbcJonesError, match=message):
+            str(p)
+        if isinstance(value, Fraction):  # an int stays an int until JSON writes it
+            with pytest.raises(PbcJonesError, match=message):
+                p.to_json_obj()
+
     @pytest.mark.parametrize("coeffs, key", [
         ({"1": 1, "01": 2, " 1": 5}, "01"),  # three spellings of A would merge into 5*A
         ({"1_0": 1}, "1_0"),  # int() reads it as 10

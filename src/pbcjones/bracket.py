@@ -9,17 +9,25 @@ closures, which the terminal graph has already folded in.
 
 The DP runs on a reduced diagram.  ``bracket`` first removes every kink
 (RI) and every bigon of two crossings of opposite sign (RII) from the
-signed Gauss code with ``diagram.reidemeister_reduce``.  A bigon keeps
-the bracket and a kink of sign s divides it by (-A^3)^s, for any Gauss
-code, so the reduced diagram's bracket times (-A^3)^(w - w'), with w and
-w' the writhes before and after, is the bracket of the diagram as
-given, and so is every Jones polynomial built on it.  The crossing cap
-counts the crossings of the diagram as given, while ``states_expanded``
-and ``peak_frontier`` count the DP over the reduced one.  Per pass of
-the benchmark the reduction takes melt from 10,206 crossings on 400
-diagrams to 722, with 182 diagrams left without any, and its DP states
-from 28,238 to 3,020; jersey goes from 22,262 states to 7,620 and the
-open trefoil from 3,630 to 1,982.
+signed Gauss code with ``diagram.reidemeister_reduce``, which names the
+crossings left in the order a walk over the components first meets
+them.  A bigon keeps the bracket and a kink of sign s divides it by
+(-A^3)^s, for any Gauss code, so the reduced diagram's bracket times
+(-A^3)^(w - w'), with w and w' the writhes before and after, is the
+bracket of the diagram as given, and so is every Jones polynomial built
+on it.  The crossing cap counts the crossings of the diagram as given,
+while ``states_expanded`` and ``peak_frontier`` count the DP over the
+reduced one.  Per pass of the benchmark the reduction takes melt from
+10,206 crossings on 400 diagrams to 722, with 182 diagrams left without
+any.  The direction average solves each distinct reduction once (see
+``jones3d``), so where the DP over the diagrams as projected expanded
+28,238 states on melt, 22,262 on jersey and 3,630 on the open trefoil,
+the distinct reductions expand 2,668, 6,281 and 358.  Walk order keeps
+the greedy crossing order of a reduction narrow, since ``terminal_graph``
+numbers the crossings in it: jersey seen along the tests' direction 26
+reduces from 24 crossings to 18 and takes 187 states at a peak cut of 6,
+against 237 for the diagram as projected and 312 at a peak of 10 for its
+reduction under the projection's names.
 
 The polynomial arithmetic of the DP is one merge loop.  ``_SMOOTHINGS``
 holds, for each crossing sign and smoothing, the port joins, the
@@ -81,34 +89,41 @@ picks an order predicted to be worse.  The search itself costs 2n greedy
 runs, which grow with n as the least work does, so it runs only when the
 greedy sum exceeds twice the least work, 2(2n - 1), by more than
 ``SEARCH_WORK``.  The constant keeps the search off diagrams where it
-cannot pay.  On the reduced diagrams of a benchmark pass, searching
-every melt diagram doubles the time of its DP (0.019 to 0.036 s) to
-save 208 of 2,838 states, and the greedy excess over 2n - 1 peaks at
-248 on melt, 118 on chainmail and 10 on the open trefoil.  On jersey
-the search runs on 1 of the 27 distinct diagrams of a pass (26
-crossings, an excess of 594) and brings the pass from 9,786 states to
-7,620.  A chainmail cutoff of N >= 2 copies along the tests' coherent
-direction has 12N - 2 crossings; its reduction keeps 9N - 4, with a
-greedy order of peak cut 6 and excess 6N + 112, far below 2n - 1 +
-``SEARCH_WORK``, so it is never searched.  Weighing the excess alone
-against ``SEARCH_WORK`` would search it from N = 67 on; at N = 86 the
-search takes the bracket from about 0.07 s to 0.21 s.
+cannot pay.  On the distinct reductions of a benchmark pass, the
+greedy excess over 2n - 1 peaks at 422 on jersey, 224 on melt, 28 on
+the chainmail cutoff checks and 10 on the open trefoil, and no diagram
+is searched.  Searching every one would take the melt DP from 0.012 to
+0.021 s to save 266 of 2,668 states, and the jersey DP from 0.022 to
+0.032 s to save 1,326 of 6,281.  A chainmail cutoff of N >= 2 copies
+along the tests' coherent direction has 12N - 2 crossings; its
+reduction keeps 9N - 4, with a greedy order of peak cut 4 and excess
+6N - 2, far below 2n - 1 + ``SEARCH_WORK``, so it is never searched.
+Weighing the excess alone against ``SEARCH_WORK`` would search it from
+N = 86 on, where the search takes the bracket from about 0.06 s to
+0.17 s.
 
-The cutoff check passes ``bracket`` a memo dict, because it meets the
-same smoothed pieces state after state (978 bracket calls on 85
-distinct diagrams per chainmail pass of the benchmark).  Its key is the
-diagram less its component ids: each component's closedness, passages
-and end labels, in component order, and the crossing items.  That is
-all that the reduction and ``terminal_graph`` read, and the state sum
-reads only the terminal graph and the signs, so a key gives one
-polynomial and one pair of counters, and a hit returns the stored
-``BracketResult`` without reducing the diagram or building a terminal
-graph.  Diagrams that differ only in component ids
-share an entry; diagrams that differ in crossing names, or list their
-crossings in another order, do not.  A miss stores its result while the
-memo holds fewer than ``MEMO_LIMIT`` entries.  The caller owns the memo
-and keeps it for one check: there is no cache across calls.  Full of
-distinct 25-crossing diagrams a memo holds about 9 MB, 2.2 KB per entry
+``bracket`` takes a memo dict from two callers, each for one job.  The
+direction average passes one per chunk of directions, filled with
+reduced diagrams (see ``jones3d``).  The cutoff check passes one per
+check, because it meets the same smoothed pieces state after state (977
+bracket calls on 84 distinct diagrams per chainmail pass of the
+benchmark).  The one key is the diagram less its component ids: each
+component's closedness, passages and end labels, in component order,
+and the crossing items.  That is all that the reduction and
+``terminal_graph`` read, and the state sum reads only the terminal graph
+and the signs, so a key gives one polynomial and one pair of counters,
+and a hit returns the stored ``BracketResult`` without reducing the
+diagram or building a terminal graph.  Diagrams that differ only in
+component ids share an entry.  Diagrams that differ in crossing names,
+or list their crossings in another order, do not, unless they are
+reductions: a reduction names and lists its crossings in walk order, so
+its key is its reduced signed Gauss code.  The cutoff check keys its
+pieces as given, since reducing them all costs more than their repeats
+save: over the 977 calls of a chainmail pass the keys take about 2.6 ms
+and reductions about 26 ms.  A miss stores its result while the memo
+holds fewer than ``MEMO_LIMIT`` entries.  The caller owns the memo and
+keeps it for one job: there is no cache across calls.  Full of distinct
+25-crossing diagrams a memo holds about 9 MB, 2.2 KB per entry
 (tracemalloc over 300 projected random closed 15-gons).  A chainmail
 cutoff check of the benchmark stores at most 18 entries.
 """

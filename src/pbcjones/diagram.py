@@ -26,10 +26,11 @@ The walks share no code on purpose.  The brute-force oracle in the tests
 builds its states with ``smooth`` and checks ``bracket``, which reads
 ``terminal_graph``; a common helper would let one fault pass both sides.
 
-``reidemeister_reduce`` reads the passages too, and removes kinks and
-bigons before ``bracket`` builds its terminal graph.  The brute-force
-oracle never calls it: it smooths every crossing of the diagram as given,
-so a fault in the reduction shows as a bracket that differs from it.
+``reidemeister_reduce`` reads the passages too, removes kinks and
+bigons and names the crossings left in walk order, before ``bracket``
+builds its terminal graph.  The brute-force oracle never calls it: it
+smooths every crossing of the diagram as given, so a fault in the
+reduction shows as a bracket that differs from it.
 """
 
 from __future__ import annotations
@@ -264,8 +265,15 @@ class Diagram:
                                            for c, s in self.crossings.items() if c != cid})
 
 
+# _CANONICAL[k] = (under passage, over passage) of the k-th crossing that a
+# reduced diagram's walk meets, shared by every reduced diagram and grown on
+# demand; see ``reidemeister_reduce``
+_CANONICAL: List[Tuple[Passage, Passage]] = []
+
+
 def reidemeister_reduce(diagram: Diagram) -> Diagram:
-    """The diagram less every kink (RI) and bigon (RII) of its signed Gauss code.
+    """The diagram less every kink (RI) and bigon (RII) of its signed Gauss
+    code, with its crossings renamed in walk order.
 
     A kink is a crossing whose two passages are adjacent on one strand.  A
     bigon is two crossings of opposite sign whose over passages are
@@ -275,16 +283,28 @@ def reidemeister_reduce(diagram: Diagram) -> Diagram:
     removing a kink of sign s divides it by (-A^3)^s, for any Gauss code,
     planar or not.
 
-    The passages, in component order, are slots of doubly linked lists;
-    -1 stands for an open end and for a removed slot.  A worklist holds
-    the slots whose pair with the next slot is to be checked: every slot
-    at the start, and then only the slots that a removal makes adjacent to
-    a new next slot.  Returns ``diagram`` itself when it has neither move.
+    The passages, in component order, are int slots of doubly linked
+    lists; -1 stands for an open end and for a removed slot.  A worklist
+    holds the slots whose pair with the next slot is to be checked: every
+    slot at the start, and then only the slots that a removal makes
+    adjacent to a new next slot.
+
+    The surviving crossings are renamed in the order a walk over the
+    components, each from its first passage, first meets them.  The k-th
+    is named by a letter for the number of digits of k, then k ("a0" to
+    "a9", "b10" to "b99", "c100", ...), so the names sort in walk order,
+    and the crossing dict lists them in that order.  Component ids,
+    closedness and end labels stay.  So two diagrams whose reduced codes
+    differ only in crossing names, or in the order of their crossing
+    dicts, reduce to equal components and equal crossing items, the
+    reduction of a reduced diagram equals it, and ``terminal_graph``,
+    which sorts crossing names, numbers the crossings in walk order.
     """
     signs = diagram.crossings
     flat = [p for comp in diagram.components for p in comp.passages]
-    nxt = list(range(1, len(flat) + 1))
-    prv = list(range(-1, len(flat) - 1))
+    n = len(flat)
+    nxt = list(range(1, n + 1))
+    prv = list(range(-1, n - 1))
     first = 0
     for comp in diagram.components:
         if comp.passages:
@@ -294,10 +314,17 @@ def reidemeister_reduce(diagram: Diagram) -> Diagram:
             else:
                 nxt[last] = prv[first] = -1
             first = last + 1
-    slot = {p: i for i, p in enumerate(flat)}
-    mate = [slot[(c, "u" if r == "o" else "o")] for c, r in flat]  # the crossing's other passage
-    removed = set()
-    work = list(range(len(flat)))
+    mate = [0] * n  # the slot of the crossing's other passage
+    unmatched: Dict[str, int] = {}  # crossing id -> its first slot, until the second comes
+    for i, (c, _) in enumerate(flat):
+        j = unmatched.pop(c, -1)
+        if j < 0:
+            unmatched[c] = i
+        else:
+            mate[i], mate[j] = j, i
+    over = [r == "o" for _, r in flat]
+    sign = [signs[c] for c, _ in flat]
+    work = list(range(n))
     while work:
         p = work.pop()
         q = nxt[p]
@@ -305,18 +332,17 @@ def reidemeister_reduce(diagram: Diagram) -> Diagram:
             continue
         if mate[p] == q:
             gone: Tuple[int, ...] = (p, q)
+        elif over[p] != over[q] or sign[p] == sign[q]:
+            continue
         else:
-            (a, role), (b, role_q) = flat[p], flat[q]
-            if role != role_q or signs[a] == signs[b]:
-                continue
             pa, pb = mate[p], mate[q]
             if nxt[pa] != pb and nxt[pb] != pa:
                 continue
             gone = (p, q, pa, pb)
         for x in gone:
-            removed.add(flat[x][0])
             before, after = prv[x], nxt[x]
             prv[x] = nxt[x] = -1
+            sign[x] = 0
             if before == x:  # the last passage of a closed component
                 continue
             if before >= 0:
@@ -324,11 +350,25 @@ def reidemeister_reduce(diagram: Diagram) -> Diagram:
                 work.append(before)
             if after >= 0:
                 prv[after] = before
-    if not removed:
-        return diagram
-    comps = [Component(c.id, c.closed, tuple(p for p in c.passages if p[0] not in removed),
-                       c.ends) for c in diagram.components]
-    return Diagram.trusted(comps, {c: s for c, s in signs.items() if c not in removed})
+
+    named = [-1] * n  # the walk-order index of each surviving slot's crossing
+    kept: List[int] = []  # the signs of the surviving crossings, in walk order
+    for i in range(n):
+        if sign[i] and named[i] < 0:
+            named[i] = named[mate[i]] = len(kept)
+            kept.append(sign[i])
+    while len(_CANONICAL) < len(kept):
+        digits = str(len(_CANONICAL))
+        name = chr(ord("a") + len(digits) - 1) + digits
+        _CANONICAL.append(((name, "u"), (name, "o")))
+    comps = []
+    first = 0
+    for comp in diagram.components:
+        end = first + len(comp.passages)
+        comps.append(Component(comp.id, comp.closed, tuple(
+            [_CANONICAL[named[i]][over[i]] for i in range(first, end) if sign[i]]), comp.ends))
+        first = end
+    return Diagram.trusted(comps, {_CANONICAL[k][0][0]: s for k, s in enumerate(kept)})
 
 
 @dataclass(frozen=True)

@@ -138,16 +138,17 @@ class TestCapAndAccounting:
         assert res.states_expanded > 0
         assert res.cache_hits > 0
 
-    # counts of the kernel on the reduced diagram under the current crossing
-    # order; a kernel rewrite must reproduce them, a change to the reduction
-    # or the order must re-pin them.  The first three stay below SEARCH_WORK
-    # and keep the greedy order's counts; the reduced jersey diagram is
-    # searched and needed 11464 states under the greedy order.
+    # counts of the kernel on the reduced diagram, its crossings named in
+    # walk order, under the current crossing order; a kernel rewrite must
+    # reproduce them, a change to the reduction, its names or the order must
+    # re-pin them.  The first three stay below SEARCH_WORK and keep the
+    # greedy order's counts; the reduced jersey diagram is searched and
+    # needed 11712 states under the greedy order.
     @pytest.mark.parametrize("make,seed,crossings,reduced,states,hits", [
         (lambda: [trefoil()], 1, 4, 4, 8, 7),
         (lambda: [figure_eight()], 3, 14, 5, 10, 9),
         (lambda: link_curves(minimal_periodic_link(chainmail_system())), 7, 14, 5, 8, 7),
-        (lambda: link_curves(minimal_periodic_link(jersey_system())), 23, 63, 43, 1449, 1448),
+        (lambda: link_curves(minimal_periodic_link(jersey_system())), 23, 63, 43, 1007, 1006),
     ], ids=["trefoil", "figure_eight", "chainmail_base", "jersey"])
     def test_work_counters_are_pinned(self, make, seed, crossings, reduced, states, hits):
         d = project(make(), seed)
@@ -155,7 +156,19 @@ class TestCapAndAccounting:
         assert len(reidemeister_reduce(d).crossings) == reduced
         res = bracket(d, crossing_cap=crossings)
         assert (res.states_expanded, res.cache_hits) == (states, hits)
-        assert res.states_expanded < 11464
+        assert res.states_expanded < 11712
+
+    def test_reduction_is_no_wider_than_the_projected_diagram(self):
+        # under the projection's crossing names, this view's reduction took
+        # 312 states at a peak cut of 10; named in walk order it takes fewer
+        # than the diagram as projected
+        d = jersey_diagram(26)
+        assert (len(d.crossings), len(reidemeister_reduce(d).crossings)) == (24, 18)
+        res = bracket(d, crossing_cap=24)
+        assert (res.states_expanded, res.peak_frontier) == (187, 6)
+        whole = bracket_mod._state_sum(*state_sum_args(d))
+        assert (whole.states_expanded, whole.peak_frontier) == (237, 6)
+        assert whole.poly == res.poly
 
     def test_deterministic_across_calls(self):
         d = project([trefoil()], 1)
@@ -412,6 +425,25 @@ def memo_pool():
     ]
 
 
+def sign_flipped(d):
+    """``d`` with the sign of its first crossing in sorted order flipped."""
+    flip = sorted(d.crossings)[0]
+    return Diagram(d.components, {c: -s if c == flip else s for c, s in d.crossings.items()})
+
+
+def with_loose(d, is_closed):
+    """``d`` and a component without passages: a free loop, closed or open."""
+    return Diagram(d.components + (Component("loose", is_closed, ()),), d.crossings)
+
+
+def heads_swapped(d):
+    """Two open strands whose heads swap owners: the same passages close
+    through other virtual closures."""
+    x, y = d.components
+    return Diagram([Component(x.id, False, x.passages, (x.ends[0], y.ends[1])),
+                    Component(y.id, False, y.passages, (y.ends[0], x.ends[1]))], d.crossings)
+
+
 class TestMemo:
     CAP = 7
 
@@ -445,7 +477,7 @@ class TestMemo:
         calls = counted_terminal_graphs(monkeypatch)
         memo = {}
         results = [bracket(x, memo=memo) for x in (d, d, Diagram(d.components, d.crossings), d)]
-        assert calls == [d]
+        assert contents(calls) == contents([reidemeister_reduce(d)])
         assert all(r is results[0] for r in results)
         assert memo == {memo_key(d): results[0]}
 
@@ -477,10 +509,7 @@ class TestMemo:
 
     def test_sign_and_free_loops_are_part_of_the_key(self):
         d = project([figure_eight()], 3)
-        flip = sorted(d.crossings)[0]
-        flipped = Diagram(d.components, {c: -s if c == flip else s
-                                         for c, s in d.crossings.items()})
-        looser = Diagram(d.components + (Component("loose", True, ()),), d.crossings)
+        flipped, looser = sign_flipped(d), with_loose(d, True)
         memo = {}
         results = [bracket(x, memo=memo) for x in (d, flipped, looser)]
         assert len(memo) == 3
@@ -490,19 +519,30 @@ class TestMemo:
         assert results[1].poly != results[0].poly
 
     def test_end_label_pairing_is_part_of_the_key(self):
-        # two open strands whose heads swap owners: the same passages close
-        # through other virtual closures
         d = project(random_open_tangle(0), 0)
-        x, y = d.components
-        swapped = Diagram([Component(x.id, False, x.passages, (x.ends[0], y.ends[1])),
-                           Component(y.id, False, y.passages, (y.ends[0], x.ends[1]))],
-                          d.crossings)
+        swapped = heads_swapped(d)
         memo = {}
         results = [bracket(z, memo=memo) for z in (d, swapped)]
         assert len(memo) == 2
         for z, res in zip((d, swapped), results):
             assert fields(res) == fields(bracket(z))
         assert results[0].poly != results[1].poly
+
+    def test_sign_ends_and_closedness_split_reduced_diagrams(self):
+        # the direction average keys its memo on reductions: diagrams whose
+        # reductions differ in a sign, an end label or closedness stay apart
+        d, tangle = project([figure_eight()], 3), project(random_open_tangle(0), 0)
+        variants = [reidemeister_reduce(x) for x in (
+            d, sign_flipped(d), with_loose(d, True), with_loose(d, False),
+            tangle, heads_swapped(tangle))]
+        memo = {}
+        results = [bracket(x, memo=memo) for x in variants]
+        assert len(memo) == len(variants)
+        for x, res in zip(variants, results):
+            assert fields(res) == fields(bracket(x))
+        plain, flipped, closed_loop, open_loop, untouched, swapped = (r.poly for r in results)
+        assert closed_loop == open_loop == plain * d_power(1)
+        assert flipped != plain and swapped != untouched
 
     def test_equal_keys_give_equal_results_over_cutoff_pieces(self):
         # every piece of every shared-crossing state of the N = 3 chainmail cutoff

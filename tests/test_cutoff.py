@@ -131,13 +131,13 @@ class TestCoherentDirection:
 class TestLargeCutoffs:
     """Cutoffs far past the enumeration, bracketed whole by the frontier DP.
 
-    The reduction leaves 9N - 4 of their 12N - 2 crossings.  The greedy
-    crossing order of the reduced diagram is close to the least possible
-    work, so it is not searched, and the DP expands about 1.5 states per
-    reduced crossing.
+    The reduction leaves 9N - 4 of their 12N - 2 crossings, named in walk
+    order.  The greedy crossing order of the reduced diagram keeps a peak
+    cut of 4 and is close to the least possible work, so it is not
+    searched, and the DP expands about 1.3 states per reduced crossing.
     """
 
-    @pytest.mark.parametrize("n,states", [(32, 437), (64, 821)], ids=["32", "64"])
+    @pytest.mark.parametrize("n,states", [(32, 380), (64, 764)], ids=["32", "64"])
     def test_bracket_matches_the_recorded_one(self, n, states):
         curves = build_cutoff(chainmail_system(), n).all_curves()
         diagram, _, _ = project_generic(curves, COHERENT_XI, 1e-9)
@@ -154,14 +154,15 @@ class TestLargeCutoffs:
         # 190 crossings and coefficients of up to 44 bits: merges of
         # polynomials this large occur in no golden report.  The recorded
         # counters are those of the DP over all 190 crossings; the bracket
-        # solves the 140 that the reduction leaves
+        # solves the 140 that the reduction leaves, with fewer states and no
+        # wider a frontier
         curves = build_cutoff(chainmail_system(), 16).all_curves()
         diagram, _, _ = project_generic(curves, COHERENT_XI, 1e-9)
         recorded = RECORDED["16"]
         assert len(diagram.crossings) == recorded["crossings"] == 190
         res = bracket(diagram, crossing_cap=190)
         assert res.poly == LaurentPoly.from_json_obj(recorded["bracket"])
-        assert (res.states_expanded, res.peak_frontier) == (245, 6)
+        assert (res.states_expanded, res.peak_frontier) == (188, 4)
         tg = terminal_graph(diagram)
         whole = bracket_mod._state_sum(tg.strand, tuple(diagram.crossings[c]
                                                         for c in tg.crossing_ids), tg.free_loops)
@@ -171,7 +172,7 @@ class TestLargeCutoffs:
 
     def test_greedy_order_is_kept_past_search_work(self, monkeypatch):
         # at N = 86 the reduced diagram has n = 9N - 4 crossings and the
-        # greedy's excess over 2n - 1, 6N + 112, passes SEARCH_WORK, but the
+        # greedy's excess over 2n - 1, 6N - 2, passes SEARCH_WORK, but the
         # search would cost about 2n greedy runs and is only tried past twice
         # the least work
         greedy, runs = bracket_mod._greedy_order, []
@@ -189,8 +190,8 @@ class TestLargeCutoffs:
         (order, (_, work)), = runs
         n = len(order)
         assert n == 9 * 86 - 4
-        assert work - (2 * n - 1) == 6 * 86 + 112 > bracket_mod.SEARCH_WORK
-        assert res.states_expanded == 1085
+        assert work - (2 * n - 1) == 6 * 86 - 2 > bracket_mod.SEARCH_WORK
+        assert res.states_expanded == 1028
         jones = writhe_prefactor(diagram.writhe) * res.poly
         assert sum(c for _, c in jones.terms()) == (-2) ** (len(curves) - 1)
 

@@ -356,8 +356,8 @@ def dp_bracket(d):
 
 
 def moves_left(d):
-    """Kinks and opposite-sign bigons of ``d``, by a scan of every crossing
-    and every pair of crossings."""
+    """Kinks and opposite-sign bigons of ``d``, each as a tuple of its
+    crossings, by a scan of every crossing and every pair of crossings."""
     nexts = set()
     for c in d.components:
         ps = c.passages
@@ -366,22 +366,60 @@ def moves_left(d):
     def adjacent(p, q):
         return (p, q) in nexts or (q, p) in nexts
 
-    kinks = [c for c in d.crossings if adjacent((c, "o"), (c, "u"))]
+    kinks = [(c,) for c in d.crossings if adjacent((c, "o"), (c, "u"))]
     bigons = [(a, b) for a, b in combinations(d.crossings, 2)
               if d.crossings[a] != d.crossings[b]
               and adjacent((a, "o"), (b, "o")) and adjacent((a, "u"), (b, "u"))]
     return kinks + bigons
 
 
-def check_reduction(d, brute_limit=10):
+def without(d, gone):
+    """``d`` less the crossings in ``gone``, the others keeping their names."""
+    comps = [Component(c.id, c.closed, tuple(p for p in c.passages if p[0] not in gone), c.ends)
+             for c in d.components]
+    return Diagram(comps, {c: s for c, s in d.crossings.items() if c not in gone})
+
+
+def reduce_by_scan(d):
+    """``d`` less the first move ``moves_left`` finds, again and again: a
+    reduction that keeps crossing names and shares no code with
+    ``reidemeister_reduce``."""
+    while True:
+        moves = moves_left(d)
+        if not moves:
+            return d
+        d = without(d, set(moves[0]))
+
+
+def canonical(d):
+    """Everything of ``d``, its crossing order included: equal for equal reductions."""
+    return shape(d), list(d.crossings.items())
+
+
+def renamed(d):
+    """``d`` with its crossings renamed so that they sort in reverse, and listed in reverse."""
+    names = {c: f"x{len(d.crossings) - k:04d}" for k, c in enumerate(d.crossings)}
+    comps = [Component(c.id, c.closed, tuple((names[x], r) for x, r in c.passages), c.ends)
+             for c in d.components]
+    return Diagram(comps, {names[c]: s for c, s in reversed(d.crossings.items())})
+
+
+def check_reduction(d, brute_limit=10, scan_limit=30):
     """The reduction of ``d`` is valid, has no move left, is its own
-    reduction and keeps the Jones polynomial; returns it."""
+    reduction, names its crossings in walk order, does not depend on the
+    names or order of the crossings of ``d``, is ``d`` less some of its
+    crossings up to names, and keeps the Jones polynomial; returns it."""
     r = reidemeister_reduce(d)
     Diagram(r.components, r.crossings)  # validates
     assert [c.id for c in r.components] == [c.id for c in d.components]
-    assert set(r.crossings) <= set(d.crossings)
+    met = list(dict.fromkeys(x for c in r.components for x, _ in c.passages))
+    assert met == list(r.crossings) == sorted(r.crossings)
     assert not moves_left(r)
-    assert reidemeister_reduce(r) is r
+    assert canonical(reidemeister_reduce(r)) == canonical(r)
+    assert canonical(reidemeister_reduce(renamed(d))) == canonical(r)
+    if len(d.crossings) <= scan_limit:
+        # any order of the moves leaves the same code up to crossing names
+        assert gauss_code(r) == gauss_code(reduce_by_scan(d))
     factor = writhe_prefactor(r.writhe - d.writhe)  # (-A^3)^(w - w')
     whole = dp_bracket(d)
     assert factor * dp_bracket(r) == whole == bracket(d, 10 ** 6).poly
@@ -389,6 +427,12 @@ def check_reduction(d, brute_limit=10):
         assert brute_bracket(d) == whole
         assert factor * brute_bracket(r) == whole
     return r
+
+
+def torus_diagram(n, sign=1):
+    """The (2, n) torus knot for odd n: one loop O1 U2 O3 ... U1 O2 ..., no moves."""
+    walk = [(f"t{k % n}", "ou"[k % 2]) for k in range(2 * n)]
+    return Diagram([closed("k", *walk)], {f"t{k}": sign for k in range(n)})
 
 
 class TestReidemeisterReduce:
@@ -411,18 +455,18 @@ class TestReidemeisterReduce:
         e = Component("e", False, (("d", "u"),), (("q", "tail"), ("p", "head")))
         opened = Diagram([Component("a", False, passages, (("p", "tail"), ("q", "head"))), e],
                          {"c": 1, "d": 1})
-        assert check_reduction(opened) is opened
+        assert gauss_code(check_reduction(opened)) == gauss_code(opened)
         cut = Diagram([Component("a", False, passages[1:2], (("p", "tail"), ("q", "head"))), e],
                       {"d": 1})
         assert bracket(opened).poly != writhe_prefactor(-1) * bracket(cut).poly
         # on a closed component the same passages wrap into a kink
         looped = Diagram([closed("a", *passages), closed("b", ("d", "u"))], {"c": 1, "d": 1})
-        assert check_reduction(looped).crossings == {"d": 1}
+        assert gauss_code(check_reduction(looped)) == gauss_code(without(looped, {"c"}))
 
     @pytest.mark.parametrize("sign", [1, -1])
     def test_same_sign_pair_is_no_bigon(self, sign):
         d = hopf_diagram(sign)
-        assert check_reduction(d) is d
+        assert gauss_code(check_reduction(d)) == gauss_code(d)
 
     @pytest.mark.parametrize("unders, tail", [
         ([closed("b", ("c1", "u"), ("c2", "u"))], ()),  # parallel, on another loop
@@ -434,12 +478,13 @@ class TestReidemeisterReduce:
     def test_bigon_of_opposite_signs_is_removed(self, unders, tail):
         loop = closed("a", ("x", "o"), ("c1", "o"), ("c2", "o"), ("x", "u"),
                       ("y", "o"), *tail, ("y", "u"))
-        r = check_reduction(Diagram([loop] + unders, {"c1": 1, "c2": -1, "x": 1, "y": -1}))
-        assert "c1" not in r.crossings and "c2" not in r.crossings
+        d = Diagram([loop] + unders, {"c1": 1, "c2": -1, "x": 1, "y": -1})
+        # without the bigon, x and y are kinks
+        assert gauss_code(check_reduction(d)) == gauss_code(without(d, {"c1", "c2", "x", "y"}))
 
-    def test_a_diagram_without_moves_is_returned_as_is(self):
+    def test_a_diagram_without_moves_keeps_its_code(self):
         for d in (trefoil_diagram(), hopf_diagram(), Diagram([closed("a")], {}), Diagram([], {})):
-            assert reidemeister_reduce(d) is d
+            assert gauss_code(reidemeister_reduce(d)) == gauss_code(d)
 
     def test_poke_leaves_two_bare_loops(self):
         r = check_reduction(poke_diagram())
@@ -460,6 +505,32 @@ class TestReidemeisterReduce:
         # passages dealt at random: codes that no plane curve draws, and open
         # strands that end on other strands' owners
         check_reduction(random_diagram(n_crossings, n_closed, n_open, rnd))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 8), st.integers(0, 3), st.integers(0, 3),
+           st.randoms(use_true_random=False))
+    def test_renaming_and_reordering_crossings_keeps_the_reduction(self, n_crossings, n_closed,
+                                                                    n_open, rnd):
+        d = random_diagram(n_crossings, n_closed, n_open, rnd)
+        new_names = [f"q{k}" for k in range(len(d.crossings))]
+        rnd.shuffle(new_names)
+        names = dict(zip(d.crossings, new_names))
+        items = [(names[c], s) for c, s in d.crossings.items()]
+        rnd.shuffle(items)
+        other = Diagram([Component(c.id, c.closed, tuple((names[x], r) for x, r in c.passages),
+                                   c.ends) for c in d.components], dict(items))
+        assert canonical(reidemeister_reduce(other)) == canonical(reidemeister_reduce(d))
+
+    def test_names_sort_in_walk_order_past_ten_and_a_hundred(self):
+        d = torus_diagram(101)
+        assert not moves_left(d)
+        r = reidemeister_reduce(renamed(d))
+        names = list(r.crossings)
+        assert names[:11] == [f"a{k}" for k in range(10)] + ["b10"]
+        assert names[99:] == ["b99", "c100"]
+        assert [x for x, _ in r.components[0].passages[:101]] == names == sorted(names)
+        assert terminal_graph(r).crossing_ids == tuple(names)
+        assert gauss_code(r) == gauss_code(d)
 
 
 SMALL_DIAGRAMS = {

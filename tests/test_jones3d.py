@@ -9,10 +9,11 @@ import numpy as np
 import pytest
 
 from pbcjones import jones3d
-from pbcjones.diagram import Diagram
+from pbcjones.bracket import bracket
+from pbcjones.diagram import Diagram, reidemeister_reduce
 from pbcjones.errors import NonGenericDirectionError, PbcJonesError, StateSumTooLargeError
-from pbcjones.fixtures import (figure_eight, hopf_link, jersey_system, open_trefoil,
-                               trefoil, unlinked_circles)
+from pbcjones.fixtures import (figure_eight, hopf_link, jersey_system, melt_system,
+                               open_trefoil, trefoil, unlinked_circles)
 from pbcjones.jones3d import (SamplingConfig, jones, jones_single_direction,
                               project_generic)
 from pbcjones.geometry import project_many, sample_directions
@@ -214,41 +215,75 @@ class TestProjectGeneric:
         assert np.allclose(used / np.linalg.norm(used), xi / np.linalg.norm(xi))
 
 
+def memo_key(d):
+    """The bracket memo's key: the diagram less its component ids."""
+    return (tuple((c.closed, c.passages, c.ends) for c in d.components),
+            tuple(d.crossings.items()))
+
+
+def watched_jones(monkeypatch, curves, cfg):
+    """``jones(curves, cfg)`` and what it reduced, what it gave ``bracket``
+    and the diagrams that ``bracket`` built a terminal graph of."""
+    bracket_mod = importlib.import_module("pbcjones.bracket")
+    reduced, calls, graphs = [], [], []
+    reduce, inner, graph = jones3d.reidemeister_reduce, jones3d.bracket, bracket_mod.terminal_graph
+    monkeypatch.setattr(jones3d, "reidemeister_reduce",
+                        lambda d: reduced.append((d, reduce(d))) or reduced[-1][1])
+    monkeypatch.setattr(jones3d, "bracket", lambda *a: calls.append(a) or inner(*a))
+    monkeypatch.setattr(bracket_mod, "terminal_graph", lambda d: graphs.append(d) or graph(d))
+    return jones(curves, cfg), reduced, calls, graphs
+
+
+def melt_link():
+    return link_curves(minimal_periodic_link(melt_system()))
+
+
+def jersey_link():
+    return link_curves(minimal_periodic_link(jersey_system()))
+
+
 class TestDiagramMemo:
     def test_each_distinct_diagram_is_solved_once(self, monkeypatch):
-        bracket_mod = importlib.import_module("pbcjones.bracket")
-        solved = []
-        state_sum = bracket_mod._state_sum
-        monkeypatch.setattr(bracket_mod, "_state_sum",
-                            lambda *key: solved.append(key) or state_sum(*key))
-        seen = []
-        inner = jones3d.bracket
-        monkeypatch.setattr(jones3d, "bracket",
-                            lambda d, *a, **kw: seen.append((d, a, kw)) or inner(d, *a, **kw))
-        cfg = SamplingConfig(directions=200)
-        jones([open_trefoil(0.3)], cfg)
+        curves, cfg = [open_trefoil(0.3)], SamplingConfig(directions=2000)
+        _, reduced, calls, graphs = watched_jones(monkeypatch, curves, cfg)
 
-        # a direction whose diagram object came before reaches bracket() no more
-        projected = list(project_many([open_trefoil(0.3)], sample_directions(200)))
+        # a direction whose diagram object came before is not reduced again
+        projected = list(project_many(curves, sample_directions(2000)))
         assert all(isinstance(d, Diagram) for d in projected)
-        diagrams = [d for d, _, _ in seen]
-        assert len({id(d) for d in diagrams}) == len(seen) == len(set(projected)) < 200
-        # bracket() gets no memo, so every diagram object with crossings below
-        # the cap runs its own state sum, shared terminal graph or not
-        assert all(a == (cfg.crossing_cap,) and not kw for _, a, kw in seen)
-        assert len(solved) == sum(0 < len(d.crossings) <= cfg.crossing_cap for d in diagrams)
-        assert len(set(solved)) < len(solved)
+        inputs = [d for d, _ in reduced]
+        assert len({id(d) for d in inputs}) == len(inputs) == len(set(projected)) == 280
+        # each reduction goes to bracket() with the cap and the chunk's one memo
+        assert [c[0] for c in calls] == [r for _, r in reduced]
+        assert {(c[1], id(c[2])) for c in calls} == {(cfg.crossing_cap, id(calls[0][2]))}
+        # a memo miss builds one terminal graph: one per distinct reduction
+        keys = [memo_key(d) for d in graphs]
+        assert len(set(keys)) == len(keys) == len({memo_key(r) for _, r in reduced}) == 39
+
+    @pytest.mark.parametrize("make,cfg,objects,solved", [
+        (melt_link, SamplingConfig(directions=200, crossing_cap=64), 200, 87),
+        (jersey_link, SamplingConfig(directions=200, crossing_cap=64, on_cap="skip"), 27, 21),
+    ], ids=["melt", "jersey"])
+    def test_periodic_links_solve_each_distinct_reduction_once(self, make, cfg, objects,
+                                                                solved, monkeypatch):
+        res, reduced, calls, graphs = watched_jones(monkeypatch, make(), cfg)
+        # a capped diagram is not reduced: 11 of jersey's 38 diagram objects
+        assert len({id(d) for d, _ in reduced}) == len(reduced) == objects
+        assert res.directions_used + res.directions_skipped == 200
+        keys = [memo_key(d) for d in graphs]
+        assert len(set(keys)) == len(keys) == len({memo_key(r) for _, r in reduced}) == solved
+        assert len(calls) == objects
 
 
 class TestCounters:
     def test_cache_hits_sum_the_merges_of_every_solved_direction(self, monkeypatch):
         hits = []
-        inner = jones3d.bracket
+        inner = jones3d._direction_term
 
-        def counted(d, *a, **kw):
-            res = inner(d, *a, **kw)
-            hits.append((d, res.cache_hits))
-            return res
+        def counted(d, *a):
+            term = inner(d, *a)
+            if term[0] is not None:
+                hits.append((d, term[3] - 1))
+            return term
 
         projected = []
         inner_many = jones3d.project_many
@@ -257,15 +292,18 @@ class TestCounters:
             projected.extend(inner_many(*a))
             return iter(projected)
 
-        monkeypatch.setattr(jones3d, "bracket", counted)
+        monkeypatch.setattr(jones3d, "_direction_term", counted)
         monkeypatch.setattr(jones3d, "project_many", listed)
-        curves = link_curves(minimal_periodic_link(jersey_system()))
+        curves = jersey_link()
         res = jones(curves, SamplingConfig(directions=9, crossing_cap=64, on_cap="skip"))
         assert (res.directions_used, res.directions_skipped) == (8, 1)
-        # each solved diagram counts once per direction that saw it; a nudged
-        # direction's diagram is its own
+        # each solved diagram counts once per direction that saw it, memo hit
+        # or not; a nudged direction's diagram is its own
         directions = Counter(projected)
         assert res.cache_hits == sum(h * directions.get(d, 1) for d, h in hits) > 0
+        # a memo hit gives the counters of a fresh bracket of the reduction
+        for d, h in hits:
+            assert h == bracket(reidemeister_reduce(d), 64).cache_hits
         assert jones([]).cache_hits == 0
 
 

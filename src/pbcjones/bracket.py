@@ -11,15 +11,16 @@ The DP runs on a reduced diagram.  ``bracket`` first removes every kink
 (RI) and every bigon of two crossings of opposite sign (RII) from the
 signed Gauss code with ``diagram.reidemeister_reduce``, which names the
 crossings left in the order a walk over the components first meets
-them.  A bigon keeps the bracket and a kink of sign s divides it by
-(-A^3)^s, for any Gauss code, so the reduced diagram's bracket times
-(-A^3)^(w - w'), with w and w' the writhes before and after, is the
-bracket of the diagram as given, and so is every Jones polynomial built
-on it.  The crossing cap counts the crossings of the diagram as given,
-while ``states_expanded`` and ``peak_frontier`` count the DP over the
-reduced one.  Per pass of the benchmark the reduction takes melt from
-10,206 crossings on 400 diagrams to 722, with 182 diagrams left without
-any.  The direction average solves each distinct reduction once (see
+them; a diagram that is already a reduction, as the direction average
+passes, comes back as is.  A bigon keeps the bracket and a kink of sign
+s divides it by (-A^3)^s, for any Gauss code, so the reduced diagram's
+bracket times (-A^3)^(w - w'), with w and w' the writhes before and
+after, is the bracket of the diagram as given, and so is every Jones
+polynomial built on it.  The crossing cap counts the crossings of the
+diagram as given, while ``states_expanded`` and ``peak_frontier`` count
+the DP over the reduced one.  Per pass of the benchmark the reduction
+takes melt from 10,206 crossings on 400 diagrams to 722, with 182
+diagrams left without any.  The direction average solves each distinct reduction once (see
 ``jones3d``), so where the DP over the diagrams as projected expanded
 28,238 states on melt, 22,262 on jersey and 3,630 on the open trefoil,
 the distinct reductions expand 2,668, 6,281 and 358.  Walk order keeps

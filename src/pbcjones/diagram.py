@@ -35,6 +35,7 @@ reduction shows as a bracket that differs from it.
 
 from __future__ import annotations
 
+import numbers
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -69,6 +70,9 @@ class Component:
     ends: Optional[Tuple[EndLabel, EndLabel]] = None
 
     def __post_init__(self):
+        if not isinstance(self.closed, bool):
+            raise PbcJonesError(f"component {self.id!r}: closed must be a bool, "
+                                f"got {self.closed!r}")
         if self.closed and self.ends is not None:
             raise ValueError(f"closed component {self.id} must not carry end labels")
         if not self.closed and self.ends is None:
@@ -114,7 +118,7 @@ class Diagram:
                     f"crossing {cid!r} must be passed exactly once over and once under, got {roles}"
                 )
         for cid, s in self.crossings.items():
-            if s not in (-1, 1):
+            if isinstance(s, bool) or not isinstance(s, numbers.Integral) or s not in (-1, 1):
                 raise PbcJonesError(f"crossing {cid!r} has sign {s!r}, expected +1 or -1")
         ends = [lbl for comp in self.components if not comp.closed for lbl in comp.ends]
         owners = {o for o, _ in ends}
@@ -271,6 +275,10 @@ class Diagram:
 _CANONICAL: List[Tuple[Passage, Passage]] = []
 
 
+class _Reduced(Diagram):
+    """A diagram that ``reidemeister_reduce`` returned: its own reduction."""
+
+
 def reidemeister_reduce(diagram: Diagram) -> Diagram:
     """The diagram less every kink (RI) and bigon (RII) of its signed Gauss
     code, with its crossings renamed in walk order.
@@ -296,10 +304,17 @@ def reidemeister_reduce(diagram: Diagram) -> Diagram:
     and the crossing dict lists them in that order.  Component ids,
     closedness and end labels stay.  So two diagrams whose reduced codes
     differ only in crossing names, or in the order of their crossing
-    dicts, reduce to equal components and equal crossing items, the
-    reduction of a reduced diagram equals it, and ``terminal_graph``,
-    which sorts crossing names, numbers the crossings in walk order.
+    dicts, reduce to equal components and equal crossing items, and
+    ``terminal_graph``, which sorts crossing names, numbers the crossings
+    in walk order.
+
+    The result is a ``_Reduced`` diagram, and a ``_Reduced`` diagram is
+    returned as is: it has no move left and its names are in walk order,
+    so reducing it again would only copy it.  ``bracket`` reduces what it
+    is given, and the direction average gives it reductions.
     """
+    if type(diagram) is _Reduced:
+        return diagram
     signs = diagram.crossings
     flat = [p for comp in diagram.components for p in comp.passages]
     n = len(flat)
@@ -368,7 +383,7 @@ def reidemeister_reduce(diagram: Diagram) -> Diagram:
         comps.append(Component(comp.id, comp.closed, tuple(
             [_CANONICAL[named[i]][over[i]] for i in range(first, end) if sign[i]]), comp.ends))
         first = end
-    return Diagram.trusted(comps, {_CANONICAL[k][0][0]: s for k, s in enumerate(kept)})
+    return _Reduced.trusted(comps, {_CANONICAL[k][0][0]: s for k, s in enumerate(kept)})
 
 
 @dataclass(frozen=True)

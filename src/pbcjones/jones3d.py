@@ -19,12 +19,13 @@ Most distinct projected diagrams are the same diagram once their kinks
 and bigons are gone.  ``_direction_term`` checks the crossing cap on the
 projected diagram, reduces it with ``reidemeister_reduce``, whose output
 names its crossings canonically, and passes the reduction to ``bracket``
-with the chunk's memo.  The memo's key, the diagram less its component
-ids, is then the reduced signed Gauss code, so equal reductions share one
-state sum and one ``BracketResult``, counters included, and the term is
-the reduction's writhe prefactor times its bracket.  Per pass of the
-benchmark, the open trefoil's 2,000 directions give 280 diagram objects
-and 39 distinct reductions, each melt link's 200 give 200 objects and
+with the chunk's memo; ``bracket`` does not reduce it again.  The memo's
+key, the diagram less its component ids, is then the reduced signed
+Gauss code, so equal reductions share one state sum and one
+``BracketResult``, counters included, and the term is the reduction's
+writhe prefactor times its bracket.  Per pass of the benchmark, the
+open trefoil's 2,000 directions give 280 diagram objects and 39
+distinct reductions, each melt link's 200 give 200 objects and
 87 reductions, and jersey's 189 uncapped directions give 27 objects and
 21 reductions.  A hit returns what a miss would compute, so ``results``
 do not depend on how directions are split into chunks.  The memo lives

@@ -2,7 +2,7 @@
 
 Everything here trades efficiency for obviousness: full state
 enumeration instead of the contraction order, quadratic pair scans
-instead of spatial hashing, and the Gauss integral instead of signed
+instead of sort-and-sweep, and the Gauss integral instead of signed
 crossing counts.  The diagram and polynomial operations that only tests
 need (mirror, component reversal, the oriented smoothing, A -> A^k and
 port numbers of a terminal graph) live here too.  So does the frontier
@@ -27,7 +27,7 @@ import numpy as np
 
 from pbcjones.diagram import Component, Diagram, TerminalGraph, smoothing_joins
 from pbcjones.errors import NonGenericDirectionError
-from pbcjones.geometry import Curve, project
+from pbcjones.geometry import CHECKS, Curve, project
 from pbcjones.laurent import LaurentPoly, d_power
 
 
@@ -402,6 +402,40 @@ def brute_overlaps(lo: np.ndarray, hi: np.ndarray) -> List[Tuple[int, int]]:
                     continue
                 if lo[r, k] <= hi[r, l] and lo[r, l] <= hi[r, k]:
                     out.append((r * m + k, r * m + l))
+    return out
+
+
+def brute_separation(code: np.ndarray, cross_row: np.ndarray, px: np.ndarray,
+                     py: np.ndarray, pos: np.ndarray, tol: float) -> List[int]:
+    """The code of each row after the near-vertex and separation checks, by
+    comparing every crossing of a row with every other crossing and every
+    vertex of that row.
+
+    Crossing k lies at (px[k], py[k]) in row cross_row[k]; the vertices of
+    row r lie at (pos[0, r], pos[1, r]).  Two points are close when their
+    windows [x - tol, x + tol] overlap and sqrt(dx^2 + dy^2) <= tol.  A row
+    with two close crossings gets crossing_separation, else a row with a
+    crossing close to a vertex gets crossing_near_vertex, else it keeps its
+    code.  A NaN coordinate is close to nothing.
+    """
+    near_vertex = CHECKS.index("crossing_near_vertex") + 1
+    separation = CHECKS.index("crossing_separation") + 1
+
+    def close(a, b) -> bool:
+        (xa, ya), (xb, yb) = a, b
+        dx, dy = xa - xb, ya - yb
+        return bool(xb - tol <= xa + tol and xa - tol <= xb + tol
+                    and math.sqrt(dx * dx + dy * dy) <= tol)
+
+    out = code.tolist()
+    for r in range(len(out)):
+        cross = [(x, y) for x, y, row in zip(px.tolist(), py.tolist(), cross_row.tolist())
+                 if row == r]
+        verts = list(zip(pos[0, r].tolist(), pos[1, r].tolist()))
+        if any(close(a, b) for k, a in enumerate(cross) for b in cross[k + 1:]):
+            out[r] = separation
+        elif any(close(a, v) for a in cross for v in verts):
+            out[r] = near_vertex
     return out
 
 

@@ -77,6 +77,22 @@ class TestConstruction:
         with pytest.raises(PbcJonesError, match="sign"):
             Diagram([closed("a", ("c", "o"), ("c", "u"))], {"c": 2})
 
+    @pytest.mark.parametrize("sign", [True, False, 1.0, -1.0, np.float64(1), "1", None])
+    def test_bool_and_non_integer_signs_rejected(self, sign):
+        with pytest.raises(PbcJonesError, match="sign"):
+            Diagram([closed("a", ("c", "o"), ("c", "u"))], {"c": sign})
+
+    @pytest.mark.parametrize("sign", [1, -1, np.int64(1), np.int8(-1)])
+    def test_integer_signs_accepted(self, sign):
+        d = Diagram([closed("a", ("c", "o"), ("c", "u"))], {"c": sign})
+        assert jones_of_diagram(d) == LaurentPoly.one()
+        assert d.writhe == sign
+
+    @pytest.mark.parametrize("flag", ["yes", 1, 0, None, np.bool_(True)])
+    def test_closed_flag_must_be_a_bool(self, flag):
+        with pytest.raises(PbcJonesError, match="closed must be a bool"):
+            Component("x", flag, ())
+
     def test_closed_component_rejects_end_labels(self):
         with pytest.raises(ValueError):
             Component("a", True, (), ends=(("a", "tail"), ("a", "head")))
@@ -410,12 +426,14 @@ def check_reduction(d, brute_limit=10, scan_limit=30):
     names or order of the crossings of ``d``, is ``d`` less some of its
     crossings up to names, and keeps the Jones polynomial; returns it."""
     r = reidemeister_reduce(d)
-    Diagram(r.components, r.crossings)  # validates
+    plain = Diagram(r.components, r.crossings)  # validates
     assert [c.id for c in r.components] == [c.id for c in d.components]
     met = list(dict.fromkeys(x for c in r.components for x, _ in c.passages))
     assert met == list(r.crossings) == sorted(r.crossings)
     assert not moves_left(r)
-    assert canonical(reidemeister_reduce(r)) == canonical(r)
+    # a reduction is returned as is; the same diagram built anew runs the moves
+    assert reidemeister_reduce(r) is r
+    assert canonical(reidemeister_reduce(plain)) == canonical(r)
     assert canonical(reidemeister_reduce(renamed(d))) == canonical(r)
     if len(d.crossings) <= scan_limit:
         # any order of the moves leaves the same code up to crossing names

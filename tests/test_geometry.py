@@ -4,10 +4,10 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from oracles import (brute_overlaps, brute_segment_crossings, gauss_linking, outcome,
-                     point_segment_distance, projected_alone, segment_distance)
+from oracles import (brute_overlaps, brute_segment_crossings, brute_separation, gauss_linking,
+                     outcome, point_segment_distance, projected_alone, segment_distance)
 
 from pbcjones import geometry, jones3d
 from pbcjones.diagram import Diagram
@@ -475,6 +475,100 @@ class TestOverlaps:
         i, j = geometry._overlaps(lo, hi)
         pairs = sorted(zip(np.minimum(i, j).tolist(), np.maximum(i, j).tolist()))
         assert pairs == sorted(brute_overlaps(lo, hi))
+
+
+def swept_rows(monkeypatch):
+    """Rows that ``_separation`` sweeps with ``_overlaps``, one count per call."""
+    swept, inner = [], geometry._overlaps
+    monkeypatch.setattr(geometry, "_overlaps", lambda lo, hi: swept.append(lo.shape[0])
+                        or inner(lo, hi))
+    return swept
+
+
+class TestSeparationScreen:
+    """The screened separation and near-vertex checks against comparing every
+    crossing with every other point of its row."""
+
+    EARLIER = (0, geometry.DEGENERATE, geometry.TANGENCY, geometry.DEPTH)
+
+    @staticmethod
+    def separation(code, cross_row, px, py, vx, vy, tol):
+        """``_separation``'s codes and ``brute_separation``'s, from the same rows."""
+        code, cross_row = np.array(code, dtype=np.int64), np.array(cross_row)
+        px, py = np.array(px, dtype=float), np.array(py, dtype=float)
+        vx, vy = np.array(vx, dtype=float), np.array(vy, dtype=float)
+        pos = np.stack([vx, vy, np.zeros_like(vx)])
+        expected = brute_separation(code, cross_row, px, py, pos, tol)
+        geometry._Segments._separation(code, cross_row, px, py, pos, tol)
+        return code.tolist(), expected
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 5), st.integers(1, 5), st.sampled_from([0.0, 0.125, 0.25, 0.5]),
+           st.data())
+    def test_codes_match_brute_scan(self, rows, verts, tol, data):
+        # a grid of eighths: windows tie, and points lie exactly 2 tol apart
+        grid = st.integers(-6, 6).map(lambda k: k / 8)
+        code, cross_row, px, py, vx, vy = [], [], [], [], [], []
+        for r in range(rows):
+            # a row that failed an earlier check has no crossings left
+            code.append(data.draw(st.sampled_from(self.EARLIER)))
+            count = 0 if code[-1] else data.draw(st.integers(0, 3))
+            cross_row += [r] * count
+            px += data.draw(st.lists(grid, min_size=count, max_size=count))
+            py += data.draw(st.lists(grid, min_size=count, max_size=count))
+            xs = data.draw(st.lists(grid, min_size=verts, max_size=verts))
+            ys = data.draw(st.lists(grid, min_size=verts, max_size=verts))
+            if verts > 1 and data.draw(st.booleans()):
+                # chains meeting end to end: two coincident vertices
+                xs[-1], ys[-1] = xs[0], ys[0]
+            vx.append(xs)
+            vy.append(ys)
+        assume(cross_row)
+        got, expected = self.separation(code, cross_row, px, py, vx, vy, tol)
+        assert got == expected
+
+    def test_vertex_between_a_crossing_and_its_near_vertex(self):
+        # sorted on x: the crossing, a vertex far off in y, then the vertex
+        # within tol; only the far one is the crossing's neighbor
+        tol = 0.25
+        got, expected = self.separation([0], [0], [0.0], [0.0], [[0.125, 0.25]], [[5.0, 0.0]],
+                                        tol)
+        assert got == expected == [geometry.NEAR_VERTEX]
+
+    def test_crossings_exactly_two_tol_apart_on_x(self, monkeypatch):
+        # the windows touch, so the row is swept; the points are not close
+        swept = swept_rows(monkeypatch)
+        got, expected = self.separation([0], [0, 0], [0.0, 0.5], [0.0, 0.0], [[3.0]], [[3.0]],
+                                        0.25)
+        assert got == expected == [0]
+        assert swept == [1]
+
+    def test_coincident_vertices_alone_sweep_nothing(self, monkeypatch):
+        # jersey rows: chains meet end to end, a crossing lies far away
+        swept = swept_rows(monkeypatch)
+        got, expected = self.separation([0, 0], [0, 1], [0.0, 0.0], [0.0, 0.0],
+                                        [[1.0, 1.0, 2.0], [1.0, 1.0, 2.0]],
+                                        [[0.0, 0.0, 0.0], [0.0, 0.0, 0.0]], 0.1)
+        assert got == expected == [0, 0]
+        assert swept == []
+
+    def test_nan_padding_flags_no_row(self, monkeypatch):
+        # row 0 holds three crossings, so row 1 is padded with two NaNs
+        swept = swept_rows(monkeypatch)
+        got, expected = self.separation([0, 0], [0, 0, 0, 1], [0.0, 1.0, 2.0, 0.0],
+                                        [0.0, 0.0, 0.0, 5.0], [[9.0], [9.0]], [[9.0], [9.0]],
+                                        0.25)
+        assert got == expected == [0, 0]
+        assert swept == []
+
+    def test_only_screened_rows_are_swept(self, monkeypatch):
+        swept = swept_rows(monkeypatch)
+        got, expected = self.separation([0, 0, geometry.TANGENCY], [0, 1],
+                                        [0.0, 0.0], [0.0, 0.0],
+                                        [[0.0625, 4.0], [2.0, 4.0], [0.0, 0.0]],
+                                        [[0.0, 0.0], [0.0, 0.0], [0.0, 0.0]], 0.125)
+        assert got == expected == [geometry.NEAR_VERTEX, 0, geometry.TANGENCY]
+        assert swept == [1]
 
 
 class TestBatchedKernel:

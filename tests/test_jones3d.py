@@ -259,6 +259,25 @@ class TestDiagramMemo:
         keys = [memo_key(d) for d in graphs]
         assert len(set(keys)) == len(keys) == len({memo_key(r) for _, r in reduced}) == 39
 
+    def test_bracket_does_not_reduce_a_reduction_again(self, monkeypatch):
+        bracket_mod = importlib.import_module("pbcjones.bracket")
+        inner, runs, calls = reidemeister_reduce, [], []
+
+        def reduce(d):
+            out = inner(d)
+            calls.append(d)
+            if out is not d:  # a call that returns its input runs no moves
+                runs.append(d)
+            return out
+
+        for owner in (jones3d, bracket_mod):
+            monkeypatch.setattr(owner, "reidemeister_reduce", reduce)
+        jones([open_trefoil(0.3)], SamplingConfig(directions=2000))
+        # each distinct projected diagram is reduced once; bracket() gets the
+        # 39 distinct reductions on its memo misses and returns them as is
+        assert len(runs) == 280
+        assert len(calls) == 280 + 39
+
     @pytest.mark.parametrize("make,cfg,objects,solved", [
         (melt_link, SamplingConfig(directions=200, crossing_cap=64), 200, 87),
         (jersey_link, SamplingConfig(directions=200, crossing_cap=64, on_cap="skip"), 27, 21),

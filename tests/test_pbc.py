@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from oracles import (gauss_linking, outcome, projected_alone, scalar_box_presence,
                      slk_by_translate)
 
-from pbcjones import pbc
+from pbcjones import geometry, pbc
 from pbcjones.errors import AmbiguousMatchError, ChainConnectivityError, PbcJonesError
 from pbcjones.fixtures import (_CHAINMAIL_RING, chainmail_system, jersey_system,
                                melt_system, twill_system)
@@ -515,6 +515,30 @@ class TestTranslateKernel:
         # plain projections were generic, so no translate needed a nudge
         assert not nudged
         assert len(set(values)) > 1 or values[0] != 0
+
+    @pytest.mark.parametrize("rows", [1, 10**9], ids=["one-row", "huge"])
+    @pytest.mark.parametrize("name", sorted(SYSTEMS))
+    def test_block_size_changes_no_result(self, name, rows, monkeypatch):
+        # BLOCK_ROWS sizes the translate blocks of project_translates, and so
+        # of slk_p, and the presence blocks of _present, which pbc imports
+        system = self.SYSTEMS[name]()
+        dirs = list(sample_directions(3, "random", seed=4)) + [[1.0, 0.0, 0.0]]
+        offsets = [system.cell.translation(np.array(cells, dtype=float))
+                   for cells in product(range(-1, 2), range(-1, 2), [0])]
+
+        def results():
+            link, base, moving = link_and_copy(system)
+            boxes = [minimal_unfolding(system, im) for im in link.base_images.values()]
+            outcomes = [outcome(r) for xi in dirs for r in project_translates(base, moving,
+                                                                              offsets, xi)]
+            return (link.composition, link.mcu, boxes, outcomes,
+                    [slk_p(system, xi, link) for xi in dirs])
+
+        expected = results()
+        assert any(isinstance(r, str) for r in expected[3])  # some rows fail a check
+        for owner in (geometry, pbc):
+            monkeypatch.setattr(owner, "BLOCK_ROWS", rows)
+        assert results() == expected
 
     def test_offsets_are_checked(self):
         _, base, moving = link_and_copy(chainmail_system())

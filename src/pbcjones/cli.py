@@ -1,8 +1,9 @@
 """Command-line interface.
 
 Every subcommand emits an analysis report, as canonical JSON or
-indented text.  Reports embed the input path and every sampling knob,
-so a run can be reproduced from its own output.
+indented text.  Reports embed every option except the output options,
+plus the values the command worked out from them, so a run can be
+reproduced from its own output.
 """
 
 from __future__ import annotations
@@ -38,25 +39,22 @@ from .pbc import (
     slk_p,
     with_basepoint,
 )
-from .cutoff import verify_cutoff_factorization
+from .cutoff import DEFAULT_ENUMERATE_CAP, verify_cutoff_factorization
 
 
 def _add_sampling_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--directions", type=int, default=500,
-                   help="number of projection directions (default 500)")
-    p.add_argument("--mode", choices=("fibonacci", "random"), default="fibonacci",
-                   help="direction sampling scheme")
-    p.add_argument("--seed", type=int, default=0, help="sampling seed")
-    p.add_argument("--tolerance", type=float, default=1e-9,
-                   help="genericity tolerance for projections")
-    p.add_argument("--crossing-cap", type=int, default=DEFAULT_CROSSING_CAP,
+    p.add_argument("--directions", type=int,
+                   help="number of projection directions (default %(default)s)")
+    p.add_argument("--mode", choices=("fibonacci", "random"), help="direction sampling scheme")
+    p.add_argument("--seed", type=int, help="sampling seed")
+    p.add_argument("--tolerance", type=float, help="genericity tolerance for projections")
+    p.add_argument("--crossing-cap", type=int,
                    help="refuse diagrams with more crossings than this")
-    p.add_argument("--on-cap", choices=("error", "skip"), default="error",
+    p.add_argument("--on-cap", choices=("error", "skip"),
                    help="what to do when a diagram exceeds the crossing cap")
-    p.add_argument("--prune", type=float, default=1e-12,
-                   help="drop averaged coefficients below this magnitude")
-    p.add_argument("--workers", type=int, default=1,
-                   help="worker processes for direction averaging")
+    p.add_argument("--prune", type=float, help="drop averaged coefficients below this magnitude")
+    p.add_argument("--workers", type=int, help="worker processes for direction averaging")
+    p.set_defaults(**dataclasses.asdict(SamplingConfig()))
 
 
 def _add_output_flags(p: argparse.ArgumentParser) -> None:
@@ -65,23 +63,20 @@ def _add_output_flags(p: argparse.ArgumentParser) -> None:
                    help="write the report here instead of stdout")
 
 
-def _require_at_least(flag: str, value: int, least: int = 1) -> None:
-    require_count(flag, value, least)
-
-
 def _config(args) -> SamplingConfig:
-    _require_at_least("--directions", args.directions)
-    _require_at_least("--workers", args.workers)
-    _require_at_least("--crossing-cap", args.crossing_cap, 0)
-    return SamplingConfig(
-        directions=args.directions, mode=args.mode, seed=args.seed,
-        tolerance=args.tolerance, crossing_cap=args.crossing_cap,
-        prune=args.prune, workers=args.workers, on_cap=args.on_cap,
-    )
+    require_count("--directions", args.directions, 1)
+    require_count("--workers", args.workers, 1)
+    require_count("--crossing-cap", args.crossing_cap, 0)
+    return SamplingConfig(**{f.name: getattr(args, f.name)
+                             for f in dataclasses.fields(SamplingConfig)})
 
 
-def _sampling_params(cfg: SamplingConfig, path: str) -> Dict[str, object]:
-    return {"input": path, **dataclasses.asdict(cfg)}
+def _parameters(args, **worked_out) -> Dict[str, object]:
+    """The report's parameters: every parsed option but the output ones,
+    with the values the command worked out in place of those given."""
+    params = {k: v for k, v in vars(args).items()
+              if k not in ("command", "func", "output", "out")}
+    return {**params, **worked_out}
 
 
 def _poly_results(res: JonesResult) -> Dict[str, object]:
@@ -157,7 +152,7 @@ def _cmd_jones(args) -> None:
     cfg = _config(args)
     curves = read_curves(args.input)
     res = jones(curves, cfg)
-    report = AnalysisReport("jones", _sampling_params(cfg, args.input), {
+    report = AnalysisReport("jones", _parameters(args), {
         **_poly_results(res),
         "component_count": len(curves),
         "closed_components": sum(c.closed for c in curves),
@@ -172,7 +167,7 @@ def _cmd_cell_jones(args) -> None:
     if not curves:
         raise PbcJonesError(f"{args.input}: no arc lies inside the base cell")
     res = jones(curves, cfg)
-    report = AnalysisReport("cell-jones", _sampling_params(cfg, args.input), {
+    report = AnalysisReport("cell-jones", _parameters(args), {
         **_poly_results(res),
         "component_count": len(curves),
         "normalization": _normalization_results(res.poly, len(curves), args.tolerance),
@@ -189,10 +184,7 @@ def _cmd_periodic_jones(args) -> None:
                 system = with_basepoint(system, chain.id, search_basepoint(system, chain.id))
     frozen = _load_composition(args.frozen_components) if args.frozen_components else None
     res, link = periodic_jones(system, cfg, frozen)
-    params = _sampling_params(cfg, args.input)
-    params["frozen_components"] = args.frozen_components
-    params["basepoint_search"] = bool(args.basepoint_search)
-    report = AnalysisReport("periodic-jones", params, {
+    report = AnalysisReport("periodic-jones", _parameters(args), {
         **_poly_results(res),
         "component_count": link.component_count,
         "composition": {k: [list(v) for v in vs] for k, vs in link.composition.items()},
@@ -225,12 +217,8 @@ def _cmd_normalize(args) -> None:
     if isinstance(components, bool) or not isinstance(components, int):
         raise PbcJonesError(f"{args.input}: component_count must be an integer, "
                             f"got {components!r}")
-    _require_at_least("--components", components)
-    report = AnalysisReport("normalize", {
-        "input": args.input,
-        "components": components,
-        "tolerance": args.tolerance,
-    }, {
+    require_count("--components", components, 1)
+    report = AnalysisReport("normalize", _parameters(args, components=components), {
         "polynomial": poly.to_json_obj(),
         "polynomial_str": str(poly),
         **_normalization_results(poly, components, args.tolerance),
@@ -239,7 +227,7 @@ def _cmd_normalize(args) -> None:
 
 
 def _cmd_slk(args) -> None:
-    _require_at_least("--seed", args.seed, 0)
+    require_count("--seed", args.seed, 0)
     system = read_system(args.input)
     if args.direction:
         xi = _parse_direction(args.direction)
@@ -249,13 +237,7 @@ def _cmd_slk(args) -> None:
         xi /= np.linalg.norm(xi)
     link = minimal_periodic_link(system)
     value = slk_p(system, xi, link, axis=args.axis, tol=args.tolerance)
-    report = AnalysisReport("slk", {
-        "input": args.input,
-        "direction": [float(c) for c in xi],
-        "axis": args.axis,
-        "seed": args.seed,
-        "tolerance": args.tolerance,
-    }, {
+    report = AnalysisReport("slk", _parameters(args, direction=[float(c) for c in xi]), {
         "slk": str(value),
         "slk_float": float(value),
         "component_count": link.component_count,
@@ -266,23 +248,18 @@ def _cmd_slk(args) -> None:
 
 def _cmd_cutoff_verify(args) -> int:
     """Exit code 1 when any identity of the report fails."""
-    _require_at_least("--copies", args.copies)
-    _require_at_least("--enumerate-cap", args.enumerate_cap, 0)
-    _require_at_least("--crossing-cap", args.crossing_cap, 0)
+    require_count("--copies", args.copies, 1)
+    require_count("--enumerate-cap", args.enumerate_cap, 0)
+    require_count("--crossing-cap", args.crossing_cap, 0)
     system = read_system(args.input)
     xi = _parse_direction(args.direction) if args.direction else None
     rep = verify_cutoff_factorization(
         system, args.copies, xi=xi, tol=args.tolerance,
         enumerate_cap=args.enumerate_cap, crossing_cap=args.crossing_cap,
     )
-    report = AnalysisReport("cutoff-verify", {
-        "input": args.input,
-        "copies": args.copies,
-        "direction": None if xi is None else [float(c) for c in xi],
-        "tolerance": args.tolerance,
-        "enumerate_cap": args.enumerate_cap,
-        "crossing_cap": args.crossing_cap,
-    }, rep.to_json_obj())
+    direction = None if xi is None else [float(c) for c in xi]
+    report = AnalysisReport("cutoff-verify", _parameters(args, direction=direction),
+                            rep.to_json_obj())
     _emit(report, args)
     return int(not (rep.writhe_identity_ok and rep.state_oracle_ok
                     and rep.sum_identity_ok and rep.factorization_ok))
@@ -297,12 +274,7 @@ def _cmd_ingest(args) -> None:
     if not system.chains:
         raise PbcJonesError(f"frame {args.frame} has no interior chains; no system written")
     write_system(args.system_out, system)
-    report = AnalysisReport("ingest", {
-        "input": args.input,
-        "format": args.format,
-        "frame": args.frame,
-        "system_out": args.system_out,
-    }, {
+    report = AnalysisReport("ingest", _parameters(args), {
         "timestep": frame.timestep,
         "box": [[float(b) for b in row] for row in frame.bounds],
         "molecules": int(len(frame.chains())),
@@ -364,7 +336,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--copies", type=int, required=True, help="number of stacked copies N")
     p.add_argument("--direction", default=None, help="projection direction 'x,y,z'")
     p.add_argument("--tolerance", type=float, default=1e-9)
-    p.add_argument("--enumerate-cap", type=int, default=16,
+    p.add_argument("--enumerate-cap", type=int, default=DEFAULT_ENUMERATE_CAP,
                    help="max shared crossings for full state enumeration")
     p.add_argument("--crossing-cap", type=int, default=DEFAULT_CROSSING_CAP)
     _add_output_flags(p)

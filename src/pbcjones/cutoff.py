@@ -48,6 +48,8 @@ from .laurent import LaurentPoly, d_power
 from .pbc import (MinimalPeriodicLink, PBCSystem, PlacedImage, UnfoldingBox,
                   minimal_periodic_link, present_translates, single_periodic_axis, slk_p)
 
+DEFAULT_ENUMERATE_CAP = 16  # shared crossings past which the state enumeration refuses
+
 
 @dataclass(frozen=True)
 class CutoffLink:
@@ -155,7 +157,7 @@ class CutoffReport:
 
 
 def verify_cutoff_factorization(system: PBCSystem, n_copies: int, xi=None,
-                                tol: float = 1e-9, enumerate_cap: int = 16,
+                                tol: float = 1e-9, enumerate_cap: int = DEFAULT_ENUMERATE_CAP,
                                 crossing_cap: int = DEFAULT_CROSSING_CAP) -> CutoffReport:
     """Check the cutoff factorization along one projection direction.
 

@@ -55,7 +55,7 @@ _OTHER_END = {"tail": "head", "head": "tail"}
 def smoothing_joins(sign: int, kind: str) -> Tuple[Tuple[int, int], Tuple[int, int]]:
     """Port pairs joined by an A- or B-smoothing of a crossing of given sign."""
     if kind not in ("A", "B"):
-        raise ValueError(f"smoothing kind must be 'A' or 'B', got {kind!r}")
+        raise PbcJonesError(f"smoothing kind must be 'A' or 'B', got {kind!r}")
     oriented = (kind == "A") == (sign > 0)
     if oriented:
         return ((OI, UO), (UI, OO))
@@ -74,12 +74,12 @@ class Component:
             raise PbcJonesError(f"component {self.id!r}: closed must be a bool, "
                                 f"got {self.closed!r}")
         if self.closed and self.ends is not None:
-            raise ValueError(f"closed component {self.id} must not carry end labels")
+            raise PbcJonesError(f"closed component {self.id} must not carry end labels")
         if not self.closed and self.ends is None:
             object.__setattr__(self, "ends", ((self.id, "tail"), (self.id, "head")))
         for p in self.passages:
             if p[1] not in ("o", "u"):
-                raise ValueError(f"bad passage role {p[1]!r}")
+                raise PbcJonesError(f"bad passage role {p[1]!r}")
 
 
 class Diagram:
@@ -181,11 +181,11 @@ class Diagram:
         """Half the signed count of crossings between two disjoint component groups."""
         a, b = set(group_a), set(group_b)
         if a & b:
-            raise ValueError("component groups overlap")
+            raise PbcJonesError("component groups overlap")
         known = {c.id for c in self.components}
         missing = (a | b) - known
         if missing:
-            raise KeyError(f"unknown component ids {sorted(missing)}")
+            raise PbcJonesError(f"unknown component ids {sorted(missing)}")
         owner = self.passage_owner()
         total = 0
         for cid, sign in self.crossings.items():
@@ -198,6 +198,8 @@ class Diagram:
 
     def smooth(self, cid: str, kind: str) -> "Diagram":
         """Replace one crossing by the chosen reconnection of its four ports."""
+        if cid not in self.crossings:
+            raise PbcJonesError(f"unknown crossing {cid!r}")
         bond: Dict[int, int] = {}
         for x, y in smoothing_joins(self.crossings[cid], kind):
             bond[x], bond[y] = y, x

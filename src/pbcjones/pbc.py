@@ -600,8 +600,7 @@ def _clip_pieces(cart: np.ndarray, frac: np.ndarray, lo, hi, tol: float) -> List
             if np.linalg.norm(arr[i] - arr[keep[-1]]) > 1e-12:
                 keep.append(i)
         arr = arr[keep]
-        if arr.shape[0] < 2:
-            continue
+        # a piece whose points merged into one has length 0, so it goes too
         if float(np.sum(np.linalg.norm(np.diff(arr, axis=0), axis=1))) <= 10 * tol:
             continue
         out.append(arr)

@@ -429,6 +429,7 @@ class TestMalformedInput:
          "--crossing-cap must be at least 0, got -1"),
         (["cell-jones", "SYSTEM", "--crossing-cap", "-2"],
          "--crossing-cap must be at least 0, got -2"),
+        (["slk", "SYSTEM", "--axis", "2"], "axis 2 is not periodic"),
     ])
     def test_flag_out_of_range(self, argv, message, chainmail_file, tmp_path, capsys):
         poly = tmp_path / "poly.json"
@@ -513,11 +514,19 @@ class TestMalformedInput:
         # frame 1's count line declared three rows; the file ends after one
         ("xyz-mol", "1\n0 1 0 1 0 1\n1 0 0 0\n3\n0 10 0 10 0 10\n1 1 1 1\n",
          "t:4: truncated frame: 3 atoms declared"),
+        ("lammps-dump", MELT.replace("ATOMS id mol x y z", "ATOMS mol x y z"),
+         "t:9: ATOMS columns lack atom ids"),
+        ("lammps-dump", MELT.replace("\n1 1 2.9171326830 ", "\n1 1 "), "t:10: expected 5 columns"),
+        # each bound is finite, but hi - lo is not
+        ("lammps-dump", "ITEM: TIMESTEP\n0\nITEM: NUMBER OF ATOMS\n1\nITEM: BOX BOUNDS pp pp pp\n"
+                        "-1e308 1e308\n0 1\n0 1\nITEM: ATOMS id mol xs ys zs\n1 1 0.5 0.5 0.5\n",
+         "t:10: scaled coordinates overflow"),
     ], ids=["timestep", "atom-count", "box-bound", "box-inf", "coordinate", "coordinate-nan",
             "atom-id-overflow", "step-overflow", "scaled-before-box", "xyz-coordinate",
             "xyz-molecule", "xyz-box-nan", "last-frame-line", "inverted-box", "empty-box",
             "xyz-inverted-box", "count-of-an-earlier-frame", "frame-fault-names-timestep",
-            "last-frame-without-atoms", "xyz-truncated"])
+            "last-frame-without-atoms", "xyz-truncated", "atoms-without-ids", "column-count",
+            "scaled-overflow"])
     def test_malformed_trajectory(self, fmt, text, message, tmp_path, capsys, monkeypatch):
         monkeypatch.chdir(tmp_path)
         with open("t", "w", encoding="utf-8") as fh:
@@ -559,6 +568,29 @@ class TestMalformedInput:
         with open(chainmail_file, "w", encoding="utf-8") as fh:
             json.dump(obj, fh)
         self.assert_rejected(capsys, ["slk", chainmail_file], message)
+
+    def test_curve_errors_name_the_file(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        with open("f.json", "w", encoding="utf-8") as fh:
+            json.dump({"curves": [{"id": "a", "closed": False,
+                                   "vertices": [[0, 0, 0], [1, 0, 0], [1, 0, 0], [2, 1, 0]]}]}, fh)
+        self.assert_rejected(capsys, ["jones", "f.json"],
+                             "error: f.json: curves[0]: curve 'a': repeated consecutive vertex\n")
+
+    @pytest.mark.parametrize("periodic, argv, message", [
+        ([False, False, False], ["slk", "SYSTEM"], "error: no periodic axis\n"),
+        ([True, True, False], ["cutoff-verify", "SYSTEM", "--copies", "2"],
+         "error: axis must be given explicitly unless exactly one axis is periodic\n"),
+    ])
+    def test_periodic_axes_that_do_not_fit_the_command(self, periodic, argv, message,
+                                                       chainmail_file, capsys):
+        with open(chainmail_file, encoding="utf-8") as fh:
+            obj = json.load(fh)
+        obj["cell"]["periodic"] = periodic
+        with open(chainmail_file, "w", encoding="utf-8") as fh:
+            json.dump(obj, fh)
+        self.assert_rejected(capsys, [chainmail_file if a == "SYSTEM" else a for a in argv],
+                             message)
 
     def test_chain_that_does_not_advance_is_rejected(self, tmp_path, capsys):
         path = tmp_path / "stuck.json"

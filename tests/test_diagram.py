@@ -94,8 +94,12 @@ class TestConstruction:
             Component("x", flag, ())
 
     def test_closed_component_rejects_end_labels(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(PbcJonesError, match="must not carry end labels"):
             Component("a", True, (), ends=(("a", "tail"), ("a", "head")))
+
+    def test_bad_passage_role_rejected(self):
+        with pytest.raises(PbcJonesError, match="bad passage role 'x'"):
+            closed("a", ("c", "o"), ("c", "x"))
 
     def test_open_component_defaults_own_ends(self):
         c = strand("s")
@@ -117,7 +121,7 @@ class TestSmoothingJoins:
         assert smoothing_joins(-1, "A") == smoothing_joins(1, "B")
 
     def test_bad_kind_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(PbcJonesError, match="smoothing kind must be 'A' or 'B', got 'X'"):
             smoothing_joins(1, "X")
 
 
@@ -126,6 +130,10 @@ class TestSmoothing:
         d = hopf_diagram()
         s = d.smooth("c1", "A")
         assert set(s.crossings) == {"c2"}
+
+    def test_smooth_rejects_an_unknown_crossing(self):
+        with pytest.raises(PbcJonesError, match="unknown crossing 'zz'"):
+            hopf_diagram().smooth("zz", "A")
 
     def test_oriented_smooth_of_hopf_merges_then_splits(self):
         d = hopf_diagram()
@@ -195,11 +203,11 @@ class TestInterLinking:
         assert poke_diagram().inter_linking(["a"], ["b"]) == 0
 
     def test_overlapping_groups_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(PbcJonesError, match="component groups overlap"):
             hopf_diagram().inter_linking(["a"], ["a"])
 
     def test_unknown_ids_rejected(self):
-        with pytest.raises(KeyError):
+        with pytest.raises(PbcJonesError, match=r"unknown component ids \['zz'\]"):
             hopf_diagram().inter_linking(["a"], ["zz"])
 
 

@@ -214,6 +214,10 @@ class TestFormatting:
         with pytest.raises(PbcJonesError, match=message):
             LaurentPoly.from_json_obj({"coeffs": coeffs})
 
+    def test_bool_exact_coefficient_rejected(self):
+        with pytest.raises(TypeError, match="^bool is not a polynomial coefficient$"):
+            LaurentPoly({0: True})
+
     @pytest.mark.parametrize("value, error", [(math.nan, ValueError), (math.inf, ValueError),
                                               (-math.inf, ValueError), (True, TypeError)])
     def test_bad_float_coefficient_rejected(self, value, error):

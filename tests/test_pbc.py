@@ -71,6 +71,20 @@ class TestCell:
         with pytest.raises(PbcJonesError, match="cell origin"):
             Cell(np.eye(3), (True, False, False), origin=(0.0, 1.0))
 
+    @pytest.mark.parametrize("basis, periodic, origin, message", [
+        (np.eye(3)[:2], (True, False, False), (0, 0, 0),
+         r"cell basis must be a 3x3 matrix \(rows are cell vectors\)"),
+        ([[1, 0, 0], [2, 0, 0], [0, 0, 1]], (True, False, False), (0, 0, 0),
+         "cell basis is singular"),
+        (np.eye(3), (True, False), (0, 0, 0), "periodic flags must have length 3"),
+        ([["a", 0, 0], [0, 1, 0], [0, 0, 1]], (True, False, False), (0, 0, 0),
+         "cell basis must be a 3x3 matrix of numbers"),
+        (np.eye(3), (True, False, False), ("x", 0, 0), "cell origin must be 3 finite coordinates"),
+    ])
+    def test_malformed_cell_rejected(self, basis, periodic, origin, message):
+        with pytest.raises(PbcJonesError, match=f"^{message}$"):
+            Cell(basis, periodic, origin)
+
 
 class TestGeneratingChain:
     def test_unknown_topology_rejected(self):
@@ -80,6 +94,15 @@ class TestGeneratingChain:
     def test_empty_arcs_rejected(self):
         with pytest.raises(PbcJonesError, match="at least one arc"):
             GeneratingChain("c", [], "open")
+
+    def test_one_vertex_arc_rejected(self):
+        with pytest.raises(PbcJonesError, match=r"^chain 'c': arc 1 must have shape \(n>=2, 3\)$"):
+            GeneratingChain("c", [[[0, 0, 0], [1, 0, 0]], [[1, 0, 0]]], "open")
+
+    def test_repeated_chain_id_rejected(self):
+        chain = GeneratingChain("c", [[[0.2, 0.2, 0.2], [0.8, 0.2, 0.2]]], "open")
+        with pytest.raises(PbcJonesError, match="^chain ids must be unique$"):
+            PBCSystem(Cell(np.eye(3), (True, False, False)), [chain, chain])
 
     def test_basepoint_range_checked(self):
         arc = [[0, 0, 0], [1, 0, 0]]
@@ -349,6 +372,27 @@ class TestCellLink:
         curves = cell_curves(PBCSystem(cell, [ring]))
         assert len(curves) == 1
         assert curves[0].closed
+
+    @pytest.mark.parametrize("arc, tol, pieces", [
+        # leaves the cell at a vertex on its face, then comes back in: two pieces
+        ([[0.5, 0.5, 0.5], [1.0, 0.5, 0.5], [2.0, 0.5, 0.5], [0.5, 0.8, 0.5]], 0.0,
+         [[[0.5, 0.5, 0.5], [1.0, 0.5, 0.5]], [[1.0, 0.7, 0.5], [0.5, 0.8, 0.5]]]),
+        # comes back in by 1e-13 only: that piece's points merge into one and it is dropped
+        ([[0.5, 0.5, 0.5], [1.5, 0.5, 0.5], [1.0 - 1e-13, 0.5, 0.5], [1.5, 0.6, 0.5]], 0.0,
+         [[[0.5, 0.5, 0.5], [1.0, 0.5, 0.5]]]),
+        # comes back in past the inflated face x = 1.01 for about 0.06, not over 10 * tol
+        ([[0.5, 0.5, 0.5], [1.5, 0.5, 0.5], [0.98, 0.5, 0.5], [1.5, 0.52, 0.5]], 0.01,
+         [[[0.5, 0.5, 0.5], [1.01, 0.5, 0.5]]]),
+    ], ids=["exit-at-a-face-vertex", "points-merge", "shorter-than-10-tol"])
+    def test_clipped_pieces(self, arc, tol, pieces):
+        system = PBCSystem(Cell(np.eye(3), (True, False, False)),
+                           [GeneratingChain("c", [arc], "open")])
+        curves = cell_curves(system, tol)
+        names = ["c/a0"] if len(pieces) == 1 else [f"c/a0/p{k}" for k in range(len(pieces))]
+        assert [c.id for c in curves] == names
+        assert all(not c.closed for c in curves)
+        for curve, piece in zip(curves, pieces):
+            assert np.allclose(curve.vertices, piece, rtol=0, atol=1e-12)
 
     def test_cell_jones_needs_an_arc_inside_the_cell(self):
         cell = Cell(np.eye(3), (True, False, False))

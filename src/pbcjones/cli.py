@@ -15,7 +15,7 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
-from .errors import PbcJonesError, require_count
+from .errors import DEFAULT_TOLERANCE, PbcJonesError, require_count
 from .io_formats import (
     AnalysisReport,
     TRAJECTORY_FORMATS,
@@ -90,8 +90,7 @@ def _poly_results(res: JonesResult) -> Dict[str, object]:
     }
 
 
-def _normalization_results(poly: LaurentPoly, n_components: int,
-                           tol: float = 1e-9) -> Dict[str, object]:
+def _normalization_results(poly: LaurentPoly, n_components: int, tol: float) -> Dict[str, object]:
     div = normalized(poly, n_components, zero_tol=tol)
     return {
         "components": n_components,
@@ -317,7 +316,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("input", help="polynomial or report JSON file")
     p.add_argument("--components", type=int, default=None,
                    help="component count n; divides by the (n-1)-th power")
-    p.add_argument("--tolerance", type=float, default=1e-9)
+    p.add_argument("--tolerance", type=float, default=DEFAULT_TOLERANCE)
     _add_output_flags(p)
     p.set_defaults(func=_cmd_normalize)
 
@@ -327,7 +326,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--axis", type=int, default=None,
                    help="restrict translates to one axis (0, 1 or 2)")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--tolerance", type=float, default=1e-9)
+    p.add_argument("--tolerance", type=float, default=DEFAULT_TOLERANCE)
     _add_output_flags(p)
     p.set_defaults(func=_cmd_slk)
 
@@ -335,7 +334,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("input", help="system JSON file (single closed chain, one periodic axis)")
     p.add_argument("--copies", type=int, required=True, help="number of stacked copies N")
     p.add_argument("--direction", default=None, help="projection direction 'x,y,z'")
-    p.add_argument("--tolerance", type=float, default=1e-9)
+    p.add_argument("--tolerance", type=float, default=DEFAULT_TOLERANCE)
     p.add_argument("--enumerate-cap", type=int, default=DEFAULT_ENUMERATE_CAP,
                    help="max shared crossings for full state enumeration")
     p.add_argument("--crossing-cap", type=int, default=DEFAULT_CROSSING_CAP)

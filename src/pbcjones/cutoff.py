@@ -34,14 +34,13 @@ once.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass, fields
 from fractions import Fraction
 from typing import Dict, Iterator, List, Sequence, Tuple
 
 from .bracket import DEFAULT_CROSSING_CAP, bracket, writhe_prefactor
 from .diagram import Diagram
-from .errors import PbcJonesError, require_count
+from .errors import DEFAULT_TOLERANCE, PbcJonesError, require_count
 from .geometry import Curve, sample_directions
 from .jones3d import project_generic
 from .laurent import LaurentPoly, d_power
@@ -72,8 +71,6 @@ def build_cutoff(system: PBCSystem, n_copies: int) -> CutoffLink:
     union of copies is cross-checked against direct enumeration of image
     translates present in the cutoff window.
     """
-    if isinstance(n_copies, numbers.Real) and n_copies < 1:
-        raise PbcJonesError(f"need at least one copy, got {n_copies}")
     require_count("copy count", n_copies, 1)
     if len(system.chains) != 1 or system.chains[0].topology != "closed":
         raise PbcJonesError("cutoffs are defined here for a single closed chain")
@@ -157,7 +154,8 @@ class CutoffReport:
 
 
 def verify_cutoff_factorization(system: PBCSystem, n_copies: int, xi=None,
-                                tol: float = 1e-9, enumerate_cap: int = DEFAULT_ENUMERATE_CAP,
+                                tol: float = DEFAULT_TOLERANCE,
+                                enumerate_cap: int = DEFAULT_ENUMERATE_CAP,
                                 crossing_cap: int = DEFAULT_CROSSING_CAP) -> CutoffReport:
     """Check the cutoff factorization along one projection direction.
 

@@ -1,8 +1,10 @@
-"""Exception types and the number checks shared across the package."""
+"""Exception types, the default tolerance and the number checks shared across the package."""
 
 import math
 import numbers
 import sys
+
+DEFAULT_TOLERANCE = 1e-9  # projection genericity, cell clip, normalization zero threshold
 
 
 class PbcJonesError(Exception):

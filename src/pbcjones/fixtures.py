@@ -9,6 +9,7 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
+from .errors import PbcJonesError
 from .geometry import Curve
 from .io_formats import system_from_json_obj
 from .pbc import Cell, GeneratingChain, PBCSystem
@@ -25,7 +26,7 @@ def ring(id: str, center=(0.0, 0.0, 0.0), radius: float = 1.0, n: int = 16,
     elif plane == "xz":
         pts = np.column_stack([c, z, s])
     else:
-        raise ValueError(f"unknown plane {plane!r}")
+        raise PbcJonesError(f"unknown plane {plane!r}")
     pts = pts + np.asarray(center, dtype=float)
     if reverse:
         pts = pts[::-1]
@@ -75,7 +76,7 @@ def open_trefoil(gap: float, n: int = 30) -> Curve:
 
     lo, hi = 0.0, math.pi / 2
     if end_dist(hi) < gap:
-        raise ValueError("gap too large for this curve")
+        raise PbcJonesError("gap too large for this curve")
     for _ in range(80):
         mid = 0.5 * (lo + hi)
         if end_dist(mid) < gap:

@@ -78,13 +78,13 @@ directions of the open trefoil see 280 distinct diagrams.
 from __future__ import annotations
 
 import math
-import numbers
 from typing import Iterator, List, Sequence, Tuple, Union
 
 import numpy as np
 
 from .diagram import Component, Diagram
-from .errors import NonGenericDirectionError, PbcJonesError, require_nonnegative
+from .errors import (DEFAULT_TOLERANCE, NonGenericDirectionError, PbcJonesError, require_count,
+                     require_nonnegative)
 
 GOLDEN_ANGLE = math.pi * (3.0 - math.sqrt(5.0))
 # (row, segment) pairs in one array pass: the directions of ``project_many``,
@@ -146,10 +146,7 @@ def check_unique_ids(curves: Sequence[Curve]) -> None:
 
 
 def sample_directions(n: int, mode: str = "fibonacci", seed: int = 0) -> np.ndarray:
-    if isinstance(n, bool) or not isinstance(n, numbers.Integral):
-        raise ValueError(f"direction count must be an integer, got {n!r}")
-    if n < 1:
-        raise ValueError("need at least one direction")
+    require_count("direction count", n, 1)
     if mode == "fibonacci":
         i = np.arange(n)
         z = 1.0 - (2.0 * i + 1.0) / n
@@ -166,7 +163,7 @@ def sample_directions(n: int, mode: str = "fibonacci", seed: int = 0) -> np.ndar
             v[bad] = rng.normal(size=(int(bad.sum()), 3))
             norms = np.linalg.norm(v, axis=1, keepdims=True)
         return v / norms
-    raise ValueError(f"unknown direction mode {mode!r}")
+    raise PbcJonesError(f"unknown direction mode {mode!r}")
 
 
 def projection_frame(xi) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -521,7 +518,7 @@ class _Segments:
         return out
 
 
-def project_many(curves: Sequence[Curve], xis, tol: float = 1e-9
+def project_many(curves: Sequence[Curve], xis, tol: float = DEFAULT_TOLERANCE
                  ) -> Iterator[Union[Diagram, NonGenericDirectionError]]:
     """Project curves along each direction of xis, in blocks of BLOCK_ROWS segment rows.
 
@@ -538,7 +535,8 @@ def project_many(curves: Sequence[Curve], xis, tol: float = 1e-9
 
 
 def project_translates(fixed: Sequence[Curve], moving: Sequence[Curve], offsets, xi,
-                       tol: float = 1e-9) -> Iterator[Union[Diagram, NonGenericDirectionError]]:
+                       tol: float = DEFAULT_TOLERANCE
+                       ) -> Iterator[Union[Diagram, NonGenericDirectionError]]:
     """Project fixed + moving along xi once per offset, the moving curves shifted by it.
 
     Yields, per row of the (k, 3) array ``offsets``, the Diagram or the
@@ -567,7 +565,7 @@ def project_translates(fixed: Sequence[Curve], moving: Sequence[Curve], offsets,
             for out in block(offsets[lo:lo + step]))
 
 
-def project(curves: Sequence[Curve], xi, tol: float = 1e-9) -> Diagram:
+def project(curves: Sequence[Curve], xi, tol: float = DEFAULT_TOLERANCE) -> Diagram:
     """Project curves along xi and read off the crossing diagram.
 
     Larger depth along xi means nearer the viewer, i.e. the over strand.
@@ -578,7 +576,7 @@ def project(curves: Sequence[Curve], xi, tol: float = 1e-9) -> Diagram:
     return out
 
 
-def is_generic(curves: Sequence[Curve], xi, tol: float = 1e-9) -> bool:
+def is_generic(curves: Sequence[Curve], xi, tol: float = DEFAULT_TOLERANCE) -> bool:
     try:
         project(curves, xi, tol)
     except NonGenericDirectionError:

@@ -50,8 +50,8 @@ import numpy as np
 
 from .bracket import DEFAULT_CROSSING_CAP, bracket, writhe_prefactor
 from .diagram import Diagram, reidemeister_reduce
-from .errors import (NonGenericDirectionError, PbcJonesError, StateSumTooLargeError,
-                     require_count, require_nonnegative)
+from .errors import (DEFAULT_TOLERANCE, NonGenericDirectionError, PbcJonesError,
+                     StateSumTooLargeError, require_count, require_nonnegative)
 from .geometry import (Curve, perturbed_direction, project, project_many,
                        sample_directions)
 from .laurent import FLOAT, LaurentPoly
@@ -64,7 +64,7 @@ class SamplingConfig:
     directions: int = 500
     mode: str = "fibonacci"  # or "random"
     seed: int = 0
-    tolerance: float = 1e-9
+    tolerance: float = DEFAULT_TOLERANCE
     crossing_cap: int = DEFAULT_CROSSING_CAP
     prune: float = 1e-12
     workers: int = 1

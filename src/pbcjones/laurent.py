@@ -37,7 +37,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Iterator, Mapping, Optional, Tuple, Union
 
-from .errors import PbcJonesError, too_many_digits
+from .errors import DEFAULT_TOLERANCE, PbcJonesError, too_many_digits
 
 Coeff = Union[int, Fraction, float]
 
@@ -321,7 +321,8 @@ class DivisionResult:
     remainder_is_zero: bool
 
 
-def divide_by_d_power(p: LaurentPoly, k: int, zero_tol: float = 1e-9) -> DivisionResult:
+def divide_by_d_power(p: LaurentPoly, k: int,
+                      zero_tol: float = DEFAULT_TOLERANCE) -> DivisionResult:
     """Split p as quotient * (-A^2 - A^-2)^k + remainder.
 
     Descending long division that emits quotient terms with nonnegative

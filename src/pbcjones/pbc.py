@@ -32,8 +32,8 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .errors import (AmbiguousMatchError, ChainConnectivityError, NonGenericDirectionError,
-                     PbcJonesError, require_count, require_nonnegative)
+from .errors import (DEFAULT_TOLERANCE, AmbiguousMatchError, ChainConnectivityError,
+                     NonGenericDirectionError, PbcJonesError, require_count, require_nonnegative)
 from .geometry import BLOCK_ROWS, Curve, project_translates
 from .jones3d import JonesResult, SamplingConfig, jones, project_generic
 from .laurent import DivisionResult, LaurentPoly, divide_by_d_power
@@ -536,7 +536,7 @@ def link_curves(link: MinimalPeriodicLink) -> List[Curve]:
 # -- cell link ----------------------------------------------------------
 
 
-def cell_curves(system: PBCSystem, tol: float = 1e-9) -> List[Curve]:
+def cell_curves(system: PBCSystem, tol: float = DEFAULT_TOLERANCE) -> List[Curve]:
     """Arc pieces inside the base cell, with whole interior rings kept closed.
 
     Each chain's arcs are clipped against the cell box (inflated by tol so
@@ -625,7 +625,8 @@ def periodic_jones(system: PBCSystem, cfg: Optional[SamplingConfig] = None,
     return jones(link_curves(link), cfg), link
 
 
-def normalized(poly: LaurentPoly, component_count: int, zero_tol: float = 1e-9) -> DivisionResult:
+def normalized(poly: LaurentPoly, component_count: int,
+               zero_tol: float = DEFAULT_TOLERANCE) -> DivisionResult:
     """Divide by the loop value to the (component count - 1) power."""
     require_count("component count", component_count, 1)
     require_nonnegative("tolerance", zero_tol)
@@ -643,7 +644,7 @@ def single_periodic_axis(cell: Cell) -> int:
 
 
 def slk_p(system: PBCSystem, xi, link: Optional[MinimalPeriodicLink] = None,
-          axis: Optional[int] = None, tol: float = 1e-9) -> Fraction:
+          axis: Optional[int] = None, tol: float = DEFAULT_TOLERANCE) -> Fraction:
     """Periodic self-linking: half the signed shared crossings between the
     periodic link and its translates by the copy period, summed over all
     nonzero translates.

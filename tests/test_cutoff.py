@@ -59,9 +59,9 @@ class TestBuildCutoff:
             assert cut.cell_count == (2 * n - 1) * m - (n - 1)
 
     def test_rejects_bad_copy_count(self):
-        with pytest.raises(PbcJonesError, match="need at least one copy, got 0"):
+        with pytest.raises(PbcJonesError, match="copy count must be at least 1, got 0"):
             build_cutoff(chainmail_system(), 0)
-        with pytest.raises(PbcJonesError, match="need at least one copy, got -1"):
+        with pytest.raises(PbcJonesError, match="copy count must be at least 1, got -1"):
             verify_cutoff_factorization(chainmail_system(), -1)
 
     @pytest.mark.parametrize("count", [2.5, "2", True])

@@ -12,7 +12,7 @@ from oracles import (brute_overlaps, brute_segment_crossings, brute_separation, 
 from pbcjones import geometry, jones3d
 from pbcjones.diagram import Diagram
 from pbcjones.errors import NonGenericDirectionError, PbcJonesError
-from pbcjones.fixtures import hopf_link, open_trefoil, trefoil, unlinked_circles
+from pbcjones.fixtures import hopf_link, open_trefoil, ring, trefoil, unlinked_circles
 from pbcjones.geometry import (Curve, is_generic, perturbed_direction, project, project_many,
                                project_translates, projection_frame, rotate_about,
                                sample_directions)
@@ -127,15 +127,25 @@ class TestDirections:
         assert math.degrees(math.acos(dots.max())) > 5.0
 
     def test_rejects_bad_args(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(PbcJonesError):
             sample_directions(0)
-        with pytest.raises(ValueError):
+        with pytest.raises(PbcJonesError):
             sample_directions(5, "spiral")
 
     @pytest.mark.parametrize("n", [2.5, True, "3"])
     def test_count_must_be_an_integer(self, n):
-        with pytest.raises(ValueError, match="direction count must be an integer"):
+        with pytest.raises(PbcJonesError, match="direction count must be an integer"):
             sample_directions(n)
+
+
+class TestFixtureArguments:
+    def test_unknown_ring_plane(self):
+        with pytest.raises(PbcJonesError, match="unknown plane 'yz'"):
+            ring("r", plane="yz")
+
+    def test_open_trefoil_gap_too_large(self):
+        with pytest.raises(PbcJonesError, match="gap too large for this curve"):
+            open_trefoil(gap=100.0)
 
 
 class TestFrames:
